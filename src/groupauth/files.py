@@ -33,16 +33,21 @@ def _int_str(value: int) -> str:
     return str(int(value))
 
 
+def _is_decimal(raw) -> bool:
+    """True for a non-empty string of ASCII digits 0-9 only."""
+    return isinstance(raw, str) and raw.isascii() and raw.isdigit()
+
+
 def _parse_int(doc: dict, field: str) -> int:
     raw = doc.get(field)
-    if not isinstance(raw, str) or not raw.isdigit():
+    if not _is_decimal(raw):
         raise SchemaError(f"field {field!r} must be a decimal string", field=field)
     return int(raw)
 
 
 def _parse_int_list(doc: dict, field: str) -> list[int]:
     raw = doc.get(field)
-    if not isinstance(raw, list) or not all(isinstance(x, str) and x.isdigit() for x in raw):
+    if not isinstance(raw, list) or not all(_is_decimal(x) for x in raw):
         raise SchemaError(f"field {field!r} must be a list of decimal strings", field=field)
     return [int(x) for x in raw]
 
@@ -158,7 +163,7 @@ def from_document(doc: dict):
         for entry in raw:
             if entry is None:
                 slots.append(None)
-            elif isinstance(entry, list) and all(isinstance(x, str) and x.isdigit() for x in entry):
+            elif isinstance(entry, list) and all(_is_decimal(x) for x in entry):
                 slots.append(frozenset(int(x) for x in entry))
             else:
                 raise SchemaError(

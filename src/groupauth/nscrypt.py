@@ -31,6 +31,8 @@ __all__ = [
     "encrypt",
     "decrypt",
     "partial_decrypt",
+    "residue_bits",
+    "check_share_primes",
     "bit_primes",
 ]
 
@@ -94,6 +96,19 @@ class KeyShare:
     def __post_init__(self):
         if not self.prime_subset:
             raise ValueError("prime subset must be non-empty")
+        check_share_primes(self.prime_subset)
+
+
+def check_share_primes(primes: frozenset[int], n: int = 64) -> None:
+    """Raise ValueError unless every prime is among the first n primes.
+
+    Share material from outside the program is checked with this, so a
+    share can never hold a prime whose bit lies outside every message.
+    """
+    for q in primes:
+        rank = numtheory.SMALL_PRIME_RANK.get(q)
+        if rank is None or rank >= n:
+            raise ValueError(f"share prime {q} is not one of the first {n} primes")
 
 
 def keygen(
@@ -206,11 +221,20 @@ def partial_decrypt(share: KeyShare, c: Ciphertext) -> int:
     """
     if not 1 <= c < share.p:
         raise ValueError("ciphertext out of range")
-    u = pow(c, share.s, share.p)
+    return residue_bits(pow(c, share.s, share.p), share.prime_subset)
+
+
+def residue_bits(u: int, primes: frozenset[int]) -> int:
+    """The message bits of the primes in `primes` that divide the residue u.
+
+    u is c^s mod p; a sequence token computes it once per ciphertext and
+    reads every slot's bits off it with this.
+    """
+    rank = numtheory.SMALL_PRIME_RANK
     m = 0
-    for q in share.prime_subset:
+    for q in primes:
         if u % q == 0:
-            m |= 1 << numtheory.prime_index(q)
+            m |= 1 << rank[q]
     return m
 
 

@@ -21,6 +21,8 @@ __all__ = [
     "next_prime_above",
     "first_n_primes",
     "prime_index",
+    "SMALL_PRIMES",
+    "SMALL_PRIME_RANK",
 ]
 
 
@@ -133,19 +135,27 @@ def first_n_primes(n: int) -> list[int]:
     return primes
 
 
+# The first 64 primes and their 0-based ranks. 64 is the largest prime count
+# a key may have, so every message bit's prime is in this table.
+SMALL_PRIMES: tuple[int, ...] = tuple(first_n_primes(64))
+SMALL_PRIME_RANK: dict[int, int] = {q: i for i, q in enumerate(SMALL_PRIMES)}
+
+
 def prime_index(q: int) -> int:
     """0-based rank of the prime q (2 -> 0, 3 -> 1, 5 -> 2, ...).
 
     Message bit positions are defined by this rank, so a key share can map
     its prime values back to bit indices without carrying the full system
-    prime list.
+    prime list. Primes in SMALL_PRIMES are looked up; larger ones are
+    ranked by walking the primes above the table.
     """
-    if q == 2:
-        return 0
+    rank = SMALL_PRIME_RANK.get(q)
+    if rank is not None:
+        return rank
     if q < 2 or not is_probable_prime(q):
         raise ValueError(f"{q} is not prime")
-    rank = 1
-    p = 3
+    rank = len(SMALL_PRIMES) - 1
+    p = SMALL_PRIMES[-1]
     while p < q:
         rank += 1
         p = next_prime_above(p)

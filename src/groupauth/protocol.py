@@ -13,10 +13,19 @@ prime set, or the policy: those live only in the share material.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
-from .nscrypt import KeyShare, NsPrivateKey, NsPublicKey, encrypt, partial_decrypt, public_key_of
+from .nscrypt import (
+    KeyShare,
+    NsPrivateKey,
+    NsPublicKey,
+    encrypt,
+    partial_decrypt,
+    public_key_of,
+    residue_bits,
+)
 from .sharesplit import ShareSequence
 
 __all__ = [
@@ -172,7 +181,9 @@ def token_respond(
 
     Where the token holds a share it answers the partial decryption of that
     slot's ciphertext; where it holds none it answers a null value, whose
-    presence corrupts the merge and is what rejects over-full groups.
+    presence corrupts the merge and is what rejects over-full groups. A
+    sequence token raises each distinct ciphertext to s once and reads every
+    slot's bits off that residue.
     """
     rng = rng if rng is not None else random.Random()
     if isinstance(share, KeyShare):
@@ -185,14 +196,19 @@ def token_respond(
         raise ValueError("a share sequence answers sequence challenges")
     if len(share.slots) != challenge.slot_count:
         raise ValueError("share sequence length does not match the challenge")
+    residues: dict[int, int] = {}  # ciphertext -> c^s mod p
     values = []
     for i, prime_set in enumerate(share.slots):
         if prime_set is None:
             values.append(_null_value(null_policy, share.n, rng))
-        else:
-            piece = KeyShare(holder=share.holder, s=share.s, p=share.p,
-                             prime_subset=prime_set)
-            values.append(partial_decrypt(piece, challenge.ciphertext_for(i)))
+            continue
+        c = challenge.ciphertext_for(i)
+        u = residues.get(c)
+        if u is None:
+            if not 1 <= c < share.p:
+                raise ValueError("ciphertext out of range")
+            u = residues[c] = pow(c, share.s, share.p)
+        values.append(residue_bits(u, prime_set))
     return ResponseVector(session_id=challenge.session_id, values=tuple(values))
 
 
@@ -302,6 +318,33 @@ class AuditReport:
         return frozenset(out)
 
 
+_MERGE_OPS = {"or": operator.or_, "sum": operator.add, "xor": operator.xor}
+
+
+def _accepted_masks(responses: list[ResponseVector], state: VerifierState) -> set[int]:
+    """Every subset of `responses` whose merge `verify` would accept.
+
+    A subset is a bit mask over the responses' positions. Per slot, subset
+    merges come from the low-bit recurrence
+    acc[a] = acc[a without its lowest member] (merge op) value of that member,
+    which is the same OR, sum or XOR `merge_responses` takes, so a subset is
+    accepted exactly when some slot's merged value equals its plaintext.
+    """
+    combine = _MERGE_OPS[state.merge]
+    size = 1 << len(responses)
+    accepted: set[int] = set()
+    for j in range(state.slot_count):
+        target = state.plaintext_for(j)
+        column = [r.values[j] for r in responses]
+        acc = [0] * size
+        for a in range(1, size):
+            low = a & -a
+            acc[a] = value = combine(acc[a ^ low], column[low.bit_length() - 1])
+            if value == target:
+                accepted.add(a)
+    return accepted
+
+
 def audit(
     priv: NsPrivateKey,
     shares: dict[str, KeyShare | ShareSequence],
@@ -317,10 +360,20 @@ def audit(
 ) -> AuditReport:
     """Simulate every non-empty holder subset end to end, `trials` times.
 
-    Each trial draws a fresh challenge (or reuses `force_m`), runs
-    respond/merge/verify for all subsets, and records which were accepted.
-    The report compares that against the expected family and tallies
-    per-subset acceptance frequencies.
+    Each trial draws a fresh challenge (or reuses `force_m`), has every
+    holder respond to it once, and merges those responses over all subsets;
+    a subset is accepted exactly when `verify` would accept its merge. The
+    report compares that against the expected family and tallies per-subset
+    acceptance frequencies.
+
+    Every subset of a trial shares the holders' one response each. A token
+    answers a challenge the same way whoever else is present, so with
+    null_policy="one" the accepted sets are those of responding afresh per
+    subset. With null_policy="random-nonzero" each holder draws its nulls
+    once per trial and all subsets share those draws: each subset's
+    acceptance probability is unchanged, but the subsets of one trial are
+    no longer independent, and `rng` is consumed differently than by
+    per-subset responses.
     """
     universe = tuple(shares)
     if len(universe) > 20:
@@ -338,15 +391,8 @@ def audit(
         challenge, state = make_challenge(
             pub, mode=mode, merge=merge, slot_count=slot_count,
             per_index_random=per_index_random, rng=rng, force_m=force_m)
-        accepted: set[frozenset[str]] = set()
-        for size in range(1, len(universe) + 1):
-            for combo in itertools.combinations(universe, size):
-                responses = [
-                    token_respond(shares[h], challenge, null_policy, rng)
-                    for h in combo
-                ]
-                merged = merge_responses(responses, mode, merge)
-                if verify(state, merged).accepted:
-                    accepted.add(frozenset(combo))
-        report.accepted_by_trial.append(frozenset(accepted))
+        responses = [token_respond(shares[h], challenge, null_policy, rng) for h in universe]
+        report.accepted_by_trial.append(frozenset(
+            frozenset(h for i, h in enumerate(universe) if (a >> i) & 1)
+            for a in _accepted_masks(responses, state)))
     return report

@@ -32,7 +32,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import GroupAuthError
-from .nscrypt import KeyShare, NsPrivateKey
+from .nscrypt import KeyShare, NsPrivateKey, check_share_primes
 from .policy import And, Not, Or, PolicyExpr, Var, is_monotone, variables
 
 __all__ = [
@@ -526,6 +526,11 @@ class ShareSequence:
     p: int
     n: int
     slots: tuple[frozenset[int] | None, ...]
+
+    def __post_init__(self):
+        for prime_set in self.slots:
+            if prime_set is not None:
+                check_share_primes(prime_set, self.n)
 
 
 def issue_monotone(

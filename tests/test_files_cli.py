@@ -67,6 +67,34 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             files.load(path)
 
+    def test_share_with_non_system_prime_rejected(self, tmp_path, airplane, small):
+        mono = files.to_document(small.shares["A1"])
+        mono["primes"] = ["2", "100003"]
+        seq = files.to_document(airplane.shares["A"])
+        seq["slots"][0] = ["2", "41"]  # 41 is the 13th prime; the system has 12
+        for doc in (mono, seq):
+            path = tmp_path / "share.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError):
+                files.load(path)
+
+    @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
+    def test_only_ascii_digits(self, tmp_path, airplane, digit):
+        pub_doc = files.to_document(airplane.pub)
+        seq_doc = files.to_document(airplane.shares["A"])
+        docs = [
+            dict(pub_doc, p=digit),
+            dict(pub_doc, v=[digit] + pub_doc["v"][1:]),
+            dict(seq_doc, slots=[[digit]] + seq_doc["slots"][1:]),
+        ]
+        for doc in docs:
+            with pytest.raises(SchemaError):
+                files.from_document(doc)
+            path = tmp_path / "doc.json"
+            path.write_text(json.dumps(doc))
+            with pytest.raises(SchemaError):
+                files.load(path)
+
     def test_wrong_kind_rejected(self, tmp_path, airplane):
         files.save(airplane.pub, tmp_path / "pub.json")
         with pytest.raises(SchemaError):

@@ -182,6 +182,24 @@ class TestPartialDecrypt:
             assert ored == m
             assert sum(pieces) == m  # bit-disjoint parts
 
+    def test_n64_matches_masked_decrypt(self, demo64):
+        pub, priv = demo64
+        rng = random.Random(64)
+        for _ in range(20):
+            m = rng.randrange(1, 1 << 64)
+            c = encrypt(pub, m)
+            idxs = rng.sample(range(64), rng.randint(1, 64))
+            share = KeyShare(holder="x", s=priv.s, p=priv.p,
+                             prime_subset=frozenset(priv.primes[i] for i in idxs))
+            share_mask = sum(1 << i for i in idxs)
+            assert partial_decrypt(share, c) == decrypt(priv, c) & share_mask
+
+    def test_share_primes_must_be_system_primes(self, demo12):
+        _, priv = demo12
+        for subset in ({100003}, {2, 9}, {2, 313}):
+            with pytest.raises(ValueError):
+                KeyShare(holder="x", s=priv.s, p=priv.p, prime_subset=frozenset(subset))
+
     def test_full_subset_equals_decrypt(self, demo12):
         pub, priv = demo12
         share = KeyShare(holder="x", s=priv.s, p=priv.p,
@@ -189,6 +207,11 @@ class TestPartialDecrypt:
         for m in (1, 202, 2919, 4095):
             c = encrypt(pub, m)
             assert partial_decrypt(share, c) == decrypt(priv, c) == m
+
+
+@pytest.fixture(scope="module")
+def demo64():
+    return keygen(64)
 
 
 @pytest.fixture(scope="module")

@@ -162,10 +162,12 @@ class TestFirstNPrimes:
 
 class TestPrimeIndex:
     def test_ranks(self):
-        primes = first_n_primes(20)
+        # 70 primes: the 64-prime table and the walk beyond it
+        primes = first_n_primes(70)
         for i, q in enumerate(primes):
             assert prime_index(q) == i
 
     def test_rejects_composite(self):
-        with pytest.raises(ValueError):
-            prime_index(9)
+        for q in (9, 1, 0, 313 * 317):
+            with pytest.raises(ValueError):
+                prime_index(q)

@@ -5,17 +5,19 @@ import random
 import pytest
 
 from groupauth import files, fixtures, protocol
+from groupauth.nscrypt import KeyShare, partial_decrypt
 from groupauth.protocol import (
     Challenge,
     ResponseVector,
     audit,
     make_challenge,
     merge_monotone,
+    merge_responses,
     merge_sequence,
     token_respond,
     verify,
 )
-from groupauth.sharesplit import issue_sequence, slots_baseline
+from groupauth.sharesplit import ShareSequence, issue_sequence, slots_baseline, slots_packed
 
 ABCDE = ("A", "B", "C", "D", "E")
 
@@ -89,6 +91,29 @@ class TestTokenRespond:
                 airplane.shares["E"], challenge, "random-nonzero", rng)
             null = response.values[6]  # E holds nothing at the last slot
             assert 2 <= null < (1 << 12)
+
+    @pytest.mark.parametrize("per_index_random", [False, True])
+    def test_sequence_matches_per_slot_partial_decrypt(self, airplane, per_index_random):
+        rng = random.Random(17)
+        for _ in range(10):
+            challenge, _ = make_challenge(
+                airplane.pub, mode="sequence", merge="sum", slot_count=7,
+                per_index_random=per_index_random, rng=rng)
+            for holder, share in airplane.shares.items():
+                expected = tuple(
+                    1 if prime_set is None else partial_decrypt(
+                        KeyShare(holder=holder, s=share.s, p=share.p,
+                                 prime_subset=prime_set),
+                        challenge.ciphertext_for(i))
+                    for i, prime_set in enumerate(share.slots))
+                assert token_respond(share, challenge, "one").values == expected
+
+    def test_sequence_rejects_out_of_range_ciphertext(self, airplane):
+        share = airplane.shares["A"]
+        challenge = Challenge(session_id="x", mode="sequence", merge="sum",
+                              slot_count=7, ciphertexts=(share.p,))
+        with pytest.raises(ValueError):
+            token_respond(share, challenge)
 
     def test_share_kind_must_match_mode(self, airplane, small):
         challenge, _ = airplane_challenge(airplane)
@@ -200,6 +225,60 @@ class TestAudit:
         assert len(freqs) == 31
         for group in airplane.expected_family:
             assert freqs[group] == 1.0
+
+
+def reference_audit(shares, challenge, state):
+    """The accepted subsets of one null-1 trial, responding afresh for every subset."""
+    universe = tuple(shares)
+    accepted = set()
+    for size in range(1, len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            responses = [token_respond(shares[h], challenge, "one") for h in combo]
+            merged = merge_responses(responses, state.mode, state.merge)
+            if verify(state, merged).accepted:
+                accepted.add(frozenset(combo))
+    return frozenset(accepted)
+
+
+def audit_agrees_with_reference(priv, pub, shares, expected, mode, merge, messages):
+    first = next(iter(shares.values()))
+    slot_count = len(first.slots) if isinstance(first, ShareSequence) else 1
+    for m in messages:
+        report = audit(priv, shares, expected, trials=2, rng=random.Random(m),
+                       mode=mode, merge=merge, force_m=m)
+        # audit's only rng use under null=1 is make_challenge: replay it
+        rng = random.Random(m)
+        for accepted in report.accepted_by_trial:
+            challenge, state = make_challenge(
+                pub, mode=mode, merge=merge, slot_count=slot_count, rng=rng, force_m=m)
+            assert accepted == reference_audit(shares, challenge, state), (merge, m)
+
+
+PINNED_MESSAGES_12 = (1, 7, 2919, 0x555, 0xAAA, 4094, 4095)
+
+
+class TestAuditMatchesReference:
+    """audit's one-response-per-holder merge against per-subset responding."""
+
+    @pytest.mark.parametrize("merge", ["sum", "xor"])
+    @pytest.mark.parametrize("planner", [slots_baseline, slots_packed])
+    def test_airplane_sequence(self, airplane, planner, merge):
+        plan = planner(airplane.expected_family, 12, ABCDE)
+        shares = issue_sequence(plan, airplane.priv)
+        audit_agrees_with_reference(
+            airplane.priv, airplane.pub, shares, airplane.expected_family,
+            "sequence", merge, PINNED_MESSAGES_12)
+
+    @pytest.mark.parametrize("merge", ["sum", "xor"])
+    def test_airplane_bundled_plan(self, airplane, merge):
+        audit_agrees_with_reference(
+            airplane.priv, airplane.pub, airplane.shares, airplane.expected_family,
+            "sequence", merge, PINNED_MESSAGES_12)
+
+    def test_small_monotone(self, small):
+        audit_agrees_with_reference(
+            small.priv, small.pub, small.shares, small.expected_family,
+            "monotone", "or", (1, 2, 100, small.message, 128, 254, 255))
 
 
 class TestCompleteness:
@@ -341,6 +420,15 @@ class TestSoundness:
 def baseline_shares(airplane):
     plan = slots_baseline(airplane.expected_family, 12, ABCDE)
     return plan, issue_sequence(plan, airplane.priv)
+
+
+class TestShareSequencePrimes:
+    def test_rejects_primes_outside_the_system(self, airplane):
+        share = airplane.shares["A"]
+        for bad in ({100003}, {41}, {2, 9}):  # 41 is the 13th prime, n is 12
+            with pytest.raises(ValueError):
+                ShareSequence(holder="A", s=share.s, p=share.p, n=share.n,
+                              slots=(frozenset(bad),) + share.slots[1:])
 
 
 class TestXorPitfall:
