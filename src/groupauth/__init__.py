@@ -27,7 +27,6 @@ from .nscrypt import (
     NsPrivateKey,
     NsPublicKey,
     Plaintext,
-    bit_primes,
     decrypt,
     encrypt,
     keygen,
@@ -46,7 +45,6 @@ from .policy import (
     authorized_family,
     evaluate,
     is_monotone,
-    minimal_sets,
     parse,
     render,
 )

@@ -33,7 +33,6 @@ __all__ = [
     "partial_decrypt",
     "residue_bits",
     "check_share_primes",
-    "bit_primes",
 ]
 
 # Messages and ciphertexts are plain ints; these aliases keep signatures readable.
@@ -236,10 +235,3 @@ def residue_bits(u: int, primes: frozenset[int]) -> int:
         if u % q == 0:
             m |= 1 << rank[q]
     return m
-
-
-def bit_primes(m: Plaintext, primes: tuple[int, ...] | list[int]) -> frozenset[int]:
-    """The primes selected by m's set bits."""
-    if m < 0 or m >= (1 << len(primes)):
-        raise ValueError("plaintext out of range for this prime list")
-    return frozenset(primes[i] for i in range(len(primes)) if (m >> i) & 1)

@@ -7,16 +7,13 @@ to call from multiple threads.
 
 from __future__ import annotations
 
-import math
 import random
 
 from .errors import GroupAuthError
 
 __all__ = [
     "NotInvertible",
-    "mod_pow",
     "mod_inv",
-    "gcd",
     "is_probable_prime",
     "next_prime_above",
     "first_n_primes",
@@ -37,15 +34,6 @@ _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _TWO_64 = 1 << 64
 
 
-def mod_pow(base: int, exponent: int, modulus: int) -> int:
-    """base**exponent mod modulus via square-and-multiply (O(log exponent))."""
-    if modulus < 1:
-        raise ValueError("modulus must be >= 1")
-    if exponent < 0:
-        raise ValueError("exponent must be >= 0")
-    return pow(base, exponent, modulus)
-
-
 def mod_inv(a: int, m: int) -> int:
     """The x in [0, m) with a*x = 1 (mod m).
 
@@ -57,11 +45,6 @@ def mod_inv(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError:
         raise NotInvertible(f"{a} has no inverse modulo {m}") from None
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor; gcd(0, 0) is 0 by convention."""
-    return math.gcd(a, b)
 
 
 def _miller_rabin_round(n: int, d: int, r: int, witness: int) -> bool:

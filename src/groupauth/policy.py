@@ -13,10 +13,9 @@ chains are flattened into n-ary nodes.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import GroupAuthError
 
@@ -36,11 +35,13 @@ __all__ = [
     "evaluate",
     "is_monotone",
     "variables",
+    "truth_table",
+    "subset_fold",
+    "group_of",
     "authorized_family",
-    "minimal_sets",
 ]
 
-MAX_UNIVERSE = 20  # family enumeration is 2^|universe|
+MAX_UNIVERSE = 20  # every subset consumer enumerates 2^|universe| subsets
 
 
 class PolicyError(GroupAuthError):
@@ -272,6 +273,62 @@ def variables(expr: PolicyExpr) -> tuple[str, ...]:
     return tuple(seen)
 
 
+# ---------------------------------------------------------------------------
+# the subset space: subset a of `order` is the bit mask whose bit j picks
+# order[j]
+
+
+def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
+    """The policy's value on every subset of `order`, as one bit mask.
+
+    Bit a of the result is `evaluate(expr, group_of(a, order))`. A name that
+    is not in `order` is never present, so its variable reads false.
+    """
+    size = 1 << len(order)
+    full = (1 << size) - 1
+    pos = {name: j for j, name in enumerate(order)}
+
+    def go(node: PolicyExpr) -> int:
+        if isinstance(node, Var):
+            j = pos.get(node.name)
+            if j is None:
+                return 0
+            pattern = ((1 << (1 << j)) - 1) << (1 << j)
+            width = 1 << (j + 1)
+            while width < size:
+                pattern |= pattern << width
+                width *= 2
+            return pattern & full
+        if isinstance(node, Not):
+            return full ^ go(node.child)
+        tables = [go(c) for c in node.children]
+        out = tables[0]
+        for t in tables[1:]:
+            out = (out & t) if isinstance(node, And) else (out | t)
+        return out
+
+    return go(expr)
+
+
+def subset_fold(values: Sequence[int], combine: Callable[[int, int], int]) -> list[int]:
+    """Fold `values` over every subset of their positions, starting from 0.
+
+    Entry a of the result combines the values at the set bits of a, via the
+    low-bit recurrence acc[a] = combine(acc[a without its lowest bit],
+    value at that bit): one `combine` call per non-empty subset.
+    """
+    acc = [0] * (1 << len(values))
+    for a in range(1, len(acc)):
+        low = a & -a
+        acc[a] = combine(acc[a ^ low], values[low.bit_length() - 1])
+    return acc
+
+
+def group_of(mask: int, order: Sequence[str]) -> frozenset[str]:
+    """The holders of `order` whose bits are set in `mask`."""
+    return frozenset(name for j, name in enumerate(order) if (mask >> j) & 1)
+
+
 def authorized_family(
     expr: PolicyExpr,
     universe: Sequence[str],
@@ -279,24 +336,14 @@ def authorized_family(
 ) -> frozenset[frozenset[str]]:
     """All non-empty subsets of the universe that satisfy the policy.
 
-    Exhaustive enumeration, optionally capped at groups of `max_size`
-    members. A size cap is the only way to express seat-count style limits;
-    the expression language alone cannot.
+    Read off the policy's truth table, optionally capped at groups of
+    `max_size` members. A size cap is the only way to express seat-count
+    style limits; the expression language alone cannot.
     """
     names = check_universe(universe)
-    limit = len(names) if max_size is None else min(max_size, len(names))
-    family = set()
-    for size in range(1, limit + 1):
-        for combo in itertools.combinations(names, size):
-            if evaluate(expr, combo):
-                family.add(frozenset(combo))
-    return frozenset(family)
-
-
-def minimal_sets(family: Iterable[frozenset[str]]) -> frozenset[frozenset[str]]:
-    """Members of the family with no proper subset also in the family."""
-    groups = set(family)
+    limit = len(names) if max_size is None else max_size
+    bits = format(truth_table(expr, names), "b")[::-1]  # bit a at position a
     return frozenset(
-        g for g in groups
-        if not any(other < g for other in groups)
+        group_of(a, names) for a, bit in enumerate(bits)
+        if bit == "1" and 0 < a.bit_count() <= limit
     )

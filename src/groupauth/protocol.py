@@ -12,7 +12,6 @@ prime set, or the policy: those live only in the share material.
 
 from __future__ import annotations
 
-import itertools
 import operator
 import random
 from dataclasses import dataclass, field
@@ -26,6 +25,7 @@ from .nscrypt import (
     public_key_of,
     residue_bits,
 )
+from .policy import check_universe, group_of, subset_fold
 from .sharesplit import ShareSequence
 
 __all__ = [
@@ -252,9 +252,14 @@ def merge_responses(responses: list[ResponseVector], mode: str, merge: str) -> l
 
 
 def verify(state: VerifierState, merged: list[int]) -> Verdict:
-    """Accept iff some merged value equals the matching secret plaintext."""
-    if len(state.plaintexts) not in (1, len(merged)) and merged:
-        raise ValueError("merged length does not match the session plaintexts")
+    """Accept iff some merged value equals the matching secret plaintext.
+
+    A non-empty merge must have one value per session slot; the empty merge
+    of no responses is a rejection.
+    """
+    if merged and len(merged) != state.slot_count:
+        raise ValueError(
+            f"merged has {len(merged)} values, the session has {state.slot_count} slots")
     matching = None
     for i, value in enumerate(merged):
         if value == state.plaintext_for(i):
@@ -288,11 +293,8 @@ class AuditReport:
         return [acc == self.expected for acc in self.accepted_by_trial]
 
     def subsets(self) -> list[frozenset[str]]:
-        out = []
-        for size in range(1, len(self.universe) + 1):
-            for combo in itertools.combinations(self.universe, size):
-                out.append(frozenset(combo))
-        return out
+        """Every non-empty subset of the universe, in bit-mask order."""
+        return [group_of(a, self.universe) for a in range(1, 1 << len(self.universe))]
 
     def frequencies(self) -> dict[frozenset[str], float]:
         """Acceptance rate per subset across all trials."""
@@ -324,24 +326,18 @@ _MERGE_OPS = {"or": operator.or_, "sum": operator.add, "xor": operator.xor}
 def _accepted_masks(responses: list[ResponseVector], state: VerifierState) -> set[int]:
     """Every subset of `responses` whose merge `verify` would accept.
 
-    A subset is a bit mask over the responses' positions. Per slot, subset
-    merges come from the low-bit recurrence
-    acc[a] = acc[a without its lowest member] (merge op) value of that member,
-    which is the same OR, sum or XOR `merge_responses` takes, so a subset is
-    accepted exactly when some slot's merged value equals its plaintext.
+    A subset is a bit mask over the responses' positions. Per slot,
+    `subset_fold` merges every subset with the same OR, sum or XOR that
+    `merge_responses` takes, so a subset is accepted exactly when some
+    slot's merged value equals its plaintext. Plaintexts are non-zero, so
+    the empty subset's 0 never matches.
     """
     combine = _MERGE_OPS[state.merge]
-    size = 1 << len(responses)
     accepted: set[int] = set()
     for j in range(state.slot_count):
         target = state.plaintext_for(j)
-        column = [r.values[j] for r in responses]
-        acc = [0] * size
-        for a in range(1, size):
-            low = a & -a
-            acc[a] = value = combine(acc[a ^ low], column[low.bit_length() - 1])
-            if value == target:
-                accepted.add(a)
+        merged = subset_fold([r.values[j] for r in responses], combine)
+        accepted.update(a for a, value in enumerate(merged) if value == target)
     return accepted
 
 
@@ -364,7 +360,8 @@ def audit(
     holder respond to it once, and merges those responses over all subsets;
     a subset is accepted exactly when `verify` would accept its merge. The
     report compares that against the expected family and tallies per-subset
-    acceptance frequencies.
+    acceptance frequencies. `trials` must be at least 1, since a report
+    with no trials would read as exact.
 
     Every subset of a trial shares the holders' one response each. A token
     answers a challenge the same way whoever else is present, so with
@@ -375,9 +372,9 @@ def audit(
     no longer independent, and `rng` is consumed differently than by
     per-subset responses.
     """
-    universe = tuple(shares)
-    if len(universe) > 20:
-        raise ValueError("audit enumerates 2^holders; 20 holders maximum")
+    if trials < 1:
+        raise ValueError("an audit needs at least one trial")
+    universe = check_universe(tuple(shares))
     rng = rng if rng is not None else random.Random()
     pub = public_key_of(priv)
     slot_count = 1
@@ -393,6 +390,5 @@ def audit(
             per_index_random=per_index_random, rng=rng, force_m=force_m)
         responses = [token_respond(shares[h], challenge, null_policy, rng) for h in universe]
         report.accepted_by_trial.append(frozenset(
-            frozenset(h for i, h in enumerate(universe) if (a >> i) & 1)
-            for a in _accepted_masks(responses, state)))
+            group_of(a, universe) for a in _accepted_masks(responses, state)))
     return report

@@ -28,12 +28,14 @@ equivalence unconditional.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass, field
 
 from .errors import GroupAuthError
 from .nscrypt import KeyShare, NsPrivateKey, check_share_primes
-from .policy import And, Not, Or, PolicyExpr, Var, is_monotone, variables
+from .policy import (And, Not, Or, PolicyExpr, Var, check_universe, is_monotone,
+                     subset_fold, truth_table, variables)
 
 __all__ = [
     "NonMonotoneError",
@@ -69,34 +71,8 @@ class GroupLargerThanPrimeCount(GroupAuthError):
 
 
 # ---------------------------------------------------------------------------
-# truth tables as bitmasks: bit a of the table is the expression's value
-# under the assignment whose set bits pick the true variables
-
-
-def _truth_table(expr: PolicyExpr, order: tuple[str, ...]) -> int:
-    size = 1 << len(order)
-    full = (1 << size) - 1
-    pos = {name: j for j, name in enumerate(order)}
-
-    def go(node: PolicyExpr) -> int:
-        if isinstance(node, Var):
-            j = pos[node.name]
-            block = ((1 << (1 << j)) - 1) << (1 << j)
-            width = 1 << (j + 1)
-            pattern = block
-            while width < size:
-                pattern |= pattern << width
-                width *= 2
-            return pattern & full
-        if isinstance(node, Not):
-            return full ^ go(node.child)
-        tables = [go(c) for c in node.children]
-        out = tables[0]
-        for t in tables[1:]:
-            out = (out & t) if isinstance(node, And) else (out | t)
-        return out
-
-    return go(expr)
+# truth tables (`policy.truth_table`): bit a of a table is the expression's
+# value under the assignment whose set bits pick the true variables
 
 
 def _maximal_unsat(table: int, nvars: int) -> list[int]:
@@ -206,7 +182,7 @@ def _guided_descent(
     node_tables: dict[int, int] = {}
 
     def fill(node: PolicyExpr) -> int:
-        t = _truth_table(node, order)
+        t = truth_table(node, order)
         node_tables[id(node)] = t
         if isinstance(node, (And, Or)):
             for c in node.children:
@@ -274,14 +250,9 @@ def _split_is_exact(
         sum(1 << bit_of[x] for x in split.get(name, ()))
         for name in order
     ]
-    nvars = len(order)
-    masks = [0] * (1 << nvars)
-    for a in range(1, 1 << nvars):
-        low = a & -a
-        masks[a] = masks[a ^ low] | cover[low.bit_length() - 1]
-        if (masks[a] == full) != bool((table >> a) & 1):
-            return False
-    return not (table & 1)  # the empty group must not satisfy
+    covers = subset_fold(cover, operator.or_)
+    # bit 0 compares too: the empty group covers nothing and must not satisfy
+    return table == int("".join("1" if m == full else "0" for m in reversed(covers)), 2)
 
 
 def bl_split(
@@ -307,16 +278,14 @@ def bl_split(
     indices = list(prime_indices)
     if len(set(indices)) != len(indices):
         raise ValueError("prime indices must be distinct")
-    order = variables(expr)
+    order = check_universe(variables(expr))
     if not indices:
         raise InsufficientPrimes("no prime indices to split")
-    if len(order) > 20:
-        raise GroupAuthError("more than 20 holders; exactness check is 2^holders")
     if _max_and_fanin_product(expr) > len(indices):
         raise InsufficientPrimes(
             "nested AND fan-ins need more prime indices than available")
     rng = rng if rng is not None else random.Random(0)
-    table = _truth_table(expr, order)
+    table = truth_table(expr, order)
 
     attempts = _RANDOM_RETRIES if strategy == "seeded-random" else 1
     split: dict[str, set[int]] | None = None

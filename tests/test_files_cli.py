@@ -241,6 +241,17 @@ class TestPipeline:
         assert doc["false_accepts"] == [] and doc["missed"] == []
         assert len(doc["expected"]) == 16
 
+    def test_audit_without_trials_is_usage_error(self, pipeline, capsys):
+        root = pipeline
+        code = run_cli(["audit", "--key", str(root / "keys/priv.json"),
+                        "--shares", str(root / "shares"),
+                        "--policy", fixtures.AIRPLANE_POLICY,
+                        "--universe", "A,B,C,D,E", "--max-size", "3", "--trials", "0"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "result: exact" not in captured.out
+        assert "at least one trial" in captured.err
+
     def test_session_mismatch_detected(self, pipeline):
         root = pipeline
         slots = _slot_count(root)

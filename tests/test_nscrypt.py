@@ -7,7 +7,6 @@ from groupauth import fixtures, numtheory
 from groupauth.nscrypt import (
     KeyShare,
     MalformedCiphertext,
-    bit_primes,
     decrypt,
     encrypt,
     keygen,
@@ -232,19 +231,30 @@ class TestSmallSystem:
 
     def test_residue_primes(self, demo8):
         pub, priv = demo8
-        assert bit_primes(202, priv.primes) == frozenset({3, 7, 17, 19})
+        u = pow(encrypt(pub, 202), priv.s, priv.p)
+        assert frozenset(q for q in priv.primes if u % q == 0) == {3, 7, 17, 19}
 
 
 class TestBitPrimes:
-    def test_202_over_8(self):
-        primes8 = (2, 3, 5, 7, 11, 13, 17, 19)
-        assert bit_primes(202, primes8) == frozenset({3, 7, 17, 19})
+    """Bit i of a message selects the i-th prime: the residue c^s mod p of
+    its ciphertext is the product of the selected primes."""
 
-    def test_2919_over_12(self):
-        assert bit_primes(2919, PRIMES_12) == frozenset({2, 3, 5, 13, 17, 23, 29, 37})
+    def test_202_over_8(self, demo8):
+        pub, priv = demo8
+        assert pow(encrypt(pub, 202), priv.s, priv.p) == math.prod({3, 7, 17, 19})
 
-    def test_zero(self):
-        assert bit_primes(0, PRIMES_12) == frozenset()
+    def test_2919_over_12(self, demo12):
+        pub, priv = demo12
+        assert priv.primes == PRIMES_12
+        assert pow(encrypt(pub, 2919), priv.s, priv.p) == math.prod(
+            {2, 3, 5, 13, 17, 23, 29, 37})
+
+    def test_zero(self, demo12):
+        # m = 0 selects no prime; its residue would be 1, which decrypts to 0
+        pub, priv = demo12
+        assert decrypt(priv, 1) == 0
+        with pytest.raises(ValueError):
+            encrypt(pub, 0)
 
 
 class TestPublicKeyOf:

@@ -8,10 +8,8 @@ from hypothesis import strategies as st
 from groupauth.numtheory import (
     NotInvertible,
     first_n_primes,
-    gcd,
     is_probable_prime,
     mod_inv,
-    mod_pow,
     next_prime_above,
     prime_index,
 )
@@ -27,35 +25,14 @@ def sieve(limit):
 
 
 class TestModPow:
-    def test_small(self):
-        assert mod_pow(2, 10, 1000) == 24
-
-    def test_zero_exponent(self):
-        for x, m in [(0, 2), (5, 7), (123456789, 97)]:
-            assert mod_pow(x, 0, m) == 1
-
-    def test_zero_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            mod_pow(2, 3, 0)
+    """Modular powers are the builtin three-argument pow."""
 
     def test_demo_residue_factors(self):
         # the 8-prime demo system: the residue of the known ciphertext
         # factors exactly as {3, 7, 17, 19}
-        u = mod_pow(7202882, 5642069, 9700247)
+        u = pow(7202882, 5642069, 9700247)
         assert u == 6783
         assert 3 * 7 * 17 * 19 == u
-
-    @settings(max_examples=200)
-    @given(
-        a=st.integers(min_value=0, max_value=10**6),
-        b=st.integers(min_value=0, max_value=10**4),
-        c=st.integers(min_value=0, max_value=10**4),
-        m=st.integers(min_value=2, max_value=10**6),
-    )
-    def test_exponent_addition(self, a, b, c, m):
-        lhs = mod_pow(a, b + c, m)
-        rhs = (mod_pow(a, b, m) * mod_pow(a, c, m)) % m
-        assert lhs == rhs
 
 
 class TestModInv:
@@ -79,14 +56,6 @@ class TestModInv:
             assert math.gcd(a, m) != 1
         else:
             assert (a * x) % m == 1
-
-
-class TestGcd:
-    def test_examples(self):
-        assert gcd(12, 18) == 6
-        assert gcd(1, 987654321) == 1
-        assert gcd(0, 7) == 7
-        assert gcd(0, 0) == 0
 
 
 class TestPrimality:

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from groupauth import fixtures
+from groupauth.nscrypt import KeyShare
 from groupauth.policy import (
     And,
     Not,
@@ -14,14 +16,22 @@ from groupauth.policy import (
     authorized_family,
     evaluate,
     is_monotone,
-    minimal_sets,
     parse,
     render,
 )
+from groupauth.protocol import audit
+from groupauth.sharesplit import bl_split
 from conftest import random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
 INTRO = "(A and B) or ((A or B) and (C or D or E))"
+
+
+def with_nots(rng, expr):
+    """The expression with random subtrees negated."""
+    if not isinstance(expr, Var):
+        expr = type(expr)(tuple(with_nots(rng, c) for c in expr.children))
+    return Not(expr) if rng.random() < 0.3 else expr
 
 
 def brute_eval(expr, present):
@@ -85,6 +95,28 @@ class TestParse:
             parse("A", ("A", "A"))
         with pytest.raises(PolicyError):
             parse("A", tuple(f"h{i}" for i in range(21)))
+
+
+H21 = tuple(f"h{i}" for i in range(21))
+
+
+def _audit_21():
+    small = fixtures.small_system()
+    share = small.shares["A1"]
+    shares = {h: KeyShare(holder=h, s=share.s, p=share.p, prime_subset=share.prime_subset)
+              for h in H21}
+    audit(small.priv, shares, frozenset(), mode="monotone", merge="or")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: parse("h0", H21),
+    lambda: authorized_family(Var("h0"), H21),
+    lambda: bl_split(Or(tuple(Var(h) for h in H21)), range(12)),
+    _audit_21,
+], ids=["parse", "authorized_family", "bl_split", "audit"])
+def test_21_holders_rejected_everywhere(call):
+    with pytest.raises(PolicyError, match="larger than 20 holders"):
+        call()
 
 
 class TestRender:
@@ -157,33 +189,24 @@ class TestAuthorizedFamily:
         assert authorized_family(expr, ("A1", "A2")) == {frozenset({"A1", "A2"})}
 
     def test_matches_brute_force(self):
+        # monotone and negated expressions, over the full universe and over
+        # one that omits a policy holder (who then reads as absent)
         rng = random.Random(21)
         for _ in range(60):
-            expr = random_monotone_expr(rng, ABCDE)
-            family = authorized_family(expr, ABCDE)
-            oracle = set()
-            for r in range(1, 6):
-                for combo in itertools.combinations(ABCDE, r):
-                    if brute_eval(expr, set(combo)):
-                        oracle.add(frozenset(combo))
-            assert family == frozenset(oracle)
+            monotone = random_monotone_expr(rng, ABCDE)
+            for expr in (monotone, with_nots(rng, monotone)):
+                for universe in (ABCDE, ABCDE[:4]):
+                    family = authorized_family(expr, universe)
+                    oracle = set()
+                    for r in range(1, len(universe) + 1):
+                        for combo in itertools.combinations(universe, r):
+                            if brute_eval(expr, set(combo)):
+                                oracle.add(frozenset(combo))
+                    assert family == frozenset(oracle)
+                    assert all(evaluate(expr, g) for g in family)
 
     def test_max_size_filter(self):
         expr = parse("A or B", ABCDE)
         family = authorized_family(expr, ABCDE, max_size=1)
         assert family == {frozenset({"A"}), frozenset({"B"})}
 
-
-class TestMinimalSets:
-    def test_subset_shadowing(self):
-        fam = {frozenset({"A", "B"}), frozenset({"A", "B", "C"})}
-        assert minimal_sets(fam) == {frozenset({"A", "B"})}
-
-    def test_empty(self):
-        assert minimal_sets(set()) == frozenset()
-
-    def test_intro_minimal_pairs(self):
-        expr = parse(INTRO, ABCDE)
-        family = authorized_family(expr, ABCDE)
-        expected = {frozenset(s) for s in ["AB", "AC", "AD", "AE", "BC", "BD", "BE"]}
-        assert minimal_sets(family) == expected

@@ -186,6 +186,27 @@ class TestVerify:
         verdict = verify(state, [merge_monotone(rs)])
         assert verdict.accepted and verdict.matching_slot == 0
 
+    def test_sequence_merge_needs_one_value_per_slot(self, airplane):
+        _, state = airplane_challenge(airplane)
+        m = fixtures.AIRPLANE_MESSAGE
+        assert state.slot_count == 7
+        assert verify(state, [0] * 6 + [m]).accepted
+        for merged in ([0] * 7 + [m], [m], [0] * 6):
+            with pytest.raises(ValueError):
+                verify(state, merged)
+
+    def test_monotone_merge_has_one_value(self, small):
+        _, state = make_challenge(small.pub, rng=random.Random(0), force_m=small.message)
+        assert verify(state, [small.message]).accepted
+        with pytest.raises(ValueError):
+            verify(state, [0, small.message])
+
+    def test_empty_merge_rejects(self, airplane, small):
+        _, seq_state = airplane_challenge(airplane)
+        _, mono_state = make_challenge(small.pub, rng=random.Random(0))
+        for state in (seq_state, mono_state):
+            assert not verify(state, []).accepted
+
 
 class TestAudit:
     def test_airplane_exact_16(self, airplane):
@@ -207,6 +228,12 @@ class TestAudit:
             frozenset({"A1", "A3"}),
             frozenset({"A1", "A2", "A3"}),
         })
+
+    @pytest.mark.parametrize("trials", [0, -1])
+    def test_needs_a_trial(self, small, trials):
+        with pytest.raises(ValueError):
+            audit(small.priv, small.shares, small.expected_family, trials=trials,
+                  mode="monotone", merge="or")
 
     def test_empty_expected_agreement(self, small):
         # an impossible message cannot be authenticated by anyone: compare
