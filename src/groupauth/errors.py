@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["GroupAuthError", "SchemaError"]
+
 
 class GroupAuthError(Exception):
     """Base class for all errors raised by this library."""

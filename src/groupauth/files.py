@@ -54,7 +54,7 @@ def _parse_int_list(doc: dict, field: str) -> list[int]:
 
 def _require(doc: dict, field: str, kind: type) -> Any:
     value = doc.get(field)
-    if not isinstance(value, kind):
+    if type(value) is not kind:  # exact, so a JSON true is no int
         raise SchemaError(f"field {field!r} must be {kind.__name__}", field=field)
     return value
 
@@ -199,7 +199,7 @@ def from_document(doc: dict):
         )
     if kind == "verdict":
         matching = doc.get("matching_slot")
-        if matching is not None and not isinstance(matching, int):
+        if matching is not None and type(matching) is not int:
             raise SchemaError("field 'matching_slot' must be an int or null",
                               field="matching_slot")
         return Verdict(

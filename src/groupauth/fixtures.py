@@ -28,7 +28,6 @@ __all__ = [
     "DemoSystem",
     "airplane_system",
     "small_system",
-    "demo_system",
     "AIRPLANE_POLICY",
     "AIRPLANE_UNIVERSE",
     "AIRPLANE_MAX_SIZE",
@@ -203,11 +202,3 @@ def small_system() -> DemoSystem:
         ciphertext=SMALL_CIPHERTEXT,
         plan=None,
     )
-
-
-def demo_system(name: str) -> DemoSystem:
-    if name == "airplane":
-        return airplane_system()
-    if name == "small":
-        return small_system()
-    raise ValueError(f"unknown fixture {name!r}")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 from .nscrypt import (
     KeyShare,
@@ -50,6 +51,8 @@ MODES = ("monotone", "sequence")
 MERGES = ("or", "sum", "xor")
 NULL_POLICIES = ("one", "random-nonzero")
 
+_MERGE_OPS = {"or": operator.or_, "sum": operator.add, "xor": operator.xor}
+
 
 def _check_mode_merge(mode: str, merge: str) -> None:
     if mode not in MODES:
@@ -58,6 +61,17 @@ def _check_mode_merge(mode: str, merge: str) -> None:
         raise ValueError(f"unknown merge {merge!r}")
     if (merge == "or") != (mode == "monotone"):
         raise ValueError("or-merge is for monotone mode, sum/xor for sequence mode")
+
+
+def _check_session(mode: str, merge: str, slot_count: int, values: int, noun: str) -> None:
+    """Shared shape rules of a challenge and its verifier state."""
+    _check_mode_merge(mode, merge)
+    if slot_count < 1:
+        raise ValueError("slot_count must be >= 1")
+    if mode == "monotone" and slot_count != 1:
+        raise ValueError("monotone mode has exactly one slot")
+    if values not in (1, slot_count):
+        raise ValueError(f"need one {noun}, or one per slot")
 
 
 @dataclass(frozen=True)
@@ -71,13 +85,8 @@ class Challenge:
     ciphertexts: tuple[int, ...]
 
     def __post_init__(self):
-        _check_mode_merge(self.mode, self.merge)
-        if self.slot_count < 1:
-            raise ValueError("slot_count must be >= 1")
-        if self.mode == "monotone" and self.slot_count != 1:
-            raise ValueError("monotone mode has exactly one slot")
-        if len(self.ciphertexts) not in (1, self.slot_count):
-            raise ValueError("need one ciphertext, or one per slot")
+        _check_session(self.mode, self.merge, self.slot_count,
+                       len(self.ciphertexts), "ciphertext")
 
     def ciphertext_for(self, index: int) -> int:
         return self.ciphertexts[index if len(self.ciphertexts) > 1 else 0]
@@ -92,6 +101,12 @@ class VerifierState:
     merge: str
     slot_count: int
     plaintexts: tuple[int, ...]
+
+    def __post_init__(self):
+        _check_session(self.mode, self.merge, self.slot_count,
+                       len(self.plaintexts), "plaintext")
+        if any(m < 1 for m in self.plaintexts):
+            raise ValueError("plaintexts are positive")
 
     def plaintext_for(self, index: int) -> int:
         return self.plaintexts[index if len(self.plaintexts) > 1 else 0]
@@ -164,11 +179,7 @@ def make_challenge(
 
 
 def _null_value(null_policy: str, n: int, rng: random.Random) -> int:
-    if null_policy == "one":
-        return 1
-    if null_policy == "random-nonzero":
-        return rng.randrange(2, 1 << n)
-    raise ValueError(f"unknown null policy {null_policy!r}")
+    return 1 if null_policy == "one" else rng.randrange(2, 1 << n)
 
 
 def token_respond(
@@ -185,6 +196,8 @@ def token_respond(
     sequence token raises each distinct ciphertext to s once and reads every
     slot's bits off that residue.
     """
+    if null_policy not in NULL_POLICIES:
+        raise ValueError(f"unknown null policy {null_policy!r}")
     rng = rng if rng is not None else random.Random()
     if isinstance(share, KeyShare):
         if challenge.mode != "monotone":
@@ -231,16 +244,8 @@ def merge_sequence(responses: list[ResponseVector], merge: str) -> list[int]:
     length = len(responses[0].values)
     if any(len(r.values) != length for r in responses):
         raise ValueError("response vectors disagree on slot count")
-    merged = []
-    for i in range(length):
-        if merge == "sum":
-            merged.append(sum(r.values[i] for r in responses))
-        else:
-            x = 0
-            for r in responses:
-                x ^= r.values[i]
-            merged.append(x)
-    return merged
+    combine = _MERGE_OPS[merge]
+    return [reduce(combine, (r.values[i] for r in responses), 0) for i in range(length)]
 
 
 def merge_responses(responses: list[ResponseVector], mode: str, merge: str) -> list[int]:
@@ -289,9 +294,6 @@ class AuditReport:
     def all_exact(self) -> bool:
         return all(acc == self.expected for acc in self.accepted_by_trial)
 
-    def exact_trials(self) -> list[bool]:
-        return [acc == self.expected for acc in self.accepted_by_trial]
-
     def subsets(self) -> list[frozenset[str]]:
         """Every non-empty subset of the universe, in bit-mask order."""
         return [group_of(a, self.universe) for a in range(1, 1 << len(self.universe))]
@@ -318,9 +320,6 @@ class AuditReport:
         for accepted in self.accepted_by_trial:
             out |= self.expected - accepted
         return frozenset(out)
-
-
-_MERGE_OPS = {"or": operator.or_, "sum": operator.add, "xor": operator.xor}
 
 
 def _accepted_masks(responses: list[ResponseVector], state: VerifierState) -> set[int]:

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-import random
 from dataclasses import dataclass, field
 
 from .errors import GroupAuthError
@@ -41,7 +40,6 @@ __all__ = [
     "NonMonotoneError",
     "InsufficientPrimes",
     "GroupLargerThanPrimeCount",
-    "SPLIT_STRATEGIES",
     "SlotAssignment",
     "SlotPlan",
     "ShareSequence",
@@ -52,11 +50,6 @@ __all__ = [
     "issue_monotone",
     "issue_sequence",
 ]
-
-SPLIT_STRATEGIES = ("balanced-contiguous", "seeded-random")
-
-_RANDOM_RETRIES = 32
-
 
 class NonMonotoneError(GroupAuthError):
     """The expression contains NOT and cannot be index-split directly."""
@@ -77,14 +70,12 @@ class GroupLargerThanPrimeCount(GroupAuthError):
 
 def _maximal_unsat(table: int, nvars: int) -> list[int]:
     """Assignment masks that are unsatisfying but satisfying after any addition."""
-    out = []
-    for a in range(1 << nvars):
-        if (table >> a) & 1:
-            continue
-        if all((table >> (a | (1 << j))) & 1
-               for j in range(nvars) if not (a >> j) & 1):
-            out.append(a)
-    return out
+    bits = format(table, f"0{1 << nvars}b")[::-1]  # bit a at position a
+    return [
+        a for a, bit in enumerate(bits)
+        if bit == "0" and all(bits[a | (1 << j)] == "1"
+                              for j in range(nvars) if not (a >> j) & 1)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -104,17 +95,6 @@ def _balanced_parts(items: list[int], k: int) -> list[list[int]]:
     return parts
 
 
-def _random_parts(items: list[int], k: int, rng: random.Random) -> list[list[int]]:
-    if len(items) < k:
-        raise InsufficientPrimes(
-            f"cannot split {len(items)} indices into {k} non-empty parts")
-    pool = list(items)
-    rng.shuffle(pool)
-    cuts = sorted(rng.sample(range(1, len(pool)), k - 1))
-    bounds = [0, *cuts, len(pool)]
-    return [pool[bounds[i]:bounds[i + 1]] for i in range(k)]
-
-
 def _max_and_fanin_product(node: PolicyExpr) -> int:
     """Largest product of AND fan-ins along any root-to-leaf path."""
     if isinstance(node, Var):
@@ -125,12 +105,7 @@ def _max_and_fanin_product(node: PolicyExpr) -> int:
     return worst * len(node.children) if isinstance(node, And) else worst
 
 
-def _plain_descent(
-    expr: PolicyExpr,
-    indices: list[int],
-    strategy: str,
-    rng: random.Random,
-) -> dict[str, set[int]]:
+def _plain_descent(expr: PolicyExpr, indices: list[int]) -> dict[str, set[int]]:
     acc: dict[str, set[int]] = {}
 
     def walk(node: PolicyExpr, items: list[int]) -> None:
@@ -140,11 +115,7 @@ def _plain_descent(
             for child in node.children:
                 walk(child, items)
         else:
-            k = len(node.children)
-            if strategy == "seeded-random":
-                parts = _random_parts(items, k, rng)
-            else:
-                parts = _balanced_parts(sorted(items), k)
+            parts = _balanced_parts(sorted(items), len(node.children))
             for child, part in zip(node.children, parts):
                 walk(child, part)
 
@@ -155,8 +126,6 @@ def _plain_descent(
 def _guided_descent(
     expr: PolicyExpr,
     indices: list[int],
-    strategy: str,
-    rng: random.Random,
     order: tuple[str, ...],
     table: int,
 ) -> dict[str, set[int]]:
@@ -167,7 +136,7 @@ def _guided_descent(
     all children, which are all false there too. The index therefore only
     ever reaches leaves of holders outside that set, so the set can never
     cover it, while any satisfying group still covers everything. The
-    remaining indices are distributed per the requested strategy.
+    remaining indices fill the children evenly.
     """
     maximal = _maximal_unsat(table, len(order))
     if len(maximal) > len(indices):
@@ -218,8 +187,6 @@ def _guided_descent(
             assert false_children, "reserved index reached a satisfied AND"
             target = min(false_children, key=lambda i: (len(buckets[i]), i))
             buckets[target].append(x)
-        if strategy == "seeded-random":
-            rng.shuffle(free)
         for i in range(k):
             if not buckets[i]:
                 if not free:
@@ -258,23 +225,19 @@ def _split_is_exact(
 def bl_split(
     expr: PolicyExpr,
     prime_indices: list[int] | range,
-    strategy: str = "balanced-contiguous",
-    rng: random.Random | None = None,
 ) -> dict[str, frozenset[int]]:
     """Split prime indices over the holders of a monotone expression.
 
     Returns holder -> index set such that a group's sets cover every index
-    exactly when the group satisfies the expression. Partitioning follows
-    the requested strategy; if the resulting split is not exact it is
-    re-attempted (seeded-random) and finally rebuilt with guided routing,
-    which is exact by construction. Raises InsufficientPrimes when the
-    expression structurally needs more indices than provided, and
-    NonMonotoneError for expressions containing NOT.
+    exactly when the group satisfies the expression. AND nodes partition
+    their indices into balanced contiguous runs; if the resulting split is
+    not exact it is rebuilt with guided routing, which is exact by
+    construction. Raises InsufficientPrimes when the expression
+    structurally needs more indices than provided, and NonMonotoneError
+    for expressions containing NOT.
     """
     if not is_monotone(expr):
         raise NonMonotoneError("index splitting requires an AND/OR-only policy")
-    if strategy not in SPLIT_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
     indices = list(prime_indices)
     if len(set(indices)) != len(indices):
         raise ValueError("prime indices must be distinct")
@@ -284,18 +247,11 @@ def bl_split(
     if _max_and_fanin_product(expr) > len(indices):
         raise InsufficientPrimes(
             "nested AND fan-ins need more prime indices than available")
-    rng = rng if rng is not None else random.Random(0)
     table = truth_table(expr, order)
 
-    attempts = _RANDOM_RETRIES if strategy == "seeded-random" else 1
-    split: dict[str, set[int]] | None = None
-    for _ in range(attempts):
-        candidate = _plain_descent(expr, indices, strategy, rng)
-        if _split_is_exact(candidate, indices, order, table):
-            split = candidate
-            break
-    if split is None:
-        split = _guided_descent(expr, indices, strategy, rng, order, table)
+    split = _plain_descent(expr, indices)
+    if not _split_is_exact(split, indices, order, table):
+        split = _guided_descent(expr, indices, order, table)
         if not _split_is_exact(split, indices, order, table):
             raise AssertionError("guided split failed exactness check")
 
@@ -388,6 +344,9 @@ def _slot_for_classes(
     classes: list[list[str]],
     n: int,
 ) -> SlotAssignment:
+    if len(classes) > n:
+        raise GroupLargerThanPrimeCount(
+            f"group of {len(classes)} members exceeds {n} prime indices")
     parts = [frozenset(p) for p in _balanced_parts(list(range(n)), len(classes))]
     member_part = {h: i for i, cls in enumerate(classes) for h in cls}
     return SlotAssignment(parts=tuple(parts), member_part=member_part)
@@ -403,9 +362,6 @@ def slots_baseline(
     pos = {name: i for i, name in enumerate(universe)}
     slots = []
     for group in sorted(family, key=key):
-        if len(group) > n:
-            raise GroupLargerThanPrimeCount(
-                f"group of {len(group)} members exceeds {n} prime indices")
         members = sorted(group, key=pos.__getitem__)
         slots.append(_slot_for_classes([[m] for m in members], n))
     return SlotPlan(universe=universe, n=n, slots=slots)
@@ -454,10 +410,6 @@ def slots_packed(
     minimal, and never exceeds the baseline plan's.
     """
     key = _canonical_group_key(universe)
-    for group in family:
-        if len(group) > n:
-            raise GroupLargerThanPrimeCount(
-                f"group of {len(group)} members exceeds {n} prime indices")
     remaining = set(family)
     slots = []
     while remaining:

@@ -180,8 +180,7 @@ def test_criterion_7():
         names = ABCDE[:nvars]
         expr = random_monotone_expr(rng, names)
         try:
-            split = bl_split(expr, range(12), strategy="seeded-random",
-                             rng=random.Random(produced))
+            split = bl_split(expr, range(12))
         except InsufficientPrimes:
             continue
         produced += 1

@@ -1,5 +1,6 @@
 """The public names the package declares, and the names the benchmark traces."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -18,6 +19,18 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"groupauth.{name}")
     for attr in getattr(module, "__all__", ()):
         assert hasattr(module, attr), f"groupauth.{name}.__all__ lists missing {attr!r}"
+
+
+def test_root_reexports_are_declared():
+    # a name the package root imports from a submodule must be public there,
+    # so deleting it from the submodule's __all__ also shows up here
+    tree = ast.parse(Path(groupauth.__file__).read_text(encoding="utf-8"))
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            module = importlib.import_module(f"groupauth.{node.module}")
+            declared = getattr(module, "__all__", ())
+            for alias in node.names:
+                assert alias.name in declared, f"groupauth.{node.module}.{alias.name}"
 
 
 def test_traced_names_exist():

@@ -95,6 +95,37 @@ class TestSchemas:
             with pytest.raises(SchemaError):
                 files.load(path)
 
+    @pytest.mark.parametrize("kind, field", [
+        ("ns-public", "n"), ("ns-private", "n"), ("share-sequence", "n"),
+        ("challenge", "slot_count"), ("verifier-state", "slot_count"),
+        ("verdict", "matching_slot"),
+    ])
+    def test_int_fields_reject_booleans(self, tmp_path, airplane, kind, field):
+        challenge, state = make_challenge(
+            airplane.pub, mode="sequence", merge="sum", slot_count=1,
+            rng=random.Random(0), force_m=2919)
+        verdict = Verdict(session_id="x", accepted=True, matching_slot=1, merged=())
+        obj = {"ns-public": airplane.pub, "ns-private": airplane.priv,
+               "share-sequence": airplane.shares["A"], "challenge": challenge,
+               "verifier-state": state, "verdict": verdict}[kind]
+        doc = dict(files.to_document(obj), **{field: True})
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            files.load(path)
+        assert err.value.field == field
+
+    @pytest.mark.parametrize("slot_count, plaintexts", [(3, ["2919", "2919"]), (7, [])])
+    def test_malformed_verifier_state_rejected(self, tmp_path, airplane,
+                                               slot_count, plaintexts):
+        _, state = make_challenge(airplane.pub, mode="sequence", merge="sum",
+                                  slot_count=7, rng=random.Random(0), force_m=2919)
+        doc = dict(files.to_document(state), slot_count=slot_count, plaintexts=plaintexts)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            files.load(path, expect_kind="verifier-state")
+
     def test_wrong_kind_rejected(self, tmp_path, airplane):
         files.save(airplane.pub, tmp_path / "pub.json")
         with pytest.raises(SchemaError):
@@ -251,6 +282,21 @@ class TestPipeline:
         assert code == 2
         assert "result: exact" not in captured.out
         assert "at least one trial" in captured.err
+
+    def test_malformed_state_is_usage_error(self, pipeline, capsys):
+        root = pipeline
+        _challenge_session(root, _slot_count(root))
+        assert run_cli(["respond", "--share", str(root / "shares/share_A.json"),
+                        "--challenge", str(root / "challenge.json"),
+                        "-o", str(root / "r_A.json")]) == 0
+        doc = json.loads((root / "state.json").read_text())
+        for bad in (dict(doc, slot_count=3, plaintexts=["2919", "2919"]),
+                    dict(doc, plaintexts=[])):
+            (root / "state.json").write_text(json.dumps(bad))
+            code = run_cli(["verify", "--state", str(root / "state.json"),
+                            "--responses", str(root / "r_A.json")])
+            assert code == 2
+            assert "plaintext" in capsys.readouterr().err
 
     def test_session_mismatch_detected(self, pipeline):
         root = pipeline

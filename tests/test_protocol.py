@@ -9,6 +9,7 @@ from groupauth.nscrypt import KeyShare, partial_decrypt
 from groupauth.protocol import (
     Challenge,
     ResponseVector,
+    VerifierState,
     audit,
     make_challenge,
     merge_monotone,
@@ -120,6 +121,19 @@ class TestTokenRespond:
         with pytest.raises(ValueError):
             token_respond(small.shares["A1"], challenge)
 
+    def test_unknown_null_policy_rejected_without_null_slots(self, airplane, small):
+        # neither token below ever answers a null, so the policy must be
+        # checked before any slot is visited
+        mono_challenge, _ = make_challenge(
+            small.pub, rng=random.Random(0), force_m=small.message)
+        share = airplane.shares["A"]
+        full = ShareSequence(holder="A", s=share.s, p=share.p, n=share.n,
+                             slots=(frozenset(airplane.priv.primes),) * 7)
+        for token, challenge in ((small.shares["A1"], mono_challenge),
+                                 (full, airplane_challenge(airplane)[0])):
+            with pytest.raises(ValueError, match="null policy"):
+                token_respond(token, challenge, null_policy="bogus")
+
 
 class TestMerges:
     def test_monotone_fixture(self):
@@ -200,6 +214,19 @@ class TestVerify:
         assert verify(state, [small.message]).accepted
         with pytest.raises(ValueError):
             verify(state, [0, small.message])
+
+    @pytest.mark.parametrize("mode, merge, slot_count, plaintexts", [
+        ("sequence", "sum", 3, (5, 6)),  # neither one plaintext nor one per slot
+        ("sequence", "sum", 3, ()),
+        ("sequence", "sum", 0, (5,)),
+        ("monotone", "or", 2, (5,)),
+        ("monotone", "sum", 1, (5,)),
+        ("sequence", "sum", 2, (5, 0)),
+    ])
+    def test_state_shape_checked(self, mode, merge, slot_count, plaintexts):
+        with pytest.raises(ValueError):
+            VerifierState(session_id="x", mode=mode, merge=merge,
+                          slot_count=slot_count, plaintexts=plaintexts)
 
     def test_empty_merge_rejects(self, airplane, small):
         _, seq_state = airplane_challenge(airplane)

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from groupauth.nscrypt import keygen
-from groupauth.policy import evaluate, parse, variables
+from groupauth.policy import evaluate, parse, truth_table, variables
 from groupauth.sharesplit import (
     GroupLargerThanPrimeCount,
     InsufficientPrimes,
@@ -18,6 +18,7 @@ from groupauth.sharesplit import (
     slots_baseline,
     slots_packed,
 )
+from groupauth.sharesplit import _maximal_unsat, _plain_descent, _split_is_exact
 from conftest import random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -81,9 +82,8 @@ class TestBlSplit:
                 union |= idxs
             assert union == set(range(12))
 
-    @pytest.mark.parametrize("strategy", ["balanced-contiguous", "seeded-random"])
     @pytest.mark.parametrize("n", [8, 12])
-    def test_cover_iff_satisfy(self, strategy, n):
+    def test_cover_iff_satisfy(self, n):
         # expressions that need more separating indices than n provides are
         # regenerated; the guarantee applies whenever the split succeeds
         rng = random.Random(1000 * n)
@@ -91,8 +91,7 @@ class TestBlSplit:
         while produced < 60:
             expr = random_monotone_expr(rng, ABCDE[: rng.randint(2, 5)])
             try:
-                split = bl_split(expr, range(n), strategy=strategy,
-                                 rng=random.Random(produced))
+                split = bl_split(expr, range(n))
             except InsufficientPrimes:
                 continue
             produced += 1
@@ -107,9 +106,34 @@ class TestBlSplit:
     def test_determinism(self):
         expr = parse("(A and B) or ((A or B) and (C or D or E))", ABCDE)
         assert bl_split(expr, range(12)) == bl_split(expr, range(12))
-        a = bl_split(expr, range(12), strategy="seeded-random", rng=random.Random(42))
-        b = bl_split(expr, range(12), strategy="seeded-random", rng=random.Random(42))
-        assert a == b
+
+    # Both policies fail the plain split's exactness check, so these pin the
+    # guided repair's layout.
+    @pytest.mark.parametrize("text, universe, expected", [
+        ("(A and B) or ((A or B) and (C or D or E))", ABCDE, {
+            "A": {1, 3, 5, 7, 8, 10, 11},
+            "B": {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11},
+            "C": {0, 2, 4, 6, 9, 10},
+            "D": {0, 2, 4, 6, 9, 10},
+            "E": {0, 2, 4, 6, 9, 10},
+        }),
+        ("(A and (B or C)) or ((B or C) and (D or E) and (F or G or H))",
+         tuple("ABCDEFGH"), {
+            "A": {1, 3, 5, 7, 9, 10},
+            "B": {0, 2, 4, 5, 6, 8, 11},
+            "C": {0, 2, 4, 5, 6, 8, 11},
+            "D": {1, 4, 7, 10},
+            "E": {1, 4, 7, 10},
+            "F": {0, 3, 6, 9},
+            "G": {0, 3, 6, 9},
+            "H": {0, 3, 6, 9},
+        }),
+    ], ids=["airplane", "session-mono12"])
+    def test_guided_split_pinned(self, text, universe, expected):
+        expr = parse(text, universe)
+        assert not _split_is_exact(_plain_descent(expr, list(range(12))), list(range(12)),
+                                   universe, truth_table(expr, universe))
+        assert bl_split(expr, range(12)) == {h: frozenset(v) for h, v in expected.items()}
 
     def test_separation_bound(self):
         # a 3-of-5 threshold has 10 maximal unauthorized pairs and cannot be
@@ -120,6 +144,33 @@ class TestBlSplit:
             bl_split(expr, range(8))
         split = bl_split(expr, range(12))
         assert covers_iff_satisfies(expr, split, 12)
+
+
+def reference_maximal_unsat(table, nvars):
+    """The shift-per-subset scan `_maximal_unsat` replaced, kept as its oracle."""
+    out = []
+    for a in range(1 << nvars):
+        if (table >> a) & 1:
+            continue
+        if all((table >> (a | (1 << j))) & 1
+               for j in range(nvars) if not (a >> j) & 1):
+            out.append(a)
+    return out
+
+
+def test_maximal_unsat_matches_reference():
+    rng = random.Random(55)
+    for nvars in range(0, 11):
+        size = 1 << nvars
+        tables = [0, (1 << size) - 1, 1 << (size - 1)]
+        tables += [rng.getrandbits(size) for _ in range(20)]
+        # monotone tables, where maximal unsatisfying sets are the ones guided
+        # descent reserves indices for
+        names = tuple("ABCDEFGHIJ")[:nvars]
+        tables += [truth_table(random_monotone_expr(rng, names), names)
+                   for _ in range(10) if nvars]
+        for table in tables:
+            assert _maximal_unsat(table, nvars) == reference_maximal_unsat(table, nvars)
 
 
 class TestSlotAssignment:
@@ -173,8 +224,10 @@ class TestBaselinePlans:
         assert plan.authorized_family() == airplane.expected_family
 
     def test_too_large_group(self):
-        with pytest.raises(GroupLargerThanPrimeCount):
-            slots_baseline(frozenset({frozenset(ABCDE)}), 3, ABCDE)
+        for planner in (slots_baseline, slots_packed):
+            for family in (frozenset({frozenset(ABCDE)}), family_of("AB", "CD", "ABCD")):
+                with pytest.raises(GroupLargerThanPrimeCount):
+                    planner(family, 3, ABCDE)
 
 
 class TestPackedPlans:
