@@ -206,7 +206,6 @@ def from_document(doc: dict):
             session_id=_require(doc, "session_id", str),
             accepted=_require(doc, "accepted", bool),
             matching_slot=matching,
-            merged=(),
         )
     raise SchemaError(f"unknown file kind {kind!r}", field="kind")
 

@@ -131,7 +131,6 @@ class Verdict:
     session_id: str
     accepted: bool
     matching_slot: int | None
-    merged: tuple[int, ...]  # diagnostic; leaks the secret on success
 
 
 def make_challenge(
@@ -274,7 +273,6 @@ def verify(state: VerifierState, merged: list[int]) -> Verdict:
         session_id=state.session_id,
         accepted=matching is not None,
         matching_slot=matching,
-        merged=tuple(merged),
     )
 
 

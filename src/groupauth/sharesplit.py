@@ -18,23 +18,22 @@ Two compilation targets:
 Descent partitions alone do not guarantee the covers-all/satisfies
 equivalence: with unlucky partition choices, two copies of an index set
 handed down different OR branches can complement each other and hand a
-single holder full coverage. `bl_split` therefore verifies the
-equivalence by exhaustive enumeration and, when a plain attempt fails,
-re-partitions with one reserved index per maximal unauthorized set,
-routed away from that set's members; that construction makes the
-equivalence unconditional.
+single holder full coverage. `bl_split` therefore checks that no maximal
+unauthorized set, computed from the expression tree, covers every index
+and, when a plain attempt fails, re-partitions with one reserved index per
+maximal unauthorized set, routed away from that set's members; that
+construction makes the equivalence unconditional.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from dataclasses import dataclass, field
 
 from .errors import GroupAuthError
 from .nscrypt import KeyShare, NsPrivateKey, check_share_primes
-from .policy import (And, Not, Or, PolicyExpr, Var, check_universe, is_monotone,
-                     subset_fold, truth_table, variables)
+from .policy import (And, Or, PolicyExpr, Var, check_universe, evaluate, group_of,
+                     is_monotone, variables)
 
 __all__ = [
     "NonMonotoneError",
@@ -64,18 +63,40 @@ class GroupLargerThanPrimeCount(GroupAuthError):
 
 
 # ---------------------------------------------------------------------------
-# truth tables (`policy.truth_table`): bit a of a table is the expression's
-# value under the assignment whose set bits pick the true variables
+# maximal unauthorized sets: subset masks over `order`, bit j picking order[j]
 
 
-def _maximal_unsat(table: int, nvars: int) -> list[int]:
-    """Assignment masks that are unsatisfying but satisfying after any addition."""
-    bits = format(table, f"0{1 << nvars}b")[::-1]  # bit a at position a
-    return [
-        a for a, bit in enumerate(bits)
-        if bit == "0" and all(bits[a | (1 << j)] == "1"
-                              for j in range(nvars) if not (a >> j) & 1)
-    ]
+def _maximal_unsat(expr: PolicyExpr, order: tuple[str, ...]) -> list[int]:
+    """Sorted masks of the maximal groups that fail a monotone expression.
+
+    Bottom-up over the tree: Var x fails within everyone but x, AND fails
+    where any child fails (the union of their sets), OR where every child
+    fails (intersections of one set per child). Each step keeps the maximal.
+    """
+    full = (1 << len(order)) - 1
+    pos = {name: j for j, name in enumerate(order)}
+
+    def go(node: PolicyExpr) -> list[int]:
+        if isinstance(node, Var):
+            return [full ^ (1 << pos[node.name])]
+        kept, *rest = [go(c) for c in node.children]
+        for sets in rest:
+            kept = _keep_maximal({*kept, *sets} if isinstance(node, And)
+                                 else {a & b for a in kept for b in sets})
+        return kept
+
+    return sorted(go(expr))
+
+
+def _keep_maximal(masks: set[int]) -> list[int]:
+    kept: list[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        for k in kept:
+            if m & k == m:
+                break
+        else:
+            kept.append(m)
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -99,8 +120,6 @@ def _max_and_fanin_product(node: PolicyExpr) -> int:
     """Largest product of AND fan-ins along any root-to-leaf path."""
     if isinstance(node, Var):
         return 1
-    if isinstance(node, Not):
-        return _max_and_fanin_product(node.child)
     worst = max(_max_and_fanin_product(c) for c in node.children)
     return worst * len(node.children) if isinstance(node, And) else worst
 
@@ -127,40 +146,19 @@ def _guided_descent(
     expr: PolicyExpr,
     indices: list[int],
     order: tuple[str, ...],
-    table: int,
+    maximal: list[int],
 ) -> dict[str, set[int]]:
     """Descent with one reserved index per maximal unauthorized set.
 
-    Each reserved index is steered, at every AND node, into a child whose
-    subexpression is false under its unauthorized set; OR nodes copy it to
-    all children, which are all false there too. The index therefore only
-    ever reaches leaves of holders outside that set, so the set can never
-    cover it, while any satisfying group still covers everything. The
-    remaining indices fill the children evenly.
+    Each reserved index is steered, at every AND node, into a child that is
+    false under its unauthorized set; OR nodes copy it to all children, which
+    are all false there too. It thus only reaches holders outside that set,
+    so the set never covers it, while any satisfying group still covers
+    everything. The remaining indices fill the children evenly.
     """
-    maximal = _maximal_unsat(table, len(order))
-    if len(maximal) > len(indices):
-        raise InsufficientPrimes(
-            f"policy separates {len(maximal)} maximal unauthorized sets "
-            f"but only {len(indices)} prime indices are available")
-
     # reserve the trailing indices; the leading ones keep their usual layout
-    reserved = {indices[len(indices) - len(maximal) + u]: maximal[u]
-                for u in range(len(maximal))}
-
-    node_tables: dict[int, int] = {}
-
-    def fill(node: PolicyExpr) -> int:
-        t = truth_table(node, order)
-        node_tables[id(node)] = t
-        if isinstance(node, (And, Or)):
-            for c in node.children:
-                fill(c)
-        elif isinstance(node, Not):
-            fill(node.child)
-        return t
-
-    fill(expr)
+    reserved = {indices[len(indices) - len(maximal) + u]: group_of(m, order)
+                for u, m in enumerate(maximal)}
 
     acc: dict[str, set[int]] = {}
 
@@ -176,13 +174,13 @@ def _guided_descent(
         buckets: list[list[int]] = [[] for _ in range(k)]
         free: list[int] = []
         for x in sorted(items):
-            tag = reserved.get(x)
-            if tag is None:
+            group = reserved.get(x)
+            if group is None:
                 free.append(x)
                 continue
             false_children = [
                 i for i, c in enumerate(node.children)
-                if not (node_tables[id(c)] >> tag) & 1
+                if not (c.name in group if isinstance(c, Var) else evaluate(c, group))
             ]
             assert false_children, "reserved index reached a satisfied AND"
             target = min(false_children, key=lambda i: (len(buckets[i]), i))
@@ -204,22 +202,20 @@ def _guided_descent(
     return acc
 
 
-def _split_is_exact(
-    split: dict[str, set[int]],
-    indices: list[int],
-    order: tuple[str, ...],
-    table: int,
-) -> bool:
-    """Exhaustively check: a group covers all indices iff it satisfies."""
-    bit_of = {x: i for i, x in enumerate(indices)}
-    full = (1 << len(indices)) - 1
-    cover = [
-        sum(1 << bit_of[x] for x in split.get(name, ()))
-        for name in order
-    ]
-    covers = subset_fold(cover, operator.or_)
-    # bit 0 compares too: the empty group covers nothing and must not satisfy
-    return table == int("".join("1" if m == full else "0" for m in reversed(covers)), 2)
+def _split_is_exact(split: dict[str, set[int]], order: tuple[str, ...],
+                    maximal: list[int]) -> bool:
+    """True iff no maximal unauthorized set covers every index.
+
+    OR hands its indices to every child and AND partitions them, so every
+    satisfying group covers all indices by construction; coverage only
+    grows as holders are added, so if any unauthorized group covers every
+    index, a maximal one does.
+    """
+    every = set().union(*split.values())
+    return all(
+        set().union(*(split.get(name, ()) for name in group_of(m, order))) != every
+        for m in maximal
+    )
 
 
 def bl_split(
@@ -247,12 +243,17 @@ def bl_split(
     if _max_and_fanin_product(expr) > len(indices):
         raise InsufficientPrimes(
             "nested AND fan-ins need more prime indices than available")
-    table = truth_table(expr, order)
+    maximal = _maximal_unsat(expr, order)
+    # exact over n indices means at most n maximal sets: all but some index's holders
+    if len(maximal) > len(indices):
+        raise InsufficientPrimes(
+            f"policy separates {len(maximal)} maximal unauthorized sets "
+            f"but only {len(indices)} prime indices are available")
 
     split = _plain_descent(expr, indices)
-    if not _split_is_exact(split, indices, order, table):
-        split = _guided_descent(expr, indices, order, table)
-        if not _split_is_exact(split, indices, order, table):
+    if not _split_is_exact(split, order, maximal):
+        split = _guided_descent(expr, indices, order, maximal)
+        if not _split_is_exact(split, order, maximal):
             raise AssertionError("guided split failed exactness check")
 
     return {name: frozenset(s) for name, s in split.items()}

@@ -39,7 +39,7 @@ class TestSchemas:
             rng=random.Random(0), force_m=2919)
         response = ResponseVector(session_id=challenge.session_id, values=(1, 2, 3))
         verdict = Verdict(session_id=challenge.session_id, accepted=True,
-                          matching_slot=1, merged=())
+                          matching_slot=1)
         for obj, kind in [(challenge, "challenge"), (state, "verifier-state"),
                           (response, "response"), (verdict, "verdict")]:
             path = tmp_path / f"{kind}.json"
@@ -104,7 +104,7 @@ class TestSchemas:
         challenge, state = make_challenge(
             airplane.pub, mode="sequence", merge="sum", slot_count=1,
             rng=random.Random(0), force_m=2919)
-        verdict = Verdict(session_id="x", accepted=True, matching_slot=1, merged=())
+        verdict = Verdict(session_id="x", accepted=True, matching_slot=1)
         obj = {"ns-public": airplane.pub, "ns-private": airplane.priv,
                "share-sequence": airplane.shares["A"], "challenge": challenge,
                "verifier-state": state, "verdict": verdict}[kind]

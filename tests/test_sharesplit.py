@@ -4,7 +4,7 @@ import random
 import pytest
 
 from groupauth.nscrypt import keygen
-from groupauth.policy import evaluate, parse, truth_table, variables
+from groupauth.policy import And, Or, Var, evaluate, parse, truth_table, variables
 from groupauth.sharesplit import (
     GroupLargerThanPrimeCount,
     InsufficientPrimes,
@@ -131,8 +131,8 @@ class TestBlSplit:
     ], ids=["airplane", "session-mono12"])
     def test_guided_split_pinned(self, text, universe, expected):
         expr = parse(text, universe)
-        assert not _split_is_exact(_plain_descent(expr, list(range(12))), list(range(12)),
-                                   universe, truth_table(expr, universe))
+        assert not _split_is_exact(_plain_descent(expr, list(range(12))), universe,
+                                   _maximal_unsat(expr, universe))
         assert bl_split(expr, range(12)) == {h: frozenset(v) for h, v in expected.items()}
 
     def test_separation_bound(self):
@@ -145,9 +145,28 @@ class TestBlSplit:
         split = bl_split(expr, range(12))
         assert covers_iff_satisfies(expr, split, 12)
 
+    def test_plain_exactness_check_matches_oracle(self):
+        # plain descent is inexact on some of these; the maximal-set check
+        # must agree with exhaustive enumeration either way
+        rng = random.Random(66)
+        inexact = 0
+        for _ in range(300):
+            names = tuple("ABCDEFGH")[: rng.randint(2, 8)]
+            expr = random_monotone_expr(rng, names, depth=rng.randint(2, 4))
+            n = rng.choice([8, 12, 16])
+            try:
+                split = _plain_descent(expr, list(range(n)))
+            except InsufficientPrimes:
+                continue
+            order = variables(expr)
+            exact = _split_is_exact(split, order, _maximal_unsat(expr, order))
+            assert exact == covers_iff_satisfies(expr, split, n)
+            inexact += not exact
+        assert inexact > 0
+
 
 def reference_maximal_unsat(table, nvars):
-    """The shift-per-subset scan `_maximal_unsat` replaced, kept as its oracle."""
+    """A shift-per-subset scan of the truth table, the oracle for `_maximal_unsat`."""
     out = []
     for a in range(1 << nvars):
         if (table >> a) & 1:
@@ -160,17 +179,27 @@ def reference_maximal_unsat(table, nvars):
 
 def test_maximal_unsat_matches_reference():
     rng = random.Random(55)
-    for nvars in range(0, 11):
-        size = 1 << nvars
-        tables = [0, (1 << size) - 1, 1 << (size - 1)]
-        tables += [rng.getrandbits(size) for _ in range(20)]
-        # monotone tables, where maximal unsatisfying sets are the ones guided
-        # descent reserves indices for
-        names = tuple("ABCDEFGHIJ")[:nvars]
-        tables += [truth_table(random_monotone_expr(rng, names), names)
-                   for _ in range(10) if nvars]
-        for table in tables:
-            assert _maximal_unsat(table, nvars) == reference_maximal_unsat(table, nvars)
+    for nvars in range(1, 11):
+        order = tuple("ABCDEFGHIJ")[:nvars]
+        for _ in range(20):
+            # repeated holders included: the generator draws names with
+            # replacement, so a name may sit under several branches
+            expr = random_monotone_expr(rng, order, depth=rng.randint(1, 4))
+            assert _maximal_unsat(expr, order) == \
+                reference_maximal_unsat(truth_table(expr, order), nvars)
+
+
+def test_maximal_unsat_closed_forms():
+    # an AND of 9 two-holder ORs fails exactly when one pair is absent
+    pairs = [(Var(f"a{i}"), Var(f"b{i}")) for i in range(9)]
+    and_of_ors = And(tuple(Or(p) for p in pairs))
+    assert len(_maximal_unsat(and_of_ors, variables(and_of_ors))) == 9
+    # an OR of 10 two-holder ANDs fails when each pair misses one holder
+    pairs = [(Var(f"a{i}"), Var(f"b{i}")) for i in range(10)]
+    or_of_ands = Or(tuple(And(p) for p in pairs))
+    assert len(_maximal_unsat(or_of_ands, variables(or_of_ands))) == 1024
+    with pytest.raises(InsufficientPrimes, match="separates 1024 maximal"):
+        bl_split(or_of_ands, range(64))
 
 
 class TestSlotAssignment:
