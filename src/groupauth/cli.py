@@ -102,8 +102,8 @@ def cmd_compile(args) -> int:
     shares = sharesplit.issue_sequence(plan, priv)
     for holder, share in shares.items():
         files.save(share, out / f"share_{holder}.json")
-    print(f"{len(family)} authorized groups compiled into {len(plan.slots)} slots "
-          f"(merge: {args.merge}); wrote {len(shares)} share files to {out}")
+    print(f"{len(family)} authorized groups compiled into {len(plan.slots)} slots; "
+          f"wrote {len(shares)} share files to {out}")
     return 0
 
 
@@ -146,8 +146,7 @@ def cmd_verify(args) -> int:
                 f"{path}: response is for session {response.session_id}, "
                 f"state is session {state.session_id}")
         responses.append(response)
-    merge = args.merge if args.merge else state.merge
-    merged = protocol.merge_responses(responses, state.mode, merge)
+    merged = protocol.merge_responses(responses, state.mode, state.merge)
     verdict = protocol.verify(state, merged)
     if args.output:
         files.save(verdict, args.output)
@@ -385,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True, help="comma-separated holder names")
     p.add_argument("--max-size", type=int, default=None, help="largest allowed group")
     p.add_argument("--mode", choices=["monotone", "sequence"], required=True)
-    p.add_argument("--merge", choices=["sum", "xor"], default="sum",
-                   help="intended merge for sequence mode")
     p.add_argument("--pack", action="store_true",
                    help="pack multiple groups per slot (sequence mode)")
     p.add_argument("--key", required=True, help="private key file")
@@ -417,8 +414,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="merge responses and check them")
     p.add_argument("--state", required=True, help="verifier state file")
     p.add_argument("--responses", nargs="+", required=True, help="response files")
-    p.add_argument("--merge", choices=["sum", "xor", "or"], default=None,
-                   help="override the session merge")
     p.add_argument("-o", "--output", default=None, help="optional verdict file")
     p.add_argument("--json", action="store_true", help="machine-readable verdict")
     p.set_defaults(func=cmd_verify)
@@ -469,3 +464,7 @@ def run_cli(argv: list[str]) -> int:
 
 def main() -> None:
     sys.exit(run_cli(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

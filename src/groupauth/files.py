@@ -5,15 +5,17 @@ big integer is a decimal string so files survive any JSON parser without
 64-bit truncation. Serialization is key-sorted and newline-terminated, so
 identical inputs produce byte-identical files.
 
-Kinds: ns-public, ns-private, share-monotone, share-sequence, challenge,
-verifier-state, response, verdict.
+`_SCHEMAS` is the one definition of each kind: its class, and its fields in
+the order they are checked, each with a JSON name, an attribute and a codec.
+`to_document` and `from_document` both read it, so a kind is written and
+parsed the same way by construction. Kinds: ns-public, ns-private,
+share-monotone, share-sequence, challenge, verifier-state, response, verdict.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any
 
 from .errors import SchemaError
 from .nscrypt import KeyShare, NsPrivateKey, NsPublicKey
@@ -29,104 +31,107 @@ __all__ = [
 ]
 
 
-def _int_str(value: int) -> str:
-    return str(int(value))
-
-
 def _is_decimal(raw) -> bool:
     """True for a non-empty string of ASCII digits 0-9 only."""
     return isinstance(raw, str) and raw.isascii() and raw.isdigit()
 
 
-def _parse_int(doc: dict, field: str) -> int:
-    raw = doc.get(field)
+def _decimals(raw) -> bool:
+    """True for a list of decimal strings."""
+    return isinstance(raw, list) and all(_is_decimal(x) for x in raw)
+
+
+def _ints(strings: list[str], field: str) -> list[int]:
+    """The values of decimal strings, or SchemaError naming `field`."""
+    try:
+        return [int(x) for x in strings]
+    except ValueError:  # only past sys.get_int_max_str_digits()
+        raise SchemaError(f"field {field!r} holds an integer with too many digits",
+                          field=field) from None
+
+
+# Codecs: one (write, read) pair per encoding. `write` maps an attribute to
+# its JSON value; `read(raw, field)` maps the JSON value back, or raises
+# SchemaError naming `field`. A missing field reads as None.
+
+def _exact(kind: type):
+    def read(raw, field):
+        if type(raw) is not kind:  # exact, so a JSON true is no int
+            raise SchemaError(f"field {field!r} must be {kind.__name__}", field=field)
+        return raw
+    return (lambda value: value), read
+
+
+def _read_int(raw, field):
     if not _is_decimal(raw):
         raise SchemaError(f"field {field!r} must be a decimal string", field=field)
-    return int(raw)
+    return _ints([raw], field)[0]
 
 
-def _parse_int_list(doc: dict, field: str) -> list[int]:
-    raw = doc.get(field)
-    if not isinstance(raw, list) or not all(_is_decimal(x) for x in raw):
+def _read_ints(raw, field):
+    if not _decimals(raw):
         raise SchemaError(f"field {field!r} must be a list of decimal strings", field=field)
-    return [int(x) for x in raw]
+    return tuple(_ints(raw, field))
 
 
-def _require(doc: dict, field: str, kind: type) -> Any:
-    value = doc.get(field)
-    if type(value) is not kind:  # exact, so a JSON true is no int
-        raise SchemaError(f"field {field!r} must be {kind.__name__}", field=field)
-    return value
+def _write_primes(primes):
+    return [str(int(q)) for q in sorted(primes)]
+
+
+def _read_slots(raw, field):
+    if not isinstance(raw, list):
+        raise SchemaError(f"field {field!r} must be a list", field=field)
+    if not all(entry is None or _decimals(entry) for entry in raw):
+        raise SchemaError(f"field {field!r} entries must be null or decimal-string lists",
+                          field=field)
+    return tuple(None if entry is None else frozenset(_ints(entry, field)) for entry in raw)
+
+
+def _read_int_or_null(raw, field):
+    if raw is not None and type(raw) is not int:
+        raise SchemaError(f"field {field!r} must be an int or null", field=field)
+    return raw
+
+
+_INT, _STR, _BOOL = _exact(int), _exact(str), _exact(bool)
+_BIG = (lambda value: str(int(value)), _read_int)
+_BIGS = (lambda values: [str(int(x)) for x in values], _read_ints)
+_PRIMES = (_write_primes, lambda raw, field: frozenset(_read_ints(raw, field)))
+_SLOTS = (lambda slots: [None if s is None else _write_primes(s) for s in slots], _read_slots)
+_INT_OR_NULL = (lambda value: value, _read_int_or_null)
+
+_SESSION = (("session_id", "session_id", _STR), ("mode", "mode", _STR),
+            ("merge", "merge", _STR), ("slot_count", "slot_count", _INT))
+
+_SCHEMAS = {
+    "ns-public": (NsPublicKey, (
+        ("n", "n", _INT), ("p", "p", _BIG), ("v", "v", _BIGS))),
+    "ns-private": (NsPrivateKey, (
+        ("n", "n", _INT), ("p", "p", _BIG), ("s", "s", _BIG), ("primes", "primes", _BIGS))),
+    "share-monotone": (KeyShare, (
+        ("holder", "holder", _STR), ("p", "p", _BIG), ("s", "s", _BIG),
+        ("primes", "prime_subset", _PRIMES))),
+    "share-sequence": (ShareSequence, (
+        ("slots", "slots", _SLOTS), ("holder", "holder", _STR), ("n", "n", _INT),
+        ("p", "p", _BIG), ("s", "s", _BIG))),
+    "challenge": (Challenge, _SESSION + (("ciphertexts", "ciphertexts", _BIGS),)),
+    "verifier-state": (VerifierState, _SESSION + (("plaintexts", "plaintexts", _BIGS),)),
+    "response": (ResponseVector, (
+        ("session_id", "session_id", _STR), ("values", "values", _BIGS))),
+    "verdict": (Verdict, (
+        ("matching_slot", "matching_slot", _INT_OR_NULL),
+        ("session_id", "session_id", _STR), ("accepted", "accepted", _BOOL))),
+}
 
 
 def to_document(obj) -> dict:
     """Convert a library object to its JSON-ready document."""
-    if isinstance(obj, NsPublicKey):
-        return {
-            "kind": "ns-public",
-            "n": obj.n,
-            "p": _int_str(obj.p),
-            "v": [_int_str(x) for x in obj.v],
-        }
-    if isinstance(obj, NsPrivateKey):
-        return {
-            "kind": "ns-private",
-            "n": obj.n,
-            "p": _int_str(obj.p),
-            "s": _int_str(obj.s),
-            "primes": [_int_str(x) for x in obj.primes],
-        }
-    if isinstance(obj, KeyShare):
-        return {
-            "kind": "share-monotone",
-            "holder": obj.holder,
-            "p": _int_str(obj.p),
-            "s": _int_str(obj.s),
-            "primes": [_int_str(x) for x in sorted(obj.prime_subset)],
-        }
-    if isinstance(obj, ShareSequence):
-        return {
-            "kind": "share-sequence",
-            "holder": obj.holder,
-            "n": obj.n,
-            "p": _int_str(obj.p),
-            "s": _int_str(obj.s),
-            "slots": [
-                None if entry is None else [_int_str(x) for x in sorted(entry)]
-                for entry in obj.slots
-            ],
-        }
-    if isinstance(obj, Challenge):
-        return {
-            "kind": "challenge",
-            "session_id": obj.session_id,
-            "mode": obj.mode,
-            "merge": obj.merge,
-            "slot_count": obj.slot_count,
-            "ciphertexts": [_int_str(x) for x in obj.ciphertexts],
-        }
-    if isinstance(obj, VerifierState):
-        return {
-            "kind": "verifier-state",
-            "session_id": obj.session_id,
-            "mode": obj.mode,
-            "merge": obj.merge,
-            "slot_count": obj.slot_count,
-            "plaintexts": [_int_str(x) for x in obj.plaintexts],
-        }
-    if isinstance(obj, ResponseVector):
-        return {
-            "kind": "response",
-            "session_id": obj.session_id,
-            "values": [_int_str(x) for x in obj.values],
-        }
-    if isinstance(obj, Verdict):
-        return {
-            "kind": "verdict",
-            "session_id": obj.session_id,
-            "accepted": obj.accepted,
-            "matching_slot": obj.matching_slot,
-        }
+    for kind, (cls, fields) in _SCHEMAS.items():
+        if isinstance(obj, cls):
+            doc = {"kind": kind}
+            for name, attr, (write, _) in fields:
+                doc[name] = write(getattr(obj, attr))
+            return doc
     raise TypeError(f"no schema for {type(obj).__name__}")
 
 
@@ -135,79 +140,13 @@ def from_document(doc: dict):
     if not isinstance(doc, dict):
         raise SchemaError("document must be a JSON object", field="kind")
     kind = doc.get("kind")
-    if kind == "ns-public":
-        return NsPublicKey(
-            n=_require(doc, "n", int),
-            p=_parse_int(doc, "p"),
-            v=tuple(_parse_int_list(doc, "v")),
-        )
-    if kind == "ns-private":
-        return NsPrivateKey(
-            n=_require(doc, "n", int),
-            p=_parse_int(doc, "p"),
-            s=_parse_int(doc, "s"),
-            primes=tuple(_parse_int_list(doc, "primes")),
-        )
-    if kind == "share-monotone":
-        return KeyShare(
-            holder=_require(doc, "holder", str),
-            p=_parse_int(doc, "p"),
-            s=_parse_int(doc, "s"),
-            prime_subset=frozenset(_parse_int_list(doc, "primes")),
-        )
-    if kind == "share-sequence":
-        raw = doc.get("slots")
-        if not isinstance(raw, list):
-            raise SchemaError("field 'slots' must be a list", field="slots")
-        slots: list[frozenset[int] | None] = []
-        for entry in raw:
-            if entry is None:
-                slots.append(None)
-            elif isinstance(entry, list) and all(_is_decimal(x) for x in entry):
-                slots.append(frozenset(int(x) for x in entry))
-            else:
-                raise SchemaError(
-                    "field 'slots' entries must be null or decimal-string lists",
-                    field="slots")
-        return ShareSequence(
-            holder=_require(doc, "holder", str),
-            n=_require(doc, "n", int),
-            p=_parse_int(doc, "p"),
-            s=_parse_int(doc, "s"),
-            slots=tuple(slots),
-        )
-    if kind == "challenge":
-        return Challenge(
-            session_id=_require(doc, "session_id", str),
-            mode=_require(doc, "mode", str),
-            merge=_require(doc, "merge", str),
-            slot_count=_require(doc, "slot_count", int),
-            ciphertexts=tuple(_parse_int_list(doc, "ciphertexts")),
-        )
-    if kind == "verifier-state":
-        return VerifierState(
-            session_id=_require(doc, "session_id", str),
-            mode=_require(doc, "mode", str),
-            merge=_require(doc, "merge", str),
-            slot_count=_require(doc, "slot_count", int),
-            plaintexts=tuple(_parse_int_list(doc, "plaintexts")),
-        )
-    if kind == "response":
-        return ResponseVector(
-            session_id=_require(doc, "session_id", str),
-            values=tuple(_parse_int_list(doc, "values")),
-        )
-    if kind == "verdict":
-        matching = doc.get("matching_slot")
-        if matching is not None and type(matching) is not int:
-            raise SchemaError("field 'matching_slot' must be an int or null",
-                              field="matching_slot")
-        return Verdict(
-            session_id=_require(doc, "session_id", str),
-            accepted=_require(doc, "accepted", bool),
-            matching_slot=matching,
-        )
-    raise SchemaError(f"unknown file kind {kind!r}", field="kind")
+    if not isinstance(kind, str) or kind not in _SCHEMAS:
+        raise SchemaError(f"unknown file kind {kind!r}", field="kind")
+    cls, fields = _SCHEMAS[kind]
+    values = {}
+    for name, attr, (_, read) in fields:
+        values[attr] = read(doc.get(name), name)
+    return cls(**values)
 
 
 def dumps(obj) -> str:

@@ -69,10 +69,12 @@ class NsPrivateKey:
     primes: tuple[int, ...]
 
     def __post_init__(self):
-        if len(self.primes) != self.n:
-            raise ValueError("prime count must equal n")
-        if list(self.primes) != sorted(set(self.primes)):
-            raise ValueError("primes must be distinct and increasing")
+        # Share bits are read at global prime ranks (SMALL_PRIME_RANK), so a
+        # key over any other primes would answer at the wrong bit positions.
+        if not 2 <= self.n <= 64:
+            raise ValueError("n must be in [2, 64]")
+        if tuple(self.primes) != numtheory.SMALL_PRIMES[:self.n]:
+            raise ValueError(f"primes must be the first {self.n} primes")
         if self.p <= math.prod(self.primes):
             raise ValueError("modulus must exceed the prime product")
         if math.gcd(self.s, self.p - 1) != 1:
@@ -135,7 +137,7 @@ def keygen(
         seed = int.from_bytes(seed, "big") if seed else 0
     rng = random.Random(0 if seed is None else seed)
 
-    primes = tuple(numtheory.first_n_primes(n))
+    primes = numtheory.SMALL_PRIMES[:n]
     product = math.prod(primes)
 
     if force_p is not None:
@@ -162,9 +164,8 @@ def keygen(
             if math.gcd(s, p - 1) == 1:
                 break
 
-    s_inv = numtheory.mod_inv(s, p - 1)
-    v = tuple(pow(q, s_inv, p) for q in primes)
-    return NsPublicKey(n=n, p=p, v=v), NsPrivateKey(n=n, p=p, s=s, primes=primes)
+    priv = NsPrivateKey(n=n, p=p, s=s, primes=primes)
+    return public_key_of(priv), priv
 
 
 def public_key_of(priv: NsPrivateKey) -> NsPublicKey:

@@ -349,7 +349,6 @@ def audit(
     merge: str,
     null_policy: str = "one",
     force_m: int | None = None,
-    per_index_random: bool = False,
 ) -> AuditReport:
     """Simulate every non-empty holder subset end to end, `trials` times.
 
@@ -384,7 +383,7 @@ def audit(
     for _ in range(trials):
         challenge, state = make_challenge(
             pub, mode=mode, merge=merge, slot_count=slot_count,
-            per_index_random=per_index_random, rng=rng, force_m=force_m)
+            rng=rng, force_m=force_m)
         responses = [token_respond(shares[h], challenge, null_policy, rng) for h in universe]
         report.accepted_by_trial.append(frozenset(
             group_of(a, universe) for a in _accepted_masks(responses, state)))

@@ -1,14 +1,22 @@
 import builtins
 import json
+import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from groupauth import files, fixtures
+import groupauth
+from groupauth import files, fixtures, numtheory
 from groupauth.cli import run_cli
 from groupauth.errors import SchemaError
 from groupauth.nscrypt import keygen
 from groupauth.protocol import ResponseVector, Verdict, make_challenge
+
+LONG = "9" * 5000  # more digits than Python's default int_max_str_digits
 
 
 class TestSchemas:
@@ -126,6 +134,39 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             files.load(path, expect_kind="verifier-state")
 
+    @pytest.mark.parametrize("primes", [
+        numtheory.SMALL_PRIMES[1:13],
+        numtheory.SMALL_PRIMES[:11] + (41,),
+        tuple(numtheory.first_n_primes(65)),
+    ], ids=["3-to-41", "skips-37", "65-primes"])
+    def test_private_key_must_use_first_n_primes(self, tmp_path, primes):
+        # Share bits are read at the global prime ranks, so a key over any
+        # other primes would compile into shares that answer wrongly.
+        p = numtheory.next_prime_above(math.prod(primes))
+        s = next(s for s in range(3, p) if math.gcd(s, p - 1) == 1)
+        doc = {"kind": "ns-private", "n": len(primes), "p": str(p), "s": str(s),
+               "primes": [str(q) for q in primes]}
+        path = tmp_path / "priv.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            files.load(path, expect_kind="ns-private")
+
+    @pytest.mark.parametrize("kind, field, value", [
+        ("ns-public", "p", LONG), ("ns-public", "v", [LONG]),
+        ("share-sequence", "slots", [[LONG]]),
+    ], ids=["p", "v", "slots"])
+    def test_overlong_integer_names_field(self, tmp_path, airplane, kind, field, value):
+        doc = files.to_document(airplane.pub if kind == "ns-public" else airplane.shares["A"])
+        doc[field] = value
+        with pytest.raises(SchemaError) as err:
+            files.from_document(doc)
+        assert err.value.field == field
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            files.load(path)
+        assert err.value.field == field
+
     def test_wrong_kind_rejected(self, tmp_path, airplane):
         files.save(airplane.pub, tmp_path / "pub.json")
         with pytest.raises(SchemaError):
@@ -175,6 +216,19 @@ class TestKeygenCli:
             assert code == 0
         assert (tmp_path / "one/pub.json").read_bytes() == (tmp_path / "two/pub.json").read_bytes()
         assert (tmp_path / "one/priv.json").read_bytes() == (tmp_path / "two/priv.json").read_bytes()
+
+    def test_module_entry_point_writes_keys(self, tmp_path):
+        src = str(Path(groupauth.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "groupauth.cli", "keygen", "--n", "12",
+             "-o", str(tmp_path / "keys")],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert run_cli(["keygen", "--n", "12", "-o", str(tmp_path / "ref")]) == 0
+        for name in ("pub.json", "priv.json"):
+            assert (tmp_path / "keys" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_force_flags_must_pair(self, tmp_path):
         assert run_cli(["keygen", "--n", "8", "--force-p", "9700247",
