@@ -18,7 +18,7 @@ import json
 from pathlib import Path
 
 from .errors import SchemaError
-from .nscrypt import KeyShare, NsPrivateKey, NsPublicKey
+from .nscrypt import MAX_MODULUS, KeyShare, NsPrivateKey, NsPublicKey
 from .protocol import Challenge, ResponseVector, Verdict, VerifierState
 from .sharesplit import ShareSequence
 
@@ -31,23 +31,23 @@ __all__ = [
 ]
 
 
+# Every integer a file holds is below nscrypt.MAX_MODULUS, so no field needs
+# more digits; a longer one could only force a huge `pow` on whoever loads it.
+_MAX_DIGITS = len(str(MAX_MODULUS))
+
+
 def _is_decimal(raw) -> bool:
-    """True for a non-empty string of ASCII digits 0-9 only."""
-    return isinstance(raw, str) and raw.isascii() and raw.isdigit()
+    """True for a string of 1 to _MAX_DIGITS ASCII digits 0-9 only.
+
+    The length is checked first, so `int()` never sees an over-long string.
+    """
+    return (isinstance(raw, str) and len(raw) <= _MAX_DIGITS
+            and raw.isascii() and raw.isdigit())
 
 
 def _decimals(raw) -> bool:
     """True for a list of decimal strings."""
     return isinstance(raw, list) and all(_is_decimal(x) for x in raw)
-
-
-def _ints(strings: list[str], field: str) -> list[int]:
-    """The values of decimal strings, or SchemaError naming `field`."""
-    try:
-        return [int(x) for x in strings]
-    except ValueError:  # only past sys.get_int_max_str_digits()
-        raise SchemaError(f"field {field!r} holds an integer with too many digits",
-                          field=field) from None
 
 
 # Codecs: one (write, read) pair per encoding. `write` maps an attribute to
@@ -64,14 +64,16 @@ def _exact(kind: type):
 
 def _read_int(raw, field):
     if not _is_decimal(raw):
-        raise SchemaError(f"field {field!r} must be a decimal string", field=field)
-    return _ints([raw], field)[0]
+        raise SchemaError(f"field {field!r} must be a decimal string of at most "
+                          f"{_MAX_DIGITS} digits", field=field)
+    return int(raw)
 
 
 def _read_ints(raw, field):
     if not _decimals(raw):
-        raise SchemaError(f"field {field!r} must be a list of decimal strings", field=field)
-    return tuple(_ints(raw, field))
+        raise SchemaError(f"field {field!r} must be a list of decimal strings of at most "
+                          f"{_MAX_DIGITS} digits", field=field)
+    return tuple(map(int, raw))
 
 
 def _write_primes(primes):
@@ -82,9 +84,9 @@ def _read_slots(raw, field):
     if not isinstance(raw, list):
         raise SchemaError(f"field {field!r} must be a list", field=field)
     if not all(entry is None or _decimals(entry) for entry in raw):
-        raise SchemaError(f"field {field!r} entries must be null or decimal-string lists",
-                          field=field)
-    return tuple(None if entry is None else frozenset(_ints(entry, field)) for entry in raw)
+        raise SchemaError(f"field {field!r} entries must be null or lists of decimal "
+                          f"strings of at most {_MAX_DIGITS} digits", field=field)
+    return tuple(None if entry is None else frozenset(map(int, entry)) for entry in raw)
 
 
 def _read_int_or_null(raw, field):
@@ -163,7 +165,7 @@ def load(path: str | Path, expect_kind: str | None = None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or a number past int_max_str_digits
             raise SchemaError(f"{path}: not valid JSON ({exc})", field="kind") from None
     if expect_kind is not None and isinstance(doc, dict) and doc.get("kind") != expect_kind:
         raise SchemaError(

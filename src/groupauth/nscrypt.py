@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import numtheory
 from .errors import GroupAuthError
@@ -41,6 +42,11 @@ Ciphertext = int
 
 KEYGEN_STRATEGIES = ("deterministic-least-prime", "seeded-random")
 
+# Above any modulus keygen draws (seeded-random stays below twice the prime
+# product, and a forced p must stay below it), so a key's integers never have
+# more digits than this; `files` refuses any that do.
+MAX_MODULUS = 2 * math.prod(numtheory.SMALL_PRIMES)
+
 
 class MalformedCiphertext(GroupAuthError):
     """The residue c^s mod p does not factor completely over the system primes."""
@@ -53,8 +59,9 @@ class NsPublicKey:
     v: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("need at least 2 primes")
+        # messages are read off at most 64 prime ranks, as for NsPrivateKey
+        if not 2 <= self.n <= 64:
+            raise ValueError("n must be in [2, 64]")
         if len(self.v) != self.n:
             raise ValueError("public value count must equal n")
         if not all(1 <= vi < self.p for vi in self.v):
@@ -79,6 +86,17 @@ class NsPrivateKey:
             raise ValueError("modulus must exceed the prime product")
         if math.gcd(self.s, self.p - 1) != 1:
             raise ValueError("secret exponent must be invertible mod p-1")
+
+    @cached_property
+    def _public_key(self) -> NsPublicKey:
+        """The public key bound to this key, derived on first use.
+
+        The fields are frozen, so the value never goes stale; it is stored
+        on this object alone and is not part of equality or any file.
+        """
+        s_inv = numtheory.mod_inv(self.s, self.p - 1)
+        v = tuple(pow(q, s_inv, self.p) for q in self.primes)
+        return NsPublicKey(n=self.n, p=self.p, v=v)
 
 
 @dataclass(frozen=True)
@@ -144,6 +162,8 @@ def keygen(
         p = force_p
         if p <= product:
             raise ValueError("forced p must exceed the prime product")
+        if p >= MAX_MODULUS:
+            raise ValueError("forced p must be below twice the product of the 64 system primes")
         if not numtheory.is_probable_prime(p):
             raise ValueError("forced p is not prime")
     elif strategy == "deterministic-least-prime":
@@ -169,10 +189,8 @@ def keygen(
 
 
 def public_key_of(priv: NsPrivateKey) -> NsPublicKey:
-    """Recompute the public key bound to a private key."""
-    s_inv = numtheory.mod_inv(priv.s, priv.p - 1)
-    v = tuple(pow(q, s_inv, priv.p) for q in priv.primes)
-    return NsPublicKey(n=priv.n, p=priv.p, v=v)
+    """The public key bound to a private key: derived once per key object."""
+    return priv._public_key
 
 
 def encrypt(pub: NsPublicKey, m: Plaintext) -> Ciphertext:

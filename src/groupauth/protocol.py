@@ -357,7 +357,9 @@ def audit(
     a subset is accepted exactly when `verify` would accept its merge. The
     report compares that against the expected family and tallies per-subset
     acceptance frequencies. `trials` must be at least 1, since a report
-    with no trials would read as exact.
+    with no trials would read as exact. Challenges are drawn under
+    `public_key_of(priv)`, which derives the public key once per key
+    object, so repeated calls on one `priv` pay for it once.
 
     Every subset of a trial shares the holders' one response each. A token
     answers a challenge the same way whoever else is present, so with

@@ -27,6 +27,7 @@ construction makes the equivalence unconditional.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 
@@ -192,9 +193,13 @@ def _guided_descent(
                         "reserved indices crowd out an AND branch; "
                         "more prime indices are needed")
                 buckets[i].append(free.pop())
+        # the smallest bucket, lowest child first on ties, takes the next index
+        sizes = [(len(bucket), i) for i, bucket in enumerate(buckets)]
+        heapq.heapify(sizes)
         while free:
-            target = min(range(k), key=lambda i: (len(buckets[i]), i))
+            size, target = sizes[0]
             buckets[target].append(free.pop())
+            heapq.heapreplace(sizes, (size + 1, target))
         for child, bucket in zip(node.children, buckets):
             walk(child, bucket)
 

@@ -167,6 +167,49 @@ class TestSchemas:
             files.load(path)
         assert err.value.field == field
 
+    def test_integer_digits_bounded(self):
+        # every integer a file holds is below twice the 64-prime product
+        limit = len(str(2 * math.prod(numtheory.SMALL_PRIMES)))
+        assert limit == 126
+        doc = {"kind": "response", "session_id": "x", "values": ["9" * limit]}
+        assert files.from_document(doc).values == (10 ** limit - 1,)
+        doc["values"] = ["1" + "0" * limit]
+        with pytest.raises(SchemaError) as err:
+            files.from_document(doc)
+        assert err.value.field == "values"
+
+    def test_huge_share_modulus_refused_before_use(self, tmp_path, small):
+        # loading such a share used to succeed, and each answer then took seconds
+        doc = files.to_document(small.shares["A1"])
+        doc["p"] = doc["s"] = "7" * 4000
+        with pytest.raises(SchemaError) as err:
+            files.from_document(doc)
+        assert err.value.field == "p"
+        path = tmp_path / "share.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            files.load(path)
+        assert err.value.field == "p"
+
+    def test_json_number_past_digit_limit(self, tmp_path):
+        path = tmp_path / "pub.json"
+        path.write_text('{"kind": "ns-public", "n": ' + LONG + "}")
+        with pytest.raises(SchemaError):
+            files.load(path)
+
+    def test_public_key_over_64_primes_rejected(self, tmp_path):
+        # messages are read off at most 64 prime ranks; a 65th value used to
+        # load and then silently reject authorized groups
+        pub, _ = keygen(64)
+        doc = files.to_document(pub)
+        doc["n"], doc["v"] = 65, doc["v"] + ["2"]
+        with pytest.raises(ValueError):
+            files.from_document(doc)
+        path = tmp_path / "pub.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            files.load(path, expect_kind="ns-public")
+
     def test_wrong_kind_rejected(self, tmp_path, airplane):
         files.save(airplane.pub, tmp_path / "pub.json")
         with pytest.raises(SchemaError):

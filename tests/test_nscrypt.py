@@ -1,12 +1,14 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from groupauth import fixtures, numtheory
+from groupauth import files, fixtures, numtheory
 from groupauth.nscrypt import (
     KeyShare,
     MalformedCiphertext,
+    NsPrivateKey,
     decrypt,
     encrypt,
     keygen,
@@ -74,6 +76,10 @@ class TestKeygen:
             keygen(8, force_p=9699690 + 2, force_s=3)  # even, not prime
         with pytest.raises(ValueError):
             keygen(12, force_p=fixtures.AIRPLANE_P, force_s=fixtures.AIRPLANE_P - 1)
+        # a larger modulus would make key files that `files.load` refuses
+        too_big = numtheory.next_prime_above(2 * math.prod(numtheory.SMALL_PRIMES))
+        with pytest.raises(ValueError):
+            keygen(12, force_p=too_big)
 
 
 class TestEncryptDecrypt:
@@ -261,3 +267,38 @@ class TestPublicKeyOf:
     def test_matches_keygen(self, demo12):
         pub, priv = demo12
         assert public_key_of(priv) == pub
+
+    def test_derived_once_per_key(self, demo12):
+        _, priv = demo12
+        assert public_key_of(priv) is public_key_of(priv)
+
+    @pytest.mark.parametrize("key", ["demo12", "demo8", 2, 12, 16, 64])
+    def test_matches_direct_derivation(self, request, key):
+        if isinstance(key, int):
+            pub, priv = keygen(key)
+        else:
+            pub, priv = request.getfixturevalue(key)
+        assert public_key_of(priv) == pub
+        s_inv = pow(priv.s, -1, priv.p - 1)
+        assert pub.v == tuple(pow(q, s_inv, priv.p) for q in priv.primes)
+
+    def test_replaced_key_derives_its_own(self, demo12):
+        pub, priv = demo12
+        other = next(s for s in range(priv.s + 1, priv.p)
+                     if math.gcd(s, priv.p - 1) == 1)
+        changed = dataclasses.replace(priv, s=other)
+        s_inv = pow(other, -1, priv.p - 1)
+        assert public_key_of(changed).v == tuple(pow(q, s_inv, priv.p) for q in priv.primes)
+        assert public_key_of(changed) != pub
+        assert public_key_of(priv) == pub
+
+    def test_derivation_changes_no_file_or_equality(self, demo12):
+        _, priv = demo12
+        fresh = NsPrivateKey(n=priv.n, p=priv.p, s=priv.s, primes=priv.primes)
+        other = NsPrivateKey(n=priv.n, p=priv.p, s=priv.s, primes=priv.primes)
+        before = files.dumps(fresh)
+        public_key_of(fresh)
+        assert files.dumps(fresh) == before == files.dumps(priv)
+        assert fresh == other == priv
+        assert hash(fresh) == hash(other)
+        assert repr(fresh) == repr(other)

@@ -4,8 +4,8 @@ import random
 
 import pytest
 
-from groupauth import files, fixtures, protocol
-from groupauth.nscrypt import KeyShare, partial_decrypt
+from groupauth import files, fixtures, numtheory, protocol
+from groupauth.nscrypt import KeyShare, NsPrivateKey, partial_decrypt
 from groupauth.protocol import (
     Challenge,
     ResponseVector,
@@ -279,6 +279,22 @@ class TestAudit:
         assert len(freqs) == 31
         for group in airplane.expected_family:
             assert freqs[group] == 1.0
+
+    def test_public_key_derived_once_across_calls(self, airplane, monkeypatch):
+        # a caller running one trial per call passes the same key each time;
+        # only the first call may derive the public key (one mod_inv, n pows),
+        # and a fresh key object has not derived it yet
+        priv = airplane.priv
+        fresh = NsPrivateKey(n=priv.n, p=priv.p, s=priv.s, primes=priv.primes)
+        calls = []
+        mod_inv = numtheory.mod_inv
+        monkeypatch.setattr(numtheory, "mod_inv", lambda *a: calls.append(a) or mod_inv(*a))
+        for seed in (1, 2):
+            report = audit(fresh, airplane.shares, airplane.expected_family,
+                           trials=3, rng=random.Random(seed),
+                           mode="sequence", merge="sum", force_m=fixtures.AIRPLANE_MESSAGE)
+            assert report.all_exact
+        assert len(calls) == 1
 
 
 def reference_audit(shares, challenge, state):
