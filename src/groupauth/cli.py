@@ -114,8 +114,7 @@ def cmd_challenge(args) -> int:
     merge = args.merge if args.merge else ("or" if mode == "monotone" else "sum")
     force_m = int(args.force_m) if args.force_m is not None else None
     challenge, state = protocol.make_challenge(
-        pub, mode=mode, merge=merge, slot_count=args.slots,
-        per_index_random=args.per_index_random, rng=rng, force_m=force_m)
+        pub, mode=mode, merge=merge, slot_count=args.slots, rng=rng, force_m=force_m)
     files.save(challenge, args.output)
     files.save(state, args.state)
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
@@ -138,15 +137,8 @@ def cmd_respond(args) -> int:
 
 def cmd_verify(args) -> int:
     state = files.load(args.state, expect_kind="verifier-state")
-    responses = []
-    for path in args.responses:
-        response = files.load(path, expect_kind="response")
-        if response.session_id != state.session_id:
-            raise GroupAuthError(
-                f"{path}: response is for session {response.session_id}, "
-                f"state is session {state.session_id}")
-        responses.append(response)
-    merged = protocol.merge_responses(responses, state.mode, state.merge)
+    responses = [files.load(path, expect_kind="response") for path in args.responses]
+    merged = protocol.merge_responses(state, responses)
     verdict = protocol.verify(state, merged)
     if args.output:
         files.save(verdict, args.output)
@@ -395,8 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["monotone", "sequence"], default="monotone")
     p.add_argument("--slots", type=int, default=1, help="slot count (sequence mode)")
     p.add_argument("--merge", choices=["or", "sum", "xor"], default=None)
-    p.add_argument("--per-index-random", action="store_true",
-                   help="fresh plaintext per slot index")
     p.add_argument("--seed", help="hex seed")
     p.add_argument("--force-m", help="pin the challenge plaintext (decimal)")
     p.add_argument("-o", "--output", required=True, help="challenge file")

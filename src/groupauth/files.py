@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+from . import numtheory
 from .errors import SchemaError
 from .nscrypt import MAX_MODULUS, KeyShare, NsPrivateKey, NsPublicKey
 from .protocol import Challenge, ResponseVector, Verdict, VerifierState
@@ -69,6 +70,13 @@ def _read_int(raw, field):
     return int(raw)
 
 
+def _read_prime(raw, field):
+    value = _read_int(raw, field)
+    if not numtheory.is_probable_prime(value):
+        raise SchemaError(f"field {field!r} must be a prime", field=field)
+    return value
+
+
 def _read_ints(raw, field):
     if not _decimals(raw):
         raise SchemaError(f"field {field!r} must be a list of decimal strings of at most "
@@ -97,6 +105,7 @@ def _read_int_or_null(raw, field):
 
 _INT, _STR, _BOOL = _exact(int), _exact(str), _exact(bool)
 _BIG = (lambda value: str(int(value)), _read_int)
+_PRIME = (_BIG[0], _read_prime)
 _BIGS = (lambda values: [str(int(x)) for x in values], _read_ints)
 _PRIMES = (_write_primes, lambda raw, field: frozenset(_read_ints(raw, field)))
 _SLOTS = (lambda slots: [None if s is None else _write_primes(s) for s in slots], _read_slots)
@@ -107,9 +116,9 @@ _SESSION = (("session_id", "session_id", _STR), ("mode", "mode", _STR),
 
 _SCHEMAS = {
     "ns-public": (NsPublicKey, (
-        ("n", "n", _INT), ("p", "p", _BIG), ("v", "v", _BIGS))),
+        ("n", "n", _INT), ("p", "p", _PRIME), ("v", "v", _BIGS))),
     "ns-private": (NsPrivateKey, (
-        ("n", "n", _INT), ("p", "p", _BIG), ("s", "s", _BIG), ("primes", "primes", _BIGS))),
+        ("n", "n", _INT), ("p", "p", _PRIME), ("s", "s", _BIG), ("primes", "primes", _BIGS))),
     "share-monotone": (KeyShare, (
         ("holder", "holder", _STR), ("p", "p", _BIG), ("s", "s", _BIG),
         ("primes", "prime_subset", _PRIMES))),

@@ -1,13 +1,14 @@
 """Challenge-response group authentication.
 
-The verifier draws a secret message, encrypts it under the system public
-key, and hands the ciphertext(s) to every present token. Tokens answer
-with one value per slot: a partial decryption where they hold a share, a
-null value (1, or a random non-zero) where they do not. Responses carry no
-holder identity; the verifier merges them (bitwise OR in monotone mode,
-per-slot sum or XOR in sequence mode) and accepts exactly when some merged
-value equals its secret. The verifier never sees the secret exponent, any
-prime set, or the policy: those live only in the share material.
+The verifier draws one secret message per session, encrypts it under the
+system public key, and hands that one ciphertext to every present token.
+Tokens answer with one value per slot: a partial decryption where they
+hold a share, a null value (1, or a random non-zero) where they do not.
+Responses carry no holder identity; the verifier merges them (bitwise OR
+in monotone mode, per-slot sum or XOR in sequence mode) and accepts
+exactly when some merged value equals the message. The verifier never
+sees the secret exponent, any prime set, or the policy: those live only
+in the share material.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import random
 from dataclasses import dataclass, field
 from functools import reduce
 
+from .errors import GroupAuthError
 from .nscrypt import (
     KeyShare,
     NsPrivateKey,
@@ -63,20 +65,18 @@ def _check_mode_merge(mode: str, merge: str) -> None:
         raise ValueError("or-merge is for monotone mode, sum/xor for sequence mode")
 
 
-def _check_session(mode: str, merge: str, slot_count: int, values: int, noun: str) -> None:
+def _check_session(mode: str, merge: str, slot_count: int) -> None:
     """Shared shape rules of a challenge and its verifier state."""
     _check_mode_merge(mode, merge)
     if slot_count < 1:
         raise ValueError("slot_count must be >= 1")
     if mode == "monotone" and slot_count != 1:
         raise ValueError("monotone mode has exactly one slot")
-    if values not in (1, slot_count):
-        raise ValueError(f"need one {noun}, or one per slot")
 
 
 @dataclass(frozen=True)
 class Challenge:
-    """What the verifier sends to every token. Contains no identities."""
+    """What the verifier sends to every token: one ciphertext, no identities."""
 
     session_id: str
     mode: str
@@ -85,16 +85,14 @@ class Challenge:
     ciphertexts: tuple[int, ...]
 
     def __post_init__(self):
-        _check_session(self.mode, self.merge, self.slot_count,
-                       len(self.ciphertexts), "ciphertext")
-
-    def ciphertext_for(self, index: int) -> int:
-        return self.ciphertexts[index if len(self.ciphertexts) > 1 else 0]
+        _check_session(self.mode, self.merge, self.slot_count)
+        if len(self.ciphertexts) != 1:
+            raise ValueError("a session has exactly one ciphertext")
 
 
 @dataclass(frozen=True)
 class VerifierState:
-    """The verifier's secret side of a session. Never sent to tokens."""
+    """The verifier's secret side of a session, its one message. Never sent to tokens."""
 
     session_id: str
     mode: str
@@ -103,13 +101,11 @@ class VerifierState:
     plaintexts: tuple[int, ...]
 
     def __post_init__(self):
-        _check_session(self.mode, self.merge, self.slot_count,
-                       len(self.plaintexts), "plaintext")
-        if any(m < 1 for m in self.plaintexts):
+        _check_session(self.mode, self.merge, self.slot_count)
+        if len(self.plaintexts) != 1:
+            raise ValueError("a session has exactly one plaintext")
+        if self.plaintexts[0] < 1:
             raise ValueError("plaintexts are positive")
-
-    def plaintext_for(self, index: int) -> int:
-        return self.plaintexts[index if len(self.plaintexts) > 1 else 0]
 
 
 @dataclass(frozen=True)
@@ -138,41 +134,33 @@ def make_challenge(
     mode: str = "monotone",
     merge: str | None = None,
     slot_count: int = 1,
-    per_index_random: bool = False,
     rng: random.Random | None = None,
-    force_m: int | list[int] | None = None,
+    force_m: int | None = None,
 ) -> tuple[Challenge, VerifierState]:
-    """Draw secret plaintext(s), encrypt, and open a session.
+    """Draw one secret message, encrypt it, and open a session.
 
-    Plaintexts are uniform over [1, 2^n); with `per_index_random` each slot
-    index gets an independently drawn plaintext and its own ciphertext.
-    `force_m` pins the plaintext(s), mirroring the keygen overrides, so
-    fixed known-answer sessions can be reproduced.
+    The message is uniform over [1, 2^n), and its one ciphertext serves
+    every slot. `force_m` pins the message, mirroring the keygen overrides,
+    so fixed known-answer sessions can be reproduced.
     """
     rng = rng if rng is not None else random.Random()
     merge = merge if merge is not None else ("or" if mode == "monotone" else "sum")
     _check_mode_merge(mode, merge)
-    count = slot_count if per_index_random else 1
-    if force_m is None:
-        ms = [rng.randrange(1, 1 << pub.n) for _ in range(count)]
-    else:
-        ms = list(force_m) if isinstance(force_m, (list, tuple)) else [force_m] * count
-        if len(ms) != count:
-            raise ValueError(f"need {count} forced plaintexts, got {len(ms)}")
+    m = rng.randrange(1, 1 << pub.n) if force_m is None else force_m
     session_id = f"{rng.getrandbits(64):016x}"
     challenge = Challenge(
         session_id=session_id,
         mode=mode,
         merge=merge,
         slot_count=slot_count,
-        ciphertexts=tuple(encrypt(pub, m) for m in ms),
+        ciphertexts=(encrypt(pub, m),),
     )
     state = VerifierState(
         session_id=session_id,
         mode=mode,
         merge=merge,
         slot_count=slot_count,
-        plaintexts=tuple(ms),
+        plaintexts=(m,),
     )
     return challenge, state
 
@@ -189,11 +177,11 @@ def token_respond(
 ) -> ResponseVector:
     """Compute a token's per-slot response vector.
 
-    Where the token holds a share it answers the partial decryption of that
-    slot's ciphertext; where it holds none it answers a null value, whose
+    Where the token holds a share it answers the partial decryption of the
+    session's ciphertext; where it holds none it answers a null value, whose
     presence corrupts the merge and is what rejects over-full groups. A
-    sequence token raises each distinct ciphertext to s once and reads every
-    slot's bits off that residue.
+    sequence token raises the ciphertext to s once, at its first share, and
+    reads every slot's bits off that residue.
     """
     if null_policy not in NULL_POLICIES:
         raise ValueError(f"unknown null policy {null_policy!r}")
@@ -201,25 +189,24 @@ def token_respond(
     if isinstance(share, KeyShare):
         if challenge.mode != "monotone":
             raise ValueError("a single key share answers monotone challenges")
-        value = partial_decrypt(share, challenge.ciphertext_for(0))
+        value = partial_decrypt(share, challenge.ciphertexts[0])
         return ResponseVector(session_id=challenge.session_id, values=(value,))
 
     if challenge.mode != "sequence":
         raise ValueError("a share sequence answers sequence challenges")
     if len(share.slots) != challenge.slot_count:
         raise ValueError("share sequence length does not match the challenge")
-    residues: dict[int, int] = {}  # ciphertext -> c^s mod p
+    u = None  # c^s mod p, computed at the first slot that holds a share
     values = []
-    for i, prime_set in enumerate(share.slots):
+    for prime_set in share.slots:
         if prime_set is None:
             values.append(_null_value(null_policy, share.n, rng))
             continue
-        c = challenge.ciphertext_for(i)
-        u = residues.get(c)
         if u is None:
+            c = challenge.ciphertexts[0]
             if not 1 <= c < share.p:
                 raise ValueError("ciphertext out of range")
-            u = residues[c] = pow(c, share.s, share.p)
+            u = pow(c, share.s, share.p)
         values.append(residue_bits(u, prime_set))
     return ResponseVector(session_id=challenge.session_id, values=tuple(values))
 
@@ -247,16 +234,23 @@ def merge_sequence(responses: list[ResponseVector], merge: str) -> list[int]:
     return [reduce(combine, (r.values[i] for r in responses), 0) for i in range(length)]
 
 
-def merge_responses(responses: list[ResponseVector], mode: str, merge: str) -> list[int]:
-    """Mode-dispatching merge; always returns a per-slot list."""
-    _check_mode_merge(mode, merge)
-    if mode == "monotone":
+def merge_responses(state: VerifierState, responses: list[ResponseVector]) -> list[int]:
+    """Merge responses with the session's mode and merge; a per-slot list.
+
+    Raises GroupAuthError for a response to another session.
+    """
+    for i, r in enumerate(responses):
+        if r.session_id != state.session_id:
+            raise GroupAuthError(
+                f"response {i} is for session {r.session_id}, "
+                f"state is session {state.session_id}")
+    if state.mode == "monotone":
         return [merge_monotone(responses)]
-    return merge_sequence(responses, merge)
+    return merge_sequence(responses, state.merge)
 
 
 def verify(state: VerifierState, merged: list[int]) -> Verdict:
-    """Accept iff some merged value equals the matching secret plaintext.
+    """Accept iff some merged value equals the session's plaintext.
 
     A non-empty merge must have one value per session slot; the empty merge
     of no responses is a rejection.
@@ -266,7 +260,7 @@ def verify(state: VerifierState, merged: list[int]) -> Verdict:
             f"merged has {len(merged)} values, the session has {state.slot_count} slots")
     matching = None
     for i, value in enumerate(merged):
-        if value == state.plaintext_for(i):
+        if value == state.plaintexts[0]:
             matching = i
             break
     return Verdict(
@@ -326,15 +320,15 @@ def _accepted_masks(responses: list[ResponseVector], state: VerifierState) -> se
     A subset is a bit mask over the responses' positions. Per slot,
     `subset_fold` merges every subset with the same OR, sum or XOR that
     `merge_responses` takes, so a subset is accepted exactly when some
-    slot's merged value equals its plaintext. Plaintexts are non-zero, so
+    slot's merged value equals the plaintext. The plaintext is non-zero, so
     the empty subset's 0 never matches.
     """
     combine = _MERGE_OPS[state.merge]
+    m = state.plaintexts[0]
     accepted: set[int] = set()
     for j in range(state.slot_count):
-        target = state.plaintext_for(j)
         merged = subset_fold([r.values[j] for r in responses], combine)
-        accepted.update(a for a, value in enumerate(merged) if value == target)
+        accepted.update(a for a, value in enumerate(merged) if value == m)
     return accepted
 
 

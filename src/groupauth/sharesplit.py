@@ -117,14 +117,6 @@ def _balanced_parts(items: list[int], k: int) -> list[list[int]]:
     return parts
 
 
-def _max_and_fanin_product(node: PolicyExpr) -> int:
-    """Largest product of AND fan-ins along any root-to-leaf path."""
-    if isinstance(node, Var):
-        return 1
-    worst = max(_max_and_fanin_product(c) for c in node.children)
-    return worst * len(node.children) if isinstance(node, And) else worst
-
-
 def _plain_descent(expr: PolicyExpr, indices: list[int]) -> dict[str, set[int]]:
     acc: dict[str, set[int]] = {}
 
@@ -245,9 +237,6 @@ def bl_split(
     order = check_universe(variables(expr))
     if not indices:
         raise InsufficientPrimes("no prime indices to split")
-    if _max_and_fanin_product(expr) > len(indices):
-        raise InsufficientPrimes(
-            "nested AND fan-ins need more prime indices than available")
     maximal = _maximal_unsat(expr, order)
     # exact over n indices means at most n maximal sets: all but some index's holders
     if len(maximal) > len(indices):

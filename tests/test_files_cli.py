@@ -210,6 +210,23 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             files.load(path, expect_kind="ns-public")
 
+    @pytest.mark.parametrize("kind", ["ns-private", "ns-public"])
+    def test_composite_modulus_rejected(self, tmp_path, airplane, kind):
+        # such a key used to load, and decrypt(encrypt(1)) then raised
+        priv = airplane.priv
+        p = next(c for c in range(priv.p + 2, priv.p + 10_000, 2)
+                 if math.gcd(priv.s, c - 1) == 1 and any(c % q == 0 for q in range(3, 100, 2)))
+        obj = priv if kind == "ns-private" else airplane.pub
+        doc = dict(files.to_document(obj), p=str(p))
+        with pytest.raises(SchemaError) as err:
+            files.from_document(doc)
+        assert err.value.field == "p"
+        path = tmp_path / "key.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            files.load(path, expect_kind=kind)
+        assert err.value.field == "p"
+
     def test_wrong_kind_rejected(self, tmp_path, airplane):
         files.save(airplane.pub, tmp_path / "pub.json")
         with pytest.raises(SchemaError):
@@ -394,6 +411,34 @@ class TestPipeline:
                             "--responses", str(root / "r_A.json")])
             assert code == 2
             assert "plaintext" in capsys.readouterr().err
+
+    def test_two_ciphertexts_are_usage_error(self, pipeline, capsys):
+        # one message per session: a challenge with one ciphertext per slot
+        # is refused by load, so respond exits 2
+        root = pipeline
+        slots = _slot_count(root)
+        assert slots > 1
+        _challenge_session(root, slots)
+        doc = json.loads((root / "challenge.json").read_text())
+        doc["ciphertexts"] *= slots
+        (root / "challenge.json").write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            files.load(root / "challenge.json", expect_kind="challenge")
+        capsys.readouterr()
+        assert run_cli(["respond", "--share", str(root / "shares/share_A.json"),
+                        "--challenge", str(root / "challenge.json"),
+                        "-o", str(root / "r_A.json")]) == 2
+        assert "ciphertext" in capsys.readouterr().err
+        assert not (root / "r_A.json").exists()
+
+    def test_per_index_random_flag_gone(self, pipeline):
+        root = pipeline
+        assert run_cli(["challenge", "--pub", str(root / "keys/pub.json"),
+                        "--mode", "sequence", "--slots", str(_slot_count(root)),
+                        "--per-index-random",
+                        "-o", str(root / "challenge.json"),
+                        "--state", str(root / "state.json")]) == 2
+        assert not (root / "challenge.json").exists()
 
     def test_session_mismatch_detected(self, pipeline):
         root = pipeline

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from groupauth import files, fixtures, numtheory, protocol
+from groupauth.errors import GroupAuthError
 from groupauth.nscrypt import KeyShare, NsPrivateKey, partial_decrypt
 from groupauth.protocol import (
     Challenge,
@@ -35,13 +36,6 @@ class TestMakeChallenge:
         assert state.plaintexts == (2919,)
         assert challenge.ciphertexts == (fixtures.AIRPLANE_CIPHERTEXT,)
 
-    def test_per_index_random_shape(self, airplane):
-        challenge, state = make_challenge(
-            airplane.pub, mode="sequence", merge="sum", slot_count=7,
-            per_index_random=True, rng=random.Random(1))
-        assert len(challenge.ciphertexts) == 7
-        assert len(state.plaintexts) == 7
-
     def test_seed_determinism(self, airplane):
         a = make_challenge(airplane.pub, mode="sequence", merge="sum",
                            slot_count=7, rng=random.Random(5))
@@ -57,6 +51,14 @@ class TestMakeChallenge:
         with pytest.raises(ValueError):
             Challenge(session_id="x", mode="monotone", merge="or",
                       slot_count=3, ciphertexts=(1, 2, 3))
+
+    @pytest.mark.parametrize("ciphertexts", [(5, 6), (5, 5), ()])
+    def test_one_ciphertext_per_session(self, ciphertexts):
+        # a session has one message: two ciphertexts are refused even when
+        # there is one per slot
+        with pytest.raises(ValueError):
+            Challenge(session_id="x", mode="sequence", merge="sum",
+                      slot_count=2, ciphertexts=ciphertexts)
 
     def test_plaintext_range(self, airplane):
         rng = random.Random(9)
@@ -93,20 +95,18 @@ class TestTokenRespond:
             null = response.values[6]  # E holds nothing at the last slot
             assert 2 <= null < (1 << 12)
 
-    @pytest.mark.parametrize("per_index_random", [False, True])
-    def test_sequence_matches_per_slot_partial_decrypt(self, airplane, per_index_random):
+    def test_sequence_matches_per_slot_partial_decrypt(self, airplane):
         rng = random.Random(17)
         for _ in range(10):
             challenge, _ = make_challenge(
-                airplane.pub, mode="sequence", merge="sum", slot_count=7,
-                per_index_random=per_index_random, rng=rng)
+                airplane.pub, mode="sequence", merge="sum", slot_count=7, rng=rng)
             for holder, share in airplane.shares.items():
                 expected = tuple(
                     1 if prime_set is None else partial_decrypt(
                         KeyShare(holder=holder, s=share.s, p=share.p,
                                  prime_subset=prime_set),
-                        challenge.ciphertext_for(i))
-                    for i, prime_set in enumerate(share.slots))
+                        challenge.ciphertexts[0])
+                    for prime_set in share.slots)
                 assert token_respond(share, challenge, "one").values == expected
 
     def test_sequence_rejects_out_of_range_ciphertext(self, airplane):
@@ -172,6 +172,23 @@ class TestMerges:
     def test_sequence_empty(self):
         assert merge_sequence([], "sum") == []
 
+    @pytest.mark.parametrize("fixture", ["airplane", "small"])
+    def test_stale_response_refused(self, request, fixture):
+        # same message, same share: only the session id tells the two answers apart
+        system = request.getfixturevalue(fixture)
+        slot_count = len(system.plan.slots) if system.plan else 1
+        share = system.shares[system.universe[0]]
+        (old_challenge, _), (new_challenge, state) = (
+            make_challenge(system.pub, mode=system.mode, merge=system.merge,
+                           slot_count=slot_count, rng=random.Random(seed),
+                           force_m=system.message)
+            for seed in (1, 2))
+        old, new = token_respond(share, old_challenge), token_respond(share, new_challenge)
+        assert old.values == new.values
+        assert len(merge_responses(state, [new])) == slot_count
+        with pytest.raises(GroupAuthError, match=old.session_id):
+            merge_responses(state, [new, old])
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             merge_sequence([ResponseVector("s", (1, 2)),
@@ -216,12 +233,14 @@ class TestVerify:
             verify(state, [0, small.message])
 
     @pytest.mark.parametrize("mode, merge, slot_count, plaintexts", [
-        ("sequence", "sum", 3, (5, 6)),  # neither one plaintext nor one per slot
+        ("sequence", "sum", 3, (5, 6)),
         ("sequence", "sum", 3, ()),
         ("sequence", "sum", 0, (5,)),
         ("monotone", "or", 2, (5,)),
         ("monotone", "sum", 1, (5,)),
         ("sequence", "sum", 2, (5, 0)),
+        ("sequence", "sum", 2, (5, 6)),  # one per slot is still two messages
+        ("sequence", "sum", 2, (0,)),
     ])
     def test_state_shape_checked(self, mode, merge, slot_count, plaintexts):
         with pytest.raises(ValueError):
@@ -304,7 +323,7 @@ def reference_audit(shares, challenge, state):
     for size in range(1, len(universe) + 1):
         for combo in itertools.combinations(universe, size):
             responses = [token_respond(shares[h], challenge, "one") for h in combo]
-            merged = merge_responses(responses, state.mode, state.merge)
+            merged = merge_responses(state, responses)
             if verify(state, merged).accepted:
                 accepted.add(frozenset(combo))
     return frozenset(accepted)
@@ -369,19 +388,6 @@ class TestCompleteness:
         for m in range(1, 1 << 12):
             for group in airplane.expected_family:
                 assert simulate_sum_accept(plan, group, m), (sorted(group), m)
-
-    def test_per_index_randomness(self, airplane):
-        plan = airplane.plan
-        challenge, state = make_challenge(
-            airplane.pub, mode="sequence", merge="sum",
-            slot_count=len(plan.slots), per_index_random=True,
-            rng=random.Random(33))
-        assert len(state.plaintexts) == len(plan.slots)
-        for group, expect in [("AC", True), ("CD", False), ("ABC", True)]:
-            rs = [token_respond(airplane.shares[h], challenge, "one")
-                  for h in group]
-            verdict = verify(state, merge_sequence(rs, "sum"))
-            assert verdict.accepted == expect, group
 
     def test_sequence_length_mismatch(self, airplane):
         challenge, _ = make_challenge(
@@ -608,6 +614,7 @@ class TestVerifierIsolation:
         assert list(inspect.signature(verify).parameters) == ["state", "merged"]
         assert list(inspect.signature(merge_monotone).parameters) == ["responses"]
         assert list(inspect.signature(merge_sequence).parameters) == ["responses", "merge"]
+        assert list(inspect.signature(merge_responses).parameters) == ["state", "responses"]
 
     def test_state_never_in_challenge(self, airplane):
         challenge, state = airplane_challenge(airplane)

@@ -61,6 +61,15 @@ class TestBlSplit:
         with pytest.raises(InsufficientPrimes):
             bl_split(expr, range(2))
 
+    def test_deep_and_fanin_splits(self):
+        # the AND fan-ins along a-b-c-d multiply to 8 > 7 indices, yet plain
+        # descent gives a-d one index each, x {0-3} and y {4, 5, 6}
+        expr = parse("((a and b and c and d) or x) and y", tuple("abcdxy"))
+        split = bl_split(expr, range(7))
+        assert split == {"a": {0}, "b": {1}, "c": {2}, "d": {3},
+                         "x": {0, 1, 2, 3}, "y": {4, 5, 6}}
+        assert covers_iff_satisfies(expr, split, 7)
+
     def test_non_monotone_rejected(self):
         expr = parse("A and not B", ("A", "B"))
         with pytest.raises(NonMonotoneError):
@@ -74,7 +83,7 @@ class TestBlSplit:
             try:
                 split = bl_split(expr, range(12))
             except InsufficientPrimes:
-                continue  # e.g. nested AND fan-ins exceeding 12
+                continue  # e.g. more maximal unauthorized sets than 12 indices
             produced += 1
             union = set()
             for idxs in split.values():
