@@ -5,6 +5,13 @@ big integer is a decimal string so files survive any JSON parser without
 64-bit truncation. Serialization is key-sorted and newline-terminated, so
 identical inputs produce byte-identical files.
 
+`dumps` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
+indent=2)` plus a newline, but does not call it: with `indent` set, CPython
+skips its C encoder and runs the pure-Python one, which took most of the
+time of writing a protocol message. `_write` emits the same text directly,
+with strings escaped by `json.encoder.encode_basestring_ascii`, the C
+function that encoder uses.
+
 `_SCHEMAS` is the one definition of each kind: its class, and its fields in
 the order they are checked, each with a JSON name, an attribute and a codec.
 `to_document` and `from_document` both read it, so a kind is written and
@@ -15,6 +22,7 @@ share-monotone, share-sequence, challenge, verifier-state, response, verdict.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import numtheory
@@ -120,11 +128,11 @@ _SCHEMAS = {
     "ns-private": (NsPrivateKey, (
         ("n", "n", _INT), ("p", "p", _PRIME), ("s", "s", _BIG), ("primes", "primes", _BIGS))),
     "share-monotone": (KeyShare, (
-        ("holder", "holder", _STR), ("p", "p", _BIG), ("s", "s", _BIG),
+        ("holder", "holder", _STR), ("p", "p", _PRIME), ("s", "s", _BIG),
         ("primes", "prime_subset", _PRIMES))),
     "share-sequence": (ShareSequence, (
         ("slots", "slots", _SLOTS), ("holder", "holder", _STR), ("n", "n", _INT),
-        ("p", "p", _BIG), ("s", "s", _BIG))),
+        ("p", "p", _PRIME), ("s", "s", _BIG))),
     "challenge": (Challenge, _SESSION + (("ciphertexts", "ciphertexts", _BIGS),)),
     "verifier-state": (VerifierState, _SESSION + (("plaintexts", "plaintexts", _BIGS),)),
     "response": (ResponseVector, (
@@ -160,8 +168,36 @@ def from_document(doc: dict):
     return cls(**values)
 
 
+def _write(value, indent: str) -> str:
+    """One document value as `json.dumps(..., indent=2)` writes it at `indent`.
+
+    The checks run in the stdlib encoder's order, so bool is not taken as int.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        items = (",\n" + inner).join([_write(item, inner) for item in value])
+        return "[\n" + inner + items + "\n" + indent + "]"
+    raise TypeError(f"cannot write {type(value).__name__} to a file")
+
+
 def dumps(obj) -> str:
-    return json.dumps(to_document(obj), sort_keys=True, indent=2) + "\n"
+    """The file text of `obj`: key-sorted, two-space indented JSON and a newline."""
+    doc = to_document(obj)
+    fields = ",\n".join([f"  {encode_basestring_ascii(key)}: {_write(doc[key], '  ')}"
+                         for key in sorted(doc)])
+    return "{\n" + fields + "\n}\n"
 
 
 def save(obj, path: str | Path) -> None:

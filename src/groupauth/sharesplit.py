@@ -444,6 +444,9 @@ class ShareSequence:
     slots: tuple[frozenset[int] | None, ...]
 
     def __post_init__(self):
+        # a null answer draws n random bits, so n is bounded like a key's
+        if not 2 <= self.n <= 64:
+            raise ValueError("n must be in [2, 64]")
         for prime_set in self.slots:
             if prime_set is not None:
                 check_share_primes(prime_set, self.n)

@@ -1,9 +1,11 @@
-"""The public names the package declares, and the names the benchmark traces."""
+"""The public names the package declares, and the benchmark's hooks and self-test."""
 
 import ast
 import importlib
 import importlib.util
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,6 +14,7 @@ import groupauth
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(groupauth.__path__))
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+SELFTEST = SPANS.parent / "selftest.py"
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -42,3 +45,12 @@ def test_traced_names_exist():
     for module_name, attr, _stem, _kind in spans.HOOKS:
         module = importlib.import_module(f"groupauth.{module_name}")
         assert callable(getattr(module, attr, None)), f"groupauth.{module_name}.{attr}"
+
+
+def test_benchmark_selftest_passes():
+    # the self-test injects faults (a flipped response bit, a rejected
+    # authorized group) that the benchmark's correctness checks must catch;
+    # a library change that stops them biting fails here
+    proc = subprocess.run([sys.executable, str(SELFTEST)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -210,13 +210,17 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             files.load(path, expect_kind="ns-public")
 
-    @pytest.mark.parametrize("kind", ["ns-private", "ns-public"])
-    def test_composite_modulus_rejected(self, tmp_path, airplane, kind):
-        # such a key used to load, and decrypt(encrypt(1)) then raised
-        priv = airplane.priv
+    @pytest.mark.parametrize("kind", ["ns-private", "ns-public", "share-monotone",
+                                      "share-sequence"])
+    def test_composite_modulus_rejected(self, tmp_path, small, airplane, kind):
+        # such a key used to load, and decrypt(encrypt(1)) then raised; such a
+        # share of small's A1 answered 1 where 10 was due, rejecting {A1, A2}
+        system = small if kind == "share-monotone" else airplane
+        priv = system.priv
         p = next(c for c in range(priv.p + 2, priv.p + 10_000, 2)
                  if math.gcd(priv.s, c - 1) == 1 and any(c % q == 0 for q in range(3, 100, 2)))
-        obj = priv if kind == "ns-private" else airplane.pub
+        obj = {"ns-private": priv, "ns-public": system.pub,
+               "share-monotone": small.shares["A1"], "share-sequence": airplane.shares["C"]}[kind]
         doc = dict(files.to_document(obj), p=str(p))
         with pytest.raises(SchemaError) as err:
             files.from_document(doc)
@@ -226,6 +230,18 @@ class TestSchemas:
         with pytest.raises(SchemaError) as err:
             files.load(path, expect_kind=kind)
         assert err.value.field == "p"
+
+    @pytest.mark.parametrize("n", [1, 65, 10**7])
+    def test_share_sequence_n_bounded(self, tmp_path, airplane, n):
+        # a null answer draws n random bits: n = 10**7 used to load, and each
+        # answer's cost grew with n without limit
+        doc = dict(files.to_document(airplane.shares["D"]), n=n)
+        with pytest.raises(ValueError, match=r"n must be in \[2, 64\]"):
+            files.from_document(doc)
+        path = tmp_path / "share.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError):
+            files.load(path, expect_kind="share-sequence")
 
     def test_wrong_kind_rejected(self, tmp_path, airplane):
         files.save(airplane.pub, tmp_path / "pub.json")

@@ -1,12 +1,19 @@
 """File bytes and required fields of every kind in `groupauth.files`."""
 
 import json
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupauth import files, protocol
 from groupauth.errors import SchemaError
+from groupauth.nscrypt import KeyShare, NsPrivateKey, NsPublicKey
+from groupauth.numtheory import SMALL_PRIMES
+from groupauth.protocol import Challenge, ResponseVector, Verdict, VerifierState
+from groupauth.sharesplit import ShareSequence
 
 
 def one_per_kind(small, airplane):
@@ -192,3 +199,73 @@ def test_kind_must_be_a_known_string(doc):
     with pytest.raises(SchemaError) as err:
         files.from_document(doc)
     assert err.value.field == "kind"
+
+
+# Names and session ids with every code point, lone surrogates included, and
+# the characters JSON must escape.
+TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
+                         st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ud800\udfff\U0001f600')))
+BIG = st.integers(0, 10**126 - 1)  # every file integer has at most 126 digits
+N = st.integers(2, 64)
+SESSIONS = st.one_of(
+    st.tuples(st.just("monotone"), st.just("or"), st.just(1)),
+    st.tuples(st.just("sequence"), st.sampled_from(["sum", "xor"]), st.integers(1, 10**126 - 1)),
+)
+
+
+def prime_sets(n, min_size=0):
+    return st.frozensets(st.sampled_from(SMALL_PRIMES[:n]), min_size=min_size)
+
+
+@st.composite
+def public_keys(draw):
+    n, p = draw(N), draw(st.integers(2, 10**126 - 1))
+    return NsPublicKey(n=n, p=p, v=tuple(draw(st.lists(st.integers(1, p - 1),
+                                                        min_size=n, max_size=n))))
+
+
+@st.composite
+def private_keys(draw):
+    n = draw(N)
+    p = draw(st.integers(math.prod(SMALL_PRIMES[:n]) + 1, 10**126 - 1))
+    s = draw(st.integers(1, 10**126 - 1).filter(lambda s: math.gcd(s, p - 1) == 1))
+    return NsPrivateKey(n=n, p=p, s=s, primes=SMALL_PRIMES[:n])
+
+
+@st.composite
+def share_sequences(draw):
+    n = draw(N)
+    slots = draw(st.lists(st.one_of(st.none(), prime_sets(n)), max_size=8))
+    return ShareSequence(holder=draw(TEXT), s=draw(BIG), p=draw(BIG), n=n, slots=tuple(slots))
+
+
+@st.composite
+def sessions(draw, cls, values):
+    mode, merge, slot_count = draw(SESSIONS)
+    return cls(draw(TEXT), mode, merge, slot_count, (draw(values),))
+
+
+OBJECTS = {
+    "ns-public": public_keys(),
+    "ns-private": private_keys(),
+    "share-monotone": st.builds(KeyShare, holder=TEXT, s=BIG, p=BIG,
+                                prime_subset=prime_sets(64, min_size=1)),
+    "share-sequence": share_sequences(),
+    "challenge": sessions(Challenge, BIG),
+    "verifier-state": sessions(VerifierState, st.integers(1, 10**126 - 1)),
+    "response": st.builds(ResponseVector, session_id=TEXT,
+                          values=st.lists(BIG, min_size=1, max_size=8).map(tuple)),
+    "verdict": st.builds(Verdict, session_id=TEXT, accepted=st.booleans(),
+                         matching_slot=st.one_of(st.sampled_from([None, 0]),
+                                                 st.integers(-10**126 + 1, 10**126 - 1))),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(GOLDEN))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_dumps_matches_stdlib_encoder(kind, data):
+    # json.dumps is the oracle only: files.dumps must write its exact bytes
+    obj = data.draw(OBJECTS[kind])
+    assert files.to_document(obj)["kind"] == kind
+    assert files.dumps(obj) == json.dumps(files.to_document(obj), sort_keys=True, indent=2) + "\n"
