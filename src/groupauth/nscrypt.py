@@ -64,6 +64,9 @@ class NsPublicKey:
             raise ValueError("n must be in [2, 64]")
         if len(self.v) != self.n:
             raise ValueError("public value count must equal n")
+        # a smaller p cannot hold the product of an all-ones message's primes
+        if self.p <= math.prod(numtheory.SMALL_PRIMES[:self.n]):
+            raise ValueError("modulus must exceed the prime product")
         if not all(1 <= vi < self.p for vi in self.v):
             raise ValueError("public values must lie in [1, p)")
 

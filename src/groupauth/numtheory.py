@@ -7,6 +7,7 @@ to call from multiple threads.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .errors import GroupAuthError
@@ -27,11 +28,13 @@ class NotInvertible(GroupAuthError):
     """Raised when an inverse mod m does not exist (gcd != 1)."""
 
 
-# Witnesses proven to make Miller-Rabin deterministic for all n < 3.3e24,
-# which covers everything below 2^64.
+# The primes 2..37 as Miller-Rabin witnesses decide primality exactly below
+# psi_12 = 318665857834031151167461 (~3.19e23), the least strong pseudoprime
+# to all of them (Sorenson & Webster; OEIS A014233). Every key modulus with
+# n <= 18 is below 2 * P_18 < psi_12.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_TWO_64 = 1 << 64
+_PSI_12 = 318665857834031151167461
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -59,52 +62,6 @@ def _miller_rabin_round(n: int, d: int, r: int, witness: int) -> bool:
     return False
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
-    """Primality test: exact below 2^64, Miller-Rabin above.
-
-    Below 2^64 the fixed witness set decides primality with certainty.
-    Above, `rounds` random witnesses bound the false-positive rate by
-    4**-rounds. Witness choice is seeded from n so results are reproducible.
-    """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if n < 2:
-        return False
-    for p in _DETERMINISTIC_WITNESSES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
-
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-
-    if n < _TWO_64:
-        witnesses = _DETERMINISTIC_WITNESSES
-    else:
-        rng = random.Random(n)
-        witnesses = tuple(rng.randrange(2, n - 1) for _ in range(rounds))
-
-    return all(_miller_rabin_round(n, d, r, w) for w in witnesses)
-
-
-def next_prime_above(x: int) -> int:
-    """Least prime strictly greater than x (x >= 1)."""
-    if x < 1:
-        raise ValueError("x must be >= 1")
-    candidate = x + 1
-    if candidate == 2:
-        return 2
-    if candidate % 2 == 0:
-        candidate += 1
-    while not is_probable_prime(candidate):
-        candidate += 2
-    return candidate
-
-
 def first_n_primes(n: int) -> list[int]:
     """The first n primes, ascending."""
     if n < 1:
@@ -122,6 +79,54 @@ def first_n_primes(n: int) -> list[int]:
 # a key may have, so every message bit's prime is in this table.
 SMALL_PRIMES: tuple[int, ...] = tuple(first_n_primes(64))
 SMALL_PRIME_RANK: dict[int, int] = {q: i for i, q in enumerate(SMALL_PRIMES)}
+_SMALL_PRODUCT = math.prod(SMALL_PRIMES)
+
+
+def is_probable_prime(n: int, rounds: int = 40) -> bool:
+    """Primality test: exact below psi_12, Miller-Rabin above.
+
+    One gcd with the product of SMALL_PRIMES settles every n with a factor
+    in that table; since gcd(P + k, P) = gcd(k, P), a scan above a prime
+    product P pays no `pow` for those candidates. Below psi_12 the fixed
+    witnesses 2..37 then decide primality with certainty. Above, `rounds`
+    random witnesses bound the false-positive rate by 4**-rounds; they are
+    seeded from n so results are reproducible, and drawn one at a time so a
+    composite stops at its first failing witness.
+    """
+    if rounds < 1:
+        raise ValueError("rounds must be >= 1")
+    if n < 2:
+        return False
+    if math.gcd(n, _SMALL_PRODUCT) != 1:
+        return n in SMALL_PRIME_RANK
+
+    d = n - 1
+    r = 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+
+    if n < _PSI_12:
+        witnesses = _DETERMINISTIC_WITNESSES
+    else:
+        rng = random.Random(n)
+        witnesses = (rng.randrange(2, n - 1) for _ in range(rounds))
+
+    return all(_miller_rabin_round(n, d, r, w) for w in witnesses)
+
+
+def next_prime_above(x: int) -> int:
+    """Least prime strictly greater than x (x >= 1)."""
+    if x < 1:
+        raise ValueError("x must be >= 1")
+    candidate = x + 1
+    if candidate == 2:
+        return 2
+    if candidate % 2 == 0:
+        candidate += 1
+    while not is_probable_prime(candidate):
+        candidate += 2
+    return candidate
 
 
 def prime_index(q: int) -> int:

@@ -128,6 +128,14 @@ class Verdict:
     accepted: bool
     matching_slot: int | None
 
+    def __post_init__(self):
+        # an accepted verdict names the slot that matched; a rejection none
+        if self.accepted:
+            if not isinstance(self.matching_slot, int) or self.matching_slot < 0:
+                raise ValueError("an accepted verdict's matching_slot must be an int >= 0")
+        elif self.matching_slot is not None:
+            raise ValueError("a rejected verdict's matching_slot must be null")
+
 
 def make_challenge(
     pub: NsPublicKey,

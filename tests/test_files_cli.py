@@ -14,7 +14,7 @@ from groupauth import files, fixtures, numtheory
 from groupauth.cli import run_cli
 from groupauth.errors import SchemaError
 from groupauth.nscrypt import keygen
-from groupauth.protocol import ResponseVector, Verdict, make_challenge
+from groupauth.protocol import ResponseVector, Verdict, make_challenge, verify
 
 LONG = "9" * 5000  # more digits than Python's default int_max_str_digits
 
@@ -209,6 +209,37 @@ class TestSchemas:
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
             files.load(path, expect_kind="ns-public")
+
+    def test_public_modulus_must_exceed_prime_product(self, tmp_path, small):
+        # 9,973 is prime but below the 8-prime product 9,699,690: such a key
+        # used to load, and its sessions rejected the authorized {A1, A2}
+        p = 9973
+        doc = dict(files.to_document(small.pub), p=str(p),
+                   v=[str(v % p) for v in small.pub.v])
+        with pytest.raises(ValueError, match="modulus must exceed the prime product"):
+            files.from_document(doc)
+        path = tmp_path / "pub.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="modulus must exceed the prime product"):
+            files.load(path, expect_kind="ns-public")
+
+    @pytest.mark.parametrize("accepted, slot", [(True, -7), (False, 3), (True, None)])
+    def test_verdict_slot_matches_outcome(self, tmp_path, accepted, slot):
+        doc = {"kind": "verdict", "session_id": "x", "accepted": accepted,
+               "matching_slot": slot}
+        with pytest.raises(ValueError, match="matching_slot"):
+            files.from_document(doc)
+        path = tmp_path / "verdict.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError, match="matching_slot"):
+            files.load(path, expect_kind="verdict")
+
+    def test_verify_writes_valid_verdicts(self, small):
+        _, state = make_challenge(small.pub, rng=random.Random(0), force_m=small.message)
+        for merged, slot in (([small.message], 0), ([small.message + 1], None)):
+            verdict = verify(state, merged)
+            assert verdict.matching_slot == slot
+            assert files.from_document(files.to_document(verdict)) == verdict
 
     @pytest.mark.parametrize("kind", ["ns-private", "ns-public", "share-monotone",
                                       "share-sequence"])

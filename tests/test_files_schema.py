@@ -219,7 +219,8 @@ def prime_sets(n, min_size=0):
 
 @st.composite
 def public_keys(draw):
-    n, p = draw(N), draw(st.integers(2, 10**126 - 1))
+    n = draw(N)
+    p = draw(st.integers(math.prod(SMALL_PRIMES[:n]) + 1, 10**126 - 1))
     return NsPublicKey(n=n, p=p, v=tuple(draw(st.lists(st.integers(1, p - 1),
                                                         min_size=n, max_size=n))))
 
@@ -255,9 +256,10 @@ OBJECTS = {
     "verifier-state": sessions(VerifierState, st.integers(1, 10**126 - 1)),
     "response": st.builds(ResponseVector, session_id=TEXT,
                           values=st.lists(BIG, min_size=1, max_size=8).map(tuple)),
-    "verdict": st.builds(Verdict, session_id=TEXT, accepted=st.booleans(),
-                         matching_slot=st.one_of(st.sampled_from([None, 0]),
-                                                 st.integers(-10**126 + 1, 10**126 - 1))),
+    "verdict": st.one_of(
+        st.builds(Verdict, session_id=TEXT, accepted=st.just(False), matching_slot=st.none()),
+        st.builds(Verdict, session_id=TEXT, accepted=st.just(True),
+                  matching_slot=st.one_of(st.just(0), st.integers(0, 10**126 - 1)))),
 }
 
 

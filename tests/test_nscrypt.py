@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -6,6 +7,7 @@ import pytest
 
 from groupauth import files, fixtures, numtheory
 from groupauth.nscrypt import (
+    KEYGEN_STRATEGIES,
     KeyShare,
     MalformedCiphertext,
     NsPrivateKey,
@@ -59,6 +61,18 @@ class TestKeygen:
         product = math.prod(priv.primes)
         assert product < priv.p < 2 * product
         assert numtheory.is_probable_prime(priv.p)
+
+    def test_key_files_pinned(self):
+        # every key file at n = 2..64 under both strategies, hashed in order:
+        # the primality test may get faster, never pick another p or s
+        digest = hashlib.sha256()
+        for n in range(2, 65):
+            for strategy in KEYGEN_STRATEGIES:
+                pub, priv = keygen(n, strategy, seed=n)
+                digest.update(files.dumps(pub).encode())
+                digest.update(files.dumps(priv).encode())
+        assert digest.hexdigest() == (
+            "847e05f8b63dd42959c8ab3d72668744096c1c6954ca032525f4833f3a5ef615")
 
     def test_gcd_constraint(self):
         for seed in range(5):

@@ -5,8 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from groupauth import numtheory
 from groupauth.numtheory import (
+    SMALL_PRIMES,
     NotInvertible,
+    _DETERMINISTIC_WITNESSES,
+    _miller_rabin_round,
     first_n_primes,
     is_probable_prime,
     mod_inv,
@@ -90,6 +94,54 @@ class TestPrimality:
         assert not is_probable_prime((2**89 - 1) * (2**61 - 1))
 
 
+PSI_12 = 318665857834031151167461  # least strong pseudoprime to bases 2..37
+
+
+def miller_rabin_passes(n, witnesses):
+    """Which of `witnesses` call odd n > 2 'possibly prime'."""
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d, r = d // 2, r + 1
+    return [_miller_rabin_round(n, d, r, w) for w in witnesses]
+
+
+class TestExactBound:
+    """The fixed witnesses are exact below psi_12, and not one further."""
+
+    def test_psi_12_is_tight(self):
+        # psi_12 fools all 12 fixed witnesses, so it is the first n they cannot
+        # decide; the random witnesses above it still catch it
+        assert all(miller_rabin_passes(PSI_12, _DETERMINISTIC_WITNESSES))
+        assert not is_probable_prime(PSI_12)
+        # every key with n <= 18 is on the exact path
+        assert 2 * math.prod(SMALL_PRIMES[:18]) < PSI_12
+
+    def test_only_witness_37_catches_psi_9(self):
+        n = 3825123056546413051
+        assert miller_rabin_passes(n, _DETERMINISTIC_WITNESSES) == [True] * 11 + [False]
+        assert not is_probable_prime(n)
+
+    @pytest.mark.parametrize("n", [561, 1105, 1729, 2465, 2821, 6601, 8911,
+                                   216821881, 228842209, 1299963601, 2301745249])
+    def test_carmichael_numbers_composite(self, n):
+        # every coprime base is a Fermat liar; the last four have no factor
+        # in SMALL_PRIMES, so Miller-Rabin rather than the gcd rejects them
+        assert pow(2, n - 1, n) == 1
+        assert not is_probable_prime(n)
+
+    def test_table_edge(self):
+        # 311 is the last table prime, 313 the first prime past it
+        assert is_probable_prime(311) and is_probable_prime(313)
+        assert not is_probable_prime(311 * 313)
+        assert not is_probable_prime(313 * 317)
+
+    def test_matches_random_witness_oracle_below_psi_12(self):
+        rng = random.Random(12)
+        for n in range(PSI_12 - 2, PSI_12 - 402, -2):
+            oracle = all(miller_rabin_passes(n, [rng.randrange(2, n - 1) for _ in range(40)]))
+            assert is_probable_prime(n) == oracle, n
+
+
 class TestNextPrimeAbove:
     def test_small(self):
         assert next_prime_above(2) == 3
@@ -107,6 +159,33 @@ class TestNextPrimeAbove:
     def test_12_prime_product_gap(self):
         # the 12-prime demo modulus really is the least prime above the product
         assert next_prime_above(7420738134810) == 7420738134871
+
+    def test_prime_product_gaps_pinned(self):
+        # next_prime_above(P_n) - P_n for n = 2..64, as the trial-division
+        # and 2^64-bound test found them
+        gaps = [1, 1, 1, 1, 17, 19, 23, 37, 61, 1, 61, 71, 47, 107, 59, 61, 109, 89,
+                103, 79, 151, 197, 101, 103, 233, 223, 127, 223, 191, 163, 229, 643,
+                239, 157, 167, 439, 239, 199, 191, 199, 383, 233, 751, 313, 773, 607,
+                313, 383, 293, 443, 331, 283, 277, 271, 401, 307, 331, 379, 491, 331,
+                311, 397, 331]
+        for n, gap in zip(range(2, 65), gaps, strict=True):
+            product = math.prod(SMALL_PRIMES[:n])
+            assert next_prime_above(product) - product == gap, n
+
+    def test_16_prime_product_takes_12_rounds(self, monkeypatch):
+        # the candidates sharing a table prime with P_16 cost no round, and
+        # P_16 + 59 < psi_12 is confirmed by the 12 fixed witnesses alone
+        calls = []
+        real = numtheory._miller_rabin_round
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(numtheory, "_miller_rabin_round", counted)
+        product = math.prod(SMALL_PRIMES[:16])
+        assert next_prime_above(product) == product + 59
+        assert len(calls) <= 12
 
     def test_gap_free_below_million(self):
         flags = sieve(1_000_000)
