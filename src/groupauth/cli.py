@@ -21,6 +21,9 @@ from .errors import GroupAuthError, SchemaError
 
 __all__ = ["run_cli", "main"]
 
+# --null choices to the library's null-response policies
+_NULL_POLICIES = {"one": "one", "random": "random-nonzero"}
+
 
 def _rng_from_seed(seed_hex: str | None) -> random.Random:
     if seed_hex is None:
@@ -110,11 +113,9 @@ def cmd_compile(args) -> int:
 def cmd_challenge(args) -> int:
     pub = files.load(args.pub, expect_kind="ns-public")
     rng = _rng_from_seed(args.seed)
-    mode = args.mode
-    merge = args.merge if args.merge else ("or" if mode == "monotone" else "sum")
     force_m = int(args.force_m) if args.force_m is not None else None
     challenge, state = protocol.make_challenge(
-        pub, mode=mode, merge=merge, slot_count=args.slots, rng=rng, force_m=force_m)
+        pub, mode=args.mode, merge=args.merge, slot_count=args.slots, rng=rng, force_m=force_m)
     files.save(challenge, args.output)
     files.save(state, args.state)
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
@@ -127,9 +128,8 @@ def cmd_respond(args) -> int:
     if not isinstance(share, (nscrypt.KeyShare, sharesplit.ShareSequence)):
         raise SchemaError(f"{args.share}: not a share file", field="kind")
     challenge = files.load(args.challenge, expect_kind="challenge")
-    null_policy = "one" if args.null == "one" else "random-nonzero"
     response = protocol.token_respond(
-        share, challenge, null_policy=null_policy, rng=_rng_from_seed(args.seed))
+        share, challenge, null_policy=_NULL_POLICIES[args.null], rng=_rng_from_seed(args.seed))
     files.save(response, args.output)
     print(f"session {response.session_id}: response -> {args.output}")
     return 0
@@ -175,7 +175,7 @@ def cmd_audit(args) -> int:
     sequence = any(isinstance(s, sharesplit.ShareSequence) for s in shares.values())
     mode = "sequence" if sequence else "monotone"
     merge = args.merge if args.merge else ("sum" if sequence else "or")
-    null_policy = "one" if args.null == "one" else "random-nonzero"
+    null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
     force_m = int(args.force_m) if args.force_m is not None else None
 

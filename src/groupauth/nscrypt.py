@@ -15,6 +15,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from . import numtheory
 from .errors import GroupAuthError
@@ -27,6 +28,7 @@ __all__ = [
     "KeyShare",
     "MalformedCiphertext",
     "KEYGEN_STRATEGIES",
+    "system_primes",
     "keygen",
     "public_key_of",
     "encrypt",
@@ -52,6 +54,18 @@ class MalformedCiphertext(GroupAuthError):
     """The residue c^s mod p does not factor completely over the system primes."""
 
 
+def system_primes(n: int) -> tuple[int, ...]:
+    """The primes of a key over n primes: the first n, so bit i is prime i.
+
+    Raises ValueError unless 2 <= n <= MAX_N. Keys, public keys and share
+    sequences all take their n through here, since each message bit must
+    have its prime among the global ranks (SMALL_PRIME_RANK).
+    """
+    if not 2 <= n <= numtheory.MAX_N:
+        raise ValueError(f"n must be in [2, {numtheory.MAX_N}]")
+    return numtheory.SMALL_PRIMES[:n]
+
+
 @dataclass(frozen=True)
 class NsPublicKey:
     n: int
@@ -59,13 +73,11 @@ class NsPublicKey:
     v: tuple[int, ...]
 
     def __post_init__(self):
-        # messages are read off at most 64 prime ranks, as for NsPrivateKey
-        if not 2 <= self.n <= 64:
-            raise ValueError("n must be in [2, 64]")
+        primes = system_primes(self.n)
         if len(self.v) != self.n:
             raise ValueError("public value count must equal n")
         # a smaller p cannot hold the product of an all-ones message's primes
-        if self.p <= math.prod(numtheory.SMALL_PRIMES[:self.n]):
+        if self.p <= math.prod(primes):
             raise ValueError("modulus must exceed the prime product")
         if not all(1 <= vi < self.p for vi in self.v):
             raise ValueError("public values must lie in [1, p)")
@@ -81,11 +93,10 @@ class NsPrivateKey:
     def __post_init__(self):
         # Share bits are read at global prime ranks (SMALL_PRIME_RANK), so a
         # key over any other primes would answer at the wrong bit positions.
-        if not 2 <= self.n <= 64:
-            raise ValueError("n must be in [2, 64]")
-        if tuple(self.primes) != numtheory.SMALL_PRIMES[:self.n]:
+        primes = system_primes(self.n)
+        if tuple(self.primes) != primes:
             raise ValueError(f"primes must be the first {self.n} primes")
-        if self.p <= math.prod(self.primes):
+        if self.p <= math.prod(primes):
             raise ValueError("modulus must exceed the prime product")
         if math.gcd(self.s, self.p - 1) != 1:
             raise ValueError("secret exponent must be invertible mod p-1")
@@ -121,7 +132,7 @@ class KeyShare:
         check_share_primes(self.prime_subset)
 
 
-def check_share_primes(primes: frozenset[int], n: int = 64) -> None:
+def check_share_primes(primes: frozenset[int], n: int = numtheory.MAX_N) -> None:
     """Raise ValueError unless every prime is among the first n primes.
 
     Share material from outside the program is checked with this, so a
@@ -150,15 +161,13 @@ def keygen(
     (mod p). `force_p` / `force_s` pin those values exactly, which is how
     the built-in demo systems are reproduced bit for bit.
     """
-    if not 2 <= n <= 64:
-        raise ValueError("n must be in [2, 64]")
+    primes = system_primes(n)
     if strategy not in KEYGEN_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if isinstance(seed, bytes):
         seed = int.from_bytes(seed, "big") if seed else 0
     rng = random.Random(0 if seed is None else seed)
 
-    primes = numtheory.SMALL_PRIMES[:n]
     product = math.prod(primes)
 
     if force_p is not None:
@@ -166,7 +175,8 @@ def keygen(
         if p <= product:
             raise ValueError("forced p must exceed the prime product")
         if p >= MAX_MODULUS:
-            raise ValueError("forced p must be below twice the product of the 64 system primes")
+            raise ValueError("forced p must be below twice the product of the "
+                             f"{numtheory.MAX_N} system primes")
         if not numtheory.is_probable_prime(p):
             raise ValueError("forced p is not prime")
     elif strategy == "deterministic-least-prime":
@@ -221,13 +231,11 @@ def decrypt(priv: NsPrivateKey, c: Ciphertext) -> Plaintext:
     if not 1 <= c < priv.p:
         raise ValueError("ciphertext out of range")
     u = pow(c, priv.s, priv.p)
-    m = 0
-    for i, q in enumerate(priv.primes):
-        if u % q == 0:
-            m |= 1 << i
-            u //= q
-    if u != 1:
-        raise MalformedCiphertext(f"residual factor {u} after removing message primes")
+    m = residue_bits(u, priv.primes)
+    selected = math.prod(priv.primes[i] for i in range(priv.n) if (m >> i) & 1)
+    if u != selected:
+        raise MalformedCiphertext(
+            f"residual factor {u // selected} after removing message primes")
     return m
 
 
@@ -245,11 +253,12 @@ def partial_decrypt(share: KeyShare, c: Ciphertext) -> int:
     return residue_bits(pow(c, share.s, share.p), share.prime_subset)
 
 
-def residue_bits(u: int, primes: frozenset[int]) -> int:
+def residue_bits(u: int, primes: Iterable[int]) -> int:
     """The message bits of the primes in `primes` that divide the residue u.
 
     u is c^s mod p; a sequence token computes it once per ciphertext and
-    reads every slot's bits off it with this.
+    reads every slot's bits off it with this. Bit positions are the primes'
+    global ranks, so this is the one map from prime values to message bits.
     """
     rank = numtheory.SMALL_PRIME_RANK
     m = 0

@@ -19,6 +19,7 @@ __all__ = [
     "next_prime_above",
     "first_n_primes",
     "prime_index",
+    "MAX_N",
     "SMALL_PRIMES",
     "SMALL_PRIME_RANK",
 ]
@@ -35,6 +36,9 @@ class NotInvertible(GroupAuthError):
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _PSI_12 = 318665857834031151167461
+
+# Above psi_12 this many random witnesses bound a false "prime" by 4**-40.
+_RANDOM_WITNESSES = 40
 
 
 def mod_inv(a: int, m: int) -> int:
@@ -75,26 +79,27 @@ def first_n_primes(n: int) -> list[int]:
     return primes
 
 
-# The first 64 primes and their 0-based ranks. 64 is the largest prime count
-# a key may have, so every message bit's prime is in this table.
-SMALL_PRIMES: tuple[int, ...] = tuple(first_n_primes(64))
+# The largest prime count a key may have: the system's security parameter.
+MAX_N = 64
+
+# The first MAX_N primes and their 0-based ranks, so every message bit's
+# prime is in this table.
+SMALL_PRIMES: tuple[int, ...] = tuple(first_n_primes(MAX_N))
 SMALL_PRIME_RANK: dict[int, int] = {q: i for i, q in enumerate(SMALL_PRIMES)}
 _SMALL_PRODUCT = math.prod(SMALL_PRIMES)
 
 
-def is_probable_prime(n: int, rounds: int = 40) -> bool:
+def is_probable_prime(n: int) -> bool:
     """Primality test: exact below psi_12, Miller-Rabin above.
 
     One gcd with the product of SMALL_PRIMES settles every n with a factor
     in that table; since gcd(P + k, P) = gcd(k, P), a scan above a prime
     product P pays no `pow` for those candidates. Below psi_12 the fixed
-    witnesses 2..37 then decide primality with certainty. Above, `rounds`
-    random witnesses bound the false-positive rate by 4**-rounds; they are
-    seeded from n so results are reproducible, and drawn one at a time so a
-    composite stops at its first failing witness.
+    witnesses 2..37 then decide primality with certainty. Above, 40 random
+    witnesses bound the false-positive rate by 4**-40; they are seeded from
+    n so results are reproducible, and drawn one at a time so a composite
+    stops at its first failing witness.
     """
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     if n < 2:
         return False
     if math.gcd(n, _SMALL_PRODUCT) != 1:
@@ -110,7 +115,7 @@ def is_probable_prime(n: int, rounds: int = 40) -> bool:
         witnesses = _DETERMINISTIC_WITNESSES
     else:
         rng = random.Random(n)
-        witnesses = (rng.randrange(2, n - 1) for _ in range(rounds))
+        witnesses = (rng.randrange(2, n - 1) for _ in range(_RANDOM_WITNESSES))
 
     return all(_miller_rabin_round(n, d, r, w) for w in witnesses)
 

@@ -43,6 +43,11 @@ __all__ = [
 
 MAX_UNIVERSE = 20  # every subset consumer enumerates 2^|universe| subsets
 
+# Open "(" and "not" levels the parser accepts. The parser and every tree
+# walk recurse once or more per level, so deeper text would hit Python's
+# recursion limit instead of a ParseError.
+_MAX_DEPTH = 100
+
 
 class PolicyError(GroupAuthError):
     pass
@@ -143,6 +148,7 @@ class _Parser:
         self._tokens = tokens
         self._index = 0
         self._universe = set(universe)
+        self._depth = 0
 
     @property
     def token(self) -> tuple[str, str, int]:
@@ -150,6 +156,13 @@ class _Parser:
 
     def advance(self) -> None:
         self._index += 1
+
+    def descend(self, pos: int) -> None:
+        """Step past an opening "(" or "not", one nesting level deeper."""
+        if self._depth == _MAX_DEPTH:
+            raise ParseError(f"policy nested deeper than {_MAX_DEPTH} levels", pos)
+        self._depth += 1
+        self.advance()
 
     def expect_op(self, value: str) -> None:
         kind, val, pos = self.token
@@ -184,12 +197,15 @@ class _Parser:
     def parse_factor(self) -> PolicyExpr:
         kind, value, pos = self.token
         if kind == "op" and value == "not":
-            self.advance()
-            return Not(self.parse_factor())
+            self.descend(pos)
+            inner = Not(self.parse_factor())
+            self._depth -= 1
+            return inner
         if kind == "op" and value == "(":
-            self.advance()
+            self.descend(pos)
             inner = self.parse_expr()
             self.expect_op(")")
+            self._depth -= 1
             return inner
         if kind == "name":
             if value not in self._universe:

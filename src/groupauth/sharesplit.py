@@ -32,7 +32,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import GroupAuthError
-from .nscrypt import KeyShare, NsPrivateKey, check_share_primes
+from .nscrypt import KeyShare, NsPrivateKey, check_share_primes, system_primes
 from .policy import (And, Or, PolicyExpr, Var, check_universe, evaluate, group_of,
                      is_monotone, variables)
 
@@ -445,8 +445,7 @@ class ShareSequence:
 
     def __post_init__(self):
         # a null answer draws n random bits, so n is bounded like a key's
-        if not 2 <= self.n <= 64:
-            raise ValueError("n must be in [2, 64]")
+        system_primes(self.n)
         for prime_set in self.slots:
             if prime_set is not None:
                 check_share_primes(prime_set, self.n)

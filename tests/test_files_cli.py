@@ -303,6 +303,15 @@ class TestCliExitCodes:
         assert code == 1
         assert "monotone" in capsys.readouterr().err
 
+    def test_deep_policy_is_parse_error(self, tmp_path, capsys):
+        code = run_cli([
+            "compile", "--policy", "(" * 400 + "A" + ")" * 400, "--universe", "A",
+            "--mode", "monotone",
+            "--key", str(tmp_path / "priv.json"), "-o", str(tmp_path / "shares")])
+        assert code == 1
+        assert "error: policy nested deeper than 100 levels (at position 100)" in (
+            capsys.readouterr().err)
+
     def test_help_is_zero(self):
         assert run_cli(["--help"]) == 0
 
@@ -432,6 +441,18 @@ class TestPipeline:
         assert doc["all_exact"] is True
         assert doc["false_accepts"] == [] and doc["missed"] == []
         assert len(doc["expected"]) == 16
+
+    @pytest.mark.parametrize("null", ["one", "random"])
+    def test_audit_text_names_settings(self, pipeline, capsys, null):
+        root = pipeline
+        run_cli(["audit", "--key", str(root / "keys/priv.json"),
+                 "--shares", str(root / "shares"),
+                 "--policy", fixtures.AIRPLANE_POLICY,
+                 "--universe", "A,B,C,D,E", "--max-size", "3",
+                 "--force-m", "2919", "--null", null, "--seed", "1"])
+        out = capsys.readouterr().out
+        policy = {"one": "one", "random": "random-nonzero"}[null]
+        assert f"1 trial(s), mode=sequence, merge=sum, null={policy}\n" in out
 
     def test_audit_without_trials_is_usage_error(self, pipeline, capsys):
         root = pipeline

@@ -11,12 +11,15 @@ from groupauth.nscrypt import (
     KeyShare,
     MalformedCiphertext,
     NsPrivateKey,
+    NsPublicKey,
     decrypt,
     encrypt,
     keygen,
     partial_decrypt,
     public_key_of,
+    system_primes,
 )
+from groupauth.sharesplit import ShareSequence
 
 PRIMES_12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -96,6 +99,27 @@ class TestKeygen:
             keygen(12, force_p=too_big)
 
 
+class TestSystemPrimes:
+    """Every object with an n takes it through `system_primes`."""
+
+    @pytest.mark.parametrize("n", [1, 65])
+    @pytest.mark.parametrize("build", [
+        lambda n: NsPublicKey(n=n, p=fixtures.AIRPLANE_P, v=(1,) * n),
+        lambda n: NsPrivateKey(n=n, p=fixtures.AIRPLANE_P, s=fixtures.AIRPLANE_S,
+                               primes=tuple(numtheory.first_n_primes(n))),
+        lambda n: ShareSequence(holder="A", s=fixtures.AIRPLANE_S,
+                                p=fixtures.AIRPLANE_P, n=n, slots=()),
+        keygen,
+    ], ids=["NsPublicKey", "NsPrivateKey", "ShareSequence", "keygen"])
+    def test_n_out_of_range(self, build, n):
+        with pytest.raises(ValueError, match=r"n must be in \[2, 64\]"):
+            build(n)
+
+    @pytest.mark.parametrize("n", [2, 64])
+    def test_first_n_table_primes(self, n):
+        assert system_primes(n) == numtheory.SMALL_PRIMES[:n]
+
+
 class TestEncryptDecrypt:
     def test_demo_ciphertext(self, demo12):
         pub, priv = demo12
@@ -145,6 +169,26 @@ class TestEncryptDecrypt:
             except MalformedCiphertext:
                 seen += 1
         assert seen > 0
+
+    def test_matches_division_loop(self, demo8):
+        # reference: divide each system prime out of the residue once; the
+        # same value, or the same MalformedCiphertext text, must come back
+        _, priv = demo8
+        s_inv = pow(priv.s, -1, priv.p - 1)
+        squares = [pow(u, s_inv, priv.p) for u in (4, 12, 9 * 19, 41 * 41 * 6)]
+        for c in [*range(1, 1500), *squares]:
+            u, m = pow(c, priv.s, priv.p), 0
+            for i, q in enumerate(priv.primes):
+                if u % q == 0:
+                    m |= 1 << i
+                    u //= q
+            if u == 1:
+                assert decrypt(priv, c) == m
+            else:
+                with pytest.raises(MalformedCiphertext) as err:
+                    decrypt(priv, c)
+                assert str(err.value) == (
+                    f"residual factor {u} after removing message primes")
 
     @pytest.mark.parametrize("n", [8, 12, 16])
     def test_random_roundtrip(self, n):

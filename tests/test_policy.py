@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -25,6 +26,16 @@ from conftest import random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
 INTRO = "(A and B) or ((A or B) and (C or D or E))"
+
+
+# policy text `depth` levels deep, innermost holder A
+NESTED = {
+    "and-or": lambda depth: functools.reduce(
+        lambda text, i: f"(B {'and' if i % 2 else 'or'} {text})", range(depth), "A"),
+    "not": lambda depth: "not " * depth + "A",
+    "not-paren": lambda depth: (
+        "not (" * (depth // 2) + "not " * (depth % 2) + "A" + ")" * (depth // 2)),
+}
 
 
 def with_nots(rng, expr):
@@ -87,6 +98,23 @@ class TestParse:
     def test_trailing_garbage(self):
         with pytest.raises(ParseError):
             parse("A B", ABCDE)
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_nesting_depth_100_parses(self, shape):
+        expr = parse(NESTED[shape](100), ("A", "B"))
+        assert parse(render(expr), ("A", "B")) == expr
+        groups = [frozenset(g) for g in ({"A"}, {"B"}, {"A", "B"})]
+        assert [evaluate(expr, g) for g in groups] == [brute_eval(expr, g) for g in groups]
+        assert authorized_family(expr, ("A", "B")) == {
+            g for g in groups if brute_eval(expr, g)}
+
+    @pytest.mark.parametrize("shape", NESTED)
+    def test_nesting_depth_101_refused(self, shape):
+        # the parser used to recurse until RecursionError
+        text = NESTED[shape](101)
+        with pytest.raises(ParseError, match="nested deeper than 100 levels") as err:
+            parse(text, ("A", "B"))
+        assert err.value.position == max(text.rfind("("), text.rfind("not"))
 
     def test_universe_validation(self):
         with pytest.raises(PolicyError):
