@@ -174,14 +174,13 @@ def cmd_audit(args) -> int:
 
     sequence = any(isinstance(s, sharesplit.ShareSequence) for s in shares.values())
     mode = "sequence" if sequence else "monotone"
-    merge = args.merge if args.merge else ("sum" if sequence else "or")
     null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
     force_m = int(args.force_m) if args.force_m is not None else None
 
     report = protocol.audit(
         priv, shares, expected, trials=args.trials, rng=_rng_from_seed(args.seed),
-        mode=mode, merge=merge, null_policy=null_policy, force_m=force_m)
+        mode=mode, merge=args.merge, null_policy=null_policy, force_m=force_m)
 
     if args.json:
         doc = {
@@ -207,7 +206,8 @@ def cmd_audit(args) -> int:
                 f"{freq:.2f}",
             ])
         _print_table(["subset", "authorized", "accept rate"], rows)
-        print(f"{report.trials} trial(s), mode={mode}, merge={merge}, null={null_policy}")
+        print(f"{report.trials} trial(s), mode={mode}, merge={report.merge}, "
+              f"null={null_policy}")
         print("result: exact" if report.all_exact else
               f"result: MISMATCH (false accepts: "
               f"{_format_family(report.false_accepts(), holders)}, "

@@ -329,14 +329,14 @@ def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
 def subset_fold(values: Sequence[int], combine: Callable[[int, int], int]) -> list[int]:
     """Fold `values` over every subset of their positions, starting from 0.
 
-    Entry a of the result combines the values at the set bits of a, via the
-    low-bit recurrence acc[a] = combine(acc[a without its lowest bit],
-    value at that bit): one `combine` call per non-empty subset.
+    Entry a of the result folds, in position order, the values at the set
+    bits of a. The list doubles once per value: the subsets that hold
+    position j are those without it, each combined with value j, so there
+    is one `combine` call per non-empty subset.
     """
-    acc = [0] * (1 << len(values))
-    for a in range(1, len(acc)):
-        low = a & -a
-        acc[a] = combine(acc[a ^ low], values[low.bit_length() - 1])
+    acc = [0]
+    for v in values:
+        acc += [combine(x, v) for x in acc]
     return acc
 
 

@@ -24,7 +24,7 @@ from .nscrypt import (
     NsPrivateKey,
     NsPublicKey,
     encrypt,
-    partial_decrypt,
+    partial_decrypt,  # noqa: F401  (uncalled here; perfbench/spans.py wraps this name)
     public_key_of,
     residue_bits,
 )
@@ -54,6 +54,11 @@ MERGES = ("or", "sum", "xor")
 NULL_POLICIES = ("one", "random-nonzero")
 
 _MERGE_OPS = {"or": operator.or_, "sum": operator.add, "xor": operator.xor}
+
+
+def _default_merge(mode: str) -> str:
+    """The merge a session takes when none is named: OR when monotone, else sum."""
+    return "or" if mode == "monotone" else "sum"
 
 
 def _check_mode_merge(mode: str, merge: str) -> None:
@@ -152,7 +157,7 @@ def make_challenge(
     so fixed known-answer sessions can be reproduced.
     """
     rng = rng if rng is not None else random.Random()
-    merge = merge if merge is not None else ("or" if mode == "monotone" else "sum")
+    merge = merge if merge is not None else _default_merge(mode)
     _check_mode_merge(mode, merge)
     m = rng.randrange(1, 1 << pub.n) if force_m is None else force_m
     session_id = f"{rng.getrandbits(64):016x}"
@@ -188,33 +193,61 @@ def token_respond(
     Where the token holds a share it answers the partial decryption of the
     session's ciphertext; where it holds none it answers a null value, whose
     presence corrupts the merge and is what rejects over-full groups. A
-    sequence token raises the ciphertext to s once, at its first share, and
-    reads every slot's bits off that residue.
+    token raises the ciphertext to s once, at its first share, and reads
+    every slot's bits off that residue.
+    """
+    rng = rng if rng is not None else random.Random()
+    return _respond(share, challenge, null_policy, rng, {})
+
+
+def _residue(
+    share: KeyShare | ShareSequence, c: int, residues: dict[tuple[int, int], int],
+) -> int:
+    """c^s mod p under the share's (p, s): from `residues`, or computed into it."""
+    if not 1 <= c < share.p:
+        raise ValueError("ciphertext out of range")
+    key = (share.p, share.s)
+    u = residues.get(key)
+    if u is None:
+        u = residues[key] = pow(c, share.s, share.p)
+    return u
+
+
+def _respond(
+    share: KeyShare | ShareSequence,
+    challenge: Challenge,
+    null_policy: str,
+    rng: random.Random,
+    residues: dict[tuple[int, int], int],
+) -> ResponseVector:
+    """`token_respond`, reading c^s mod p from `residues` where it is there.
+
+    `residues` maps a share's `(p, s)` to the residue of this challenge's
+    ciphertext and is filled on a miss. An answer depends only on the share
+    and the ciphertext, so tokens of one key answering one challenge may
+    share a dict; a fresh dict is a token doing its own `pow`.
     """
     if null_policy not in NULL_POLICIES:
         raise ValueError(f"unknown null policy {null_policy!r}")
-    rng = rng if rng is not None else random.Random()
+    c = challenge.ciphertexts[0]
     if isinstance(share, KeyShare):
         if challenge.mode != "monotone":
             raise ValueError("a single key share answers monotone challenges")
-        value = partial_decrypt(share, challenge.ciphertexts[0])
+        value = residue_bits(_residue(share, c, residues), share.prime_subset)
         return ResponseVector(session_id=challenge.session_id, values=(value,))
 
     if challenge.mode != "sequence":
         raise ValueError("a share sequence answers sequence challenges")
     if len(share.slots) != challenge.slot_count:
         raise ValueError("share sequence length does not match the challenge")
-    u = None  # c^s mod p, computed at the first slot that holds a share
+    u = None  # c^s mod p, read at the first slot that holds a share
     values = []
     for prime_set in share.slots:
         if prime_set is None:
             values.append(_null_value(null_policy, share.n, rng))
             continue
         if u is None:
-            c = challenge.ciphertexts[0]
-            if not 1 <= c < share.p:
-                raise ValueError("ciphertext out of range")
-            u = pow(c, share.s, share.p)
+            u = _residue(share, c, residues)
         values.append(residue_bits(u, prime_set))
     return ResponseVector(session_id=challenge.session_id, values=tuple(values))
 
@@ -285,6 +318,7 @@ class AuditReport:
     universe: tuple[str, ...]
     expected: frozenset[frozenset[str]]
     accepted_by_trial: list[frozenset[frozenset[str]]] = field(default_factory=list)
+    merge: str | None = None  # the merge the trials ran under, set by `audit`
 
     @property
     def trials(self) -> int:
@@ -348,20 +382,27 @@ def audit(
     rng: random.Random | None = None,
     *,
     mode: str,
-    merge: str,
+    merge: str | None = None,
     null_policy: str = "one",
     force_m: int | None = None,
 ) -> AuditReport:
     """Simulate every non-empty holder subset end to end, `trials` times.
 
-    Each trial draws a fresh challenge (or reuses `force_m`), has every
-    holder respond to it once, and merges those responses over all subsets;
+    Each trial draws a fresh challenge (or reuses `force_m`), computes every
+    holder's response to it, and merges those responses over all subsets;
     a subset is accepted exactly when `verify` would accept its merge. The
     report compares that against the expected family and tallies per-subset
     acceptance frequencies. `trials` must be at least 1, since a report
-    with no trials would read as exact. Challenges are drawn under
-    `public_key_of(priv)`, which derives the public key once per key
-    object, so repeated calls on one `priv` pay for it once.
+    with no trials would read as exact. `merge` defaults as in
+    `make_challenge`, and the report records the one used. Challenges are
+    drawn under `public_key_of(priv)`, which derives the public key once per
+    key object, so repeated calls on one `priv` pay for it once.
+
+    A response depends only on the share and the ciphertext, so a trial
+    raises its ciphertext to s once per distinct share `(p, s)`, not once
+    per holder, and every holder of that key reads its bits off the one
+    residue. The responses equal `token_respond`'s, and nulls are drawn
+    from `rng` in the same holder and slot order.
 
     Every subset of a trial shares the holders' one response each. A token
     answers a challenge the same way whoever else is present, so with
@@ -376,6 +417,7 @@ def audit(
         raise ValueError("an audit needs at least one trial")
     universe = check_universe(tuple(shares))
     rng = rng if rng is not None else random.Random()
+    merge = merge if merge is not None else _default_merge(mode)
     pub = public_key_of(priv)
     slot_count = 1
     for share in shares.values():
@@ -383,12 +425,14 @@ def audit(
             slot_count = len(share.slots)
             break
 
-    report = AuditReport(universe=universe, expected=frozenset(expected))
+    report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
     for _ in range(trials):
         challenge, state = make_challenge(
             pub, mode=mode, merge=merge, slot_count=slot_count,
             rng=rng, force_m=force_m)
-        responses = [token_respond(shares[h], challenge, null_policy, rng) for h in universe]
+        residues: dict[tuple[int, int], int] = {}
+        responses = [_respond(shares[h], challenge, null_policy, rng, residues)
+                     for h in universe]
         report.accepted_by_trial.append(frozenset(
             group_of(a, universe) for a in _accepted_masks(responses, state)))
     return report

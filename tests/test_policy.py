@@ -1,8 +1,11 @@
 import functools
 import itertools
+import operator
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from groupauth import fixtures
 from groupauth.nscrypt import KeyShare
@@ -19,6 +22,7 @@ from groupauth.policy import (
     is_monotone,
     parse,
     render,
+    subset_fold,
 )
 from groupauth.protocol import audit
 from groupauth.sharesplit import bl_split
@@ -238,3 +242,14 @@ class TestAuthorizedFamily:
         family = authorized_family(expr, ABCDE, max_size=1)
         assert family == {frozenset({"A"}), frozenset({"B"})}
 
+
+
+class TestSubsetFold:
+    @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
+    @given(values=st.lists(st.integers(min_value=0, max_value=1 << 70), max_size=7))
+    def test_entry_folds_its_set_bits(self, combine, values):
+        folded = subset_fold(values, combine)
+        assert len(folded) == 1 << len(values)
+        for a, value in enumerate(folded):
+            members = [v for j, v in enumerate(values) if (a >> j) & 1]
+            assert value == functools.reduce(combine, members, 0), a

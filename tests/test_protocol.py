@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import itertools
 import random
@@ -6,7 +7,7 @@ import pytest
 
 from groupauth import files, fixtures, numtheory, protocol
 from groupauth.errors import GroupAuthError
-from groupauth.nscrypt import KeyShare, NsPrivateKey, partial_decrypt
+from groupauth.nscrypt import KeyShare, NsPrivateKey, keygen, partial_decrypt
 from groupauth.protocol import (
     Challenge,
     ResponseVector,
@@ -368,6 +369,140 @@ class TestAuditMatchesReference:
         audit_agrees_with_reference(
             small.priv, small.pub, small.shares, small.expected_family,
             "monotone", "or", (1, 2, 100, small.message, 128, 254, 255))
+
+
+@pytest.fixture
+def pow_calls(monkeypatch):
+    """Counts the modular exponentiations `protocol` does itself."""
+    calls = []
+
+    def counting_pow(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(protocol, "pow", counting_pow, raising=False)
+    return calls
+
+
+def per_holder_residues(monkeypatch):
+    """Make `audit` compute one residue per holder, as separate tokens would."""
+    respond = protocol._respond
+    monkeypatch.setattr(
+        protocol, "_respond",
+        lambda share, challenge, null_policy, rng, residues:
+            respond(share, challenge, null_policy, rng, {}))
+
+
+@pytest.fixture(params=["same p", "other p"])
+def mixed_key_shares(request, airplane):
+    """The airplane shares with C's issued under a second key."""
+    priv = airplane.priv
+    force_p = priv.p if request.param == "same p" else None
+    _, second = keygen(priv.n, "seeded-random", seed=7, force_p=force_p)
+    assert second.s != priv.s and (second.p == priv.p) == (force_p is not None)
+    shares = dict(airplane.shares)
+    shares["C"] = issue_sequence(airplane.plan, second)["C"]
+    return shares
+
+
+def airplane_audit(airplane, shares, null_policy="one", seed=0, trials=1, force_m=None):
+    return audit(airplane.priv, shares, airplane.expected_family, trials=trials,
+                 rng=random.Random(seed), mode="sequence", merge="sum",
+                 null_policy=null_policy, force_m=force_m)
+
+
+# accepted - expected per trial of `airplane_audit(..., "random-nonzero", seed=5,
+# trials=20)`, as computed by responding token by token; other trials accept
+# exactly the expected family
+RANDOM_NULL_FALSE_ACCEPTS_SEED_5 = {
+    1: ["ABCD", "ABCDE", "ABCE", "ABDE", "ACDE", "BCDE"],
+    8: ["A", "ABCD", "ABCDE", "ABCE", "ABDE", "ACDE", "B", "BCDE"],
+    10: ["B", "C", "CD", "CE", "D", "DE", "E"],
+    11: ["A", "ABCD", "ABCDE", "ABCE", "ABDE", "ACDE", "B", "BCDE"],
+    12: ["CD", "CE", "DE"],
+    18: ["ABCD", "ABCDE", "ABCE", "ABDE", "ACDE", "BCDE"],
+}
+
+
+class TestSharedResidue:
+    """audit raises each ciphertext to s once per distinct share (p, s)."""
+
+    def test_one_pow_per_trial(self, airplane, pow_calls):
+        airplane_audit(airplane, airplane.shares)
+        assert len(pow_calls) == 1
+        airplane_audit(airplane, airplane.shares, trials=3)
+        assert len(pow_calls) == 1 + 3
+
+    def test_one_pow_per_key(self, airplane, mixed_key_shares, pow_calls):
+        airplane_audit(airplane, mixed_key_shares)
+        assert len(pow_calls) == 2
+
+    def test_per_holder_reference_pays_per_holder(self, airplane, pow_calls, monkeypatch):
+        per_holder_residues(monkeypatch)
+        airplane_audit(airplane, airplane.shares)
+        assert len(pow_calls) == len(airplane.shares)
+
+    def test_token_respond_pays_its_own_pow(self, airplane, small, pow_calls):
+        challenge, _ = airplane_challenge(airplane)
+        for share in airplane.shares.values():
+            token_respond(share, challenge)
+        assert len(pow_calls) == len(airplane.shares)
+        blank = dataclasses.replace(
+            airplane.shares["A"], slots=(None,) * len(airplane.plan.slots))
+        token_respond(blank, challenge, "random-nonzero", random.Random(1))
+        assert len(pow_calls) == len(airplane.shares)
+        mono, _ = make_challenge(small.pub, rng=random.Random(0), force_m=small.message)
+        token_respond(small.shares["A1"], mono)
+        assert len(pow_calls) == len(airplane.shares) + 1
+
+    @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
+    def test_responses_are_token_responses(
+            self, airplane, mixed_key_shares, monkeypatch, null_policy):
+        seen = []
+        accepted_masks, draw = protocol._accepted_masks, protocol.make_challenge
+        monkeypatch.setattr(protocol, "make_challenge",
+                            lambda *a, **k: seen.append(draw(*a, **k)) or seen[-1])
+        monkeypatch.setattr(protocol, "_accepted_masks",
+                            lambda rs, state: seen.append(rs) or accepted_masks(rs, state))
+        airplane_audit(airplane, mixed_key_shares, null_policy, trials=4)
+        assert len(seen) == 2 * 4
+        for (challenge, _), responses in zip(seen[::2], seen[1::2]):
+            for h, response in zip(ABCDE, responses):
+                share = mixed_key_shares[h]
+                own = token_respond(share, challenge, "one")
+                assert response.session_id == own.session_id
+                # random nulls aside, each slot answers what the token would
+                for slot, got, want in zip(share.slots, response.values, own.values):
+                    assert got == want or (slot is None and null_policy != "one"), h
+
+    @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
+    def test_accepts_as_per_holder_residues(
+            self, airplane, mixed_key_shares, monkeypatch, null_policy):
+        shared = [airplane_audit(airplane, mixed_key_shares, null_policy, seed, trials=20)
+                  for seed in range(5)]
+        per_holder_residues(monkeypatch)
+        for seed, report in enumerate(shared):
+            reference = airplane_audit(airplane, mixed_key_shares, null_policy, seed, trials=20)
+            assert report.accepted_by_trial == reference.accepted_by_trial, seed
+
+    @pytest.mark.parametrize(
+        "p", [fixtures.AIRPLANE_CIPHERTEXT, fixtures.AIRPLANE_CIPHERTEXT // 2])
+    def test_modulus_below_ciphertext_refused(self, airplane, p):
+        shares = dict(airplane.shares)
+        shares["C"] = dataclasses.replace(shares["C"], p=p)
+        challenge, _ = airplane_challenge(airplane)
+        with pytest.raises(ValueError, match="^ciphertext out of range$"):
+            token_respond(shares["C"], challenge)
+        with pytest.raises(ValueError, match="^ciphertext out of range$"):
+            airplane_audit(airplane, shares, force_m=fixtures.AIRPLANE_MESSAGE)
+
+    def test_seeded_random_null_audit_pinned(self, airplane):
+        report = airplane_audit(airplane, airplane.shares, "random-nonzero", seed=5, trials=20)
+        assert report.trials == 20
+        for t, accepted in enumerate(report.accepted_by_trial):
+            assert accepted >= airplane.expected_family, t
+            extra = sorted("".join(sorted(g)) for g in accepted - airplane.expected_family)
+            assert extra == RANDOM_NULL_FALSE_ACCEPTS_SEED_5.get(t, []), t
 
 
 class TestCompleteness:
