@@ -25,13 +25,11 @@ __all__ = ["run_cli", "main"]
 _NULL_POLICIES = {"one": "one", "random": "random-nonzero"}
 
 
-def _rng_from_seed(seed_hex: str | None) -> random.Random:
-    if seed_hex is None:
-        return random.Random()
+def _hex(text: str) -> int:
     try:
-        return random.Random(int(seed_hex, 16))
+        return int(text, 16)
     except ValueError:
-        raise SchemaError(f"--seed must be hex, got {seed_hex!r}") from None
+        raise argparse.ArgumentTypeError(f"must be hex, got {text!r}") from None
 
 
 def _universe_arg(text: str) -> tuple[str, ...]:
@@ -68,9 +66,8 @@ def cmd_keygen(args) -> int:
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     strategy = "seeded-random" if args.seed is not None else "deterministic-least-prime"
-    seed = int(args.seed, 16) if args.seed is not None else None
     pub, priv = nscrypt.keygen(
-        args.n, strategy=strategy, seed=seed,
+        args.n, strategy=strategy, seed=args.seed,
         force_p=args.force_p, force_s=args.force_s)
     files.save(pub, out / "pub.json")
     files.save(priv, out / "priv.json")
@@ -112,10 +109,9 @@ def cmd_compile(args) -> int:
 
 def cmd_challenge(args) -> int:
     pub = files.load(args.pub, expect_kind="ns-public")
-    rng = _rng_from_seed(args.seed)
-    force_m = int(args.force_m) if args.force_m is not None else None
     challenge, state = protocol.make_challenge(
-        pub, mode=args.mode, merge=args.merge, slot_count=args.slots, rng=rng, force_m=force_m)
+        pub, mode=args.mode, merge=args.merge, slot_count=args.slots,
+        rng=random.Random(args.seed), force_m=args.force_m)
     files.save(challenge, args.output)
     files.save(state, args.state)
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
@@ -129,7 +125,7 @@ def cmd_respond(args) -> int:
         raise SchemaError(f"{args.share}: not a share file", field="kind")
     challenge = files.load(args.challenge, expect_kind="challenge")
     response = protocol.token_respond(
-        share, challenge, null_policy=_NULL_POLICIES[args.null], rng=_rng_from_seed(args.seed))
+        share, challenge, null_policy=_NULL_POLICIES[args.null], rng=random.Random(args.seed))
     files.save(response, args.output)
     print(f"session {response.session_id}: response -> {args.output}")
     return 0
@@ -176,11 +172,12 @@ def cmd_audit(args) -> int:
     mode = "sequence" if sequence else "monotone"
     null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
-    force_m = int(args.force_m) if args.force_m is not None else None
 
     report = protocol.audit(
-        priv, shares, expected, trials=args.trials, rng=_rng_from_seed(args.seed),
-        mode=mode, merge=args.merge, null_policy=null_policy, force_m=force_m)
+        priv, shares, expected, trials=args.trials, rng=random.Random(args.seed),
+        mode=mode, merge=args.merge, null_policy=null_policy, force_m=args.force_m)
+    frequencies = sorted(report.frequencies().items(),
+                         key=lambda kv: (len(kv[0]), _format_group(kv[0], holders)))
 
     if args.json:
         doc = {
@@ -189,22 +186,12 @@ def cmd_audit(args) -> int:
             "expected": sorted(_format_group(g, holders) for g in report.expected),
             "false_accepts": sorted(_format_group(g, holders) for g in report.false_accepts()),
             "missed": sorted(_format_group(g, holders) for g in report.missed()),
-            "frequencies": {
-                _format_group(g, holders): freq
-                for g, freq in sorted(report.frequencies().items(),
-                                      key=lambda kv: (len(kv[0]), _format_group(kv[0], holders)))
-            },
+            "frequencies": {_format_group(g, holders): freq for g, freq in frequencies},
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        rows = []
-        for g, freq in sorted(report.frequencies().items(),
-                              key=lambda kv: (len(kv[0]), _format_group(kv[0], holders))):
-            rows.append([
-                _format_group(g, holders),
-                "yes" if g in report.expected else "no",
-                f"{freq:.2f}",
-            ])
+        rows = [[_format_group(g, holders), "yes" if g in report.expected else "no",
+                 f"{freq:.2f}"] for g, freq in frequencies]
         _print_table(["subset", "authorized", "accept rate"], rows)
         print(f"{report.trials} trial(s), mode={mode}, merge={report.merge}, "
               f"null={null_policy}")
@@ -365,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--n", type=int, required=True, help="number of system primes")
-    p.add_argument("--seed", help="hex seed for seeded-random generation")
+    p.add_argument("--seed", type=_hex, help="hex seed for seeded-random generation")
     p.add_argument("--force-p", type=int, help="pin the prime modulus")
     p.add_argument("--force-s", type=int, help="pin the secret exponent")
     p.add_argument("-o", "--output", required=True, help="output directory")
@@ -387,8 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["monotone", "sequence"], default="monotone")
     p.add_argument("--slots", type=int, default=1, help="slot count (sequence mode)")
     p.add_argument("--merge", choices=["or", "sum", "xor"], default=None)
-    p.add_argument("--seed", help="hex seed")
-    p.add_argument("--force-m", help="pin the challenge plaintext (decimal)")
+    p.add_argument("--seed", type=_hex, help="hex seed")
+    p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")
     p.add_argument("-o", "--output", required=True, help="challenge file")
     p.add_argument("--state", required=True, help="verifier state file (keep local)")
     p.set_defaults(func=cmd_challenge)
@@ -397,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--share", required=True, help="this holder's share file")
     p.add_argument("--challenge", required=True, help="challenge file")
     p.add_argument("--null", choices=["one", "random"], default="one")
-    p.add_argument("--seed", help="hex seed for random nulls")
+    p.add_argument("--seed", type=_hex, help="hex seed for random nulls")
     p.add_argument("-o", "--output", required=True, help="response file")
     p.set_defaults(func=cmd_respond)
 
@@ -415,10 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", help="hex seed")
+    p.add_argument("--seed", type=_hex, help="hex seed")
     p.add_argument("--merge", choices=["or", "sum", "xor"], default=None)
     p.add_argument("--null", choices=["one", "random"], default="one")
-    p.add_argument("--force-m", help="pin the challenge plaintext (decimal)")
+    p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .errors import GroupAuthError
@@ -117,7 +118,9 @@ def _balanced_parts(items: list[int], k: int) -> list[list[int]]:
     return parts
 
 
-def _plain_descent(expr: PolicyExpr, indices: list[int]) -> dict[str, set[int]]:
+def _descend(expr: PolicyExpr, indices: list[int], partition) -> dict[str, set[int]]:
+    """The descent walk: a Var collects its indices, an OR copies them to every
+    child, and an AND hands each child its part of `partition(node, items)`."""
     acc: dict[str, set[int]] = {}
 
     def walk(node: PolicyExpr, items: list[int]) -> None:
@@ -127,12 +130,16 @@ def _plain_descent(expr: PolicyExpr, indices: list[int]) -> dict[str, set[int]]:
             for child in node.children:
                 walk(child, items)
         else:
-            parts = _balanced_parts(sorted(items), len(node.children))
-            for child, part in zip(node.children, parts):
+            for child, part in zip(node.children, partition(node, items)):
                 walk(child, part)
 
     walk(expr, list(indices))
     return acc
+
+
+def _plain_descent(expr: PolicyExpr, indices: list[int]) -> dict[str, set[int]]:
+    return _descend(expr, indices,
+                    lambda node, items: _balanced_parts(sorted(items), len(node.children)))
 
 
 def _guided_descent(
@@ -153,16 +160,7 @@ def _guided_descent(
     reserved = {indices[len(indices) - len(maximal) + u]: group_of(m, order)
                 for u, m in enumerate(maximal)}
 
-    acc: dict[str, set[int]] = {}
-
-    def walk(node: PolicyExpr, items: list[int]) -> None:
-        if isinstance(node, Var):
-            acc.setdefault(node.name, set()).update(items)
-            return
-        if isinstance(node, Or):
-            for child in node.children:
-                walk(child, items)
-            return
+    def route(node: And, items: list[int]) -> list[list[int]]:
         k = len(node.children)
         buckets: list[list[int]] = [[] for _ in range(k)]
         free: list[int] = []
@@ -192,11 +190,9 @@ def _guided_descent(
             size, target = sizes[0]
             buckets[target].append(free.pop())
             heapq.heapreplace(sizes, (size + 1, target))
-        for child, bucket in zip(node.children, buckets):
-            walk(child, bucket)
+        return buckets
 
-    walk(expr, list(indices))
-    return acc
+    return _descend(expr, indices, route)
 
 
 def _split_is_exact(split: dict[str, set[int]], order: tuple[str, ...],
@@ -368,26 +364,23 @@ def _grow_classes(
     universe: tuple[str, ...],
 ) -> list[list[str]]:
     """Greedily extend singleton classes while every transversal stays inside
-    the remaining family."""
+    the remaining family.
+
+    One pass suffices: classes only grow, so the transversals a holder would
+    add to a class only grow too, and a holder refused once stays refused.
+    """
     pos = {name: i for i, name in enumerate(universe)}
     classes = [[m] for m in sorted(seed, key=pos.__getitem__)]
     used = set(seed)
-    changed = True
-    while changed:
-        changed = False
-        for ci in range(len(classes)):
-            for holder in universe:
-                if holder in used:
-                    continue
-                others = [cls for i, cls in enumerate(classes) if i != ci]
-                new_groups = [
-                    frozenset([holder, *pick])
-                    for pick in itertools.product(*others)
-                ]
-                if all(g in remaining for g in new_groups):
-                    classes[ci].append(holder)
-                    used.add(holder)
-                    changed = True
+    for ci in range(len(classes)):
+        for holder in universe:
+            if holder in used:
+                continue
+            others = [cls for i, cls in enumerate(classes) if i != ci]
+            if all(frozenset([holder, *pick]) in remaining
+                   for pick in itertools.product(*others)):
+                classes[ci].append(holder)
+                used.add(holder)
     return classes
 
 
@@ -401,23 +394,17 @@ def slots_packed(
     Candidate slots come from growing a seed group's singleton classes into
     per-part holder classes whose full transversal set stays inside the
     remaining family, so the plan never authenticates a group outside the
-    requested family and never drops one. Slot count is best-effort, not
-    minimal, and never exceeds the baseline plan's.
+    requested family and never drops one. Of equal covers, the first seed in
+    canonical order wins. Slot count is best-effort, not minimal, and never
+    exceeds the baseline plan's.
     """
     key = _canonical_group_key(universe)
     remaining = set(family)
     slots = []
     while remaining:
-        best: list[list[str]] | None = None
-        best_cover = 0
-        for seed in sorted(remaining, key=key):
-            classes = _grow_classes(seed, remaining, universe)
-            cover = 1
-            for cls in classes:
-                cover *= len(cls)
-            if cover > best_cover:
-                best, best_cover = classes, cover
-        assert best is not None
+        best = max((_grow_classes(seed, remaining, universe)
+                    for seed in sorted(remaining, key=key)),
+                   key=lambda classes: math.prod(map(len, classes)))
         slot = _slot_for_classes(best, n)
         slots.append(slot)
         remaining -= authorized_groups(slot)

@@ -454,6 +454,23 @@ class TestPipeline:
         policy = {"one": "one", "random": "random-nonzero"}[null]
         assert f"1 trial(s), mode=sequence, merge=sum, null={policy}\n" in out
 
+    def test_bad_seed_is_one_usage_error(self, pipeline, capsys):
+        root = pipeline
+        commands = {
+            "keygen": ["--n", "8", "-o", str(root / "k")],
+            "challenge": ["--pub", str(root / "keys/pub.json"),
+                          "-o", str(root / "c.json"), "--state", str(root / "s.json")],
+            "respond": ["--share", str(root / "shares/share_A.json"),
+                        "--challenge", str(root / "c.json"), "-o", str(root / "r.json")],
+            "audit": ["--key", str(root / "keys/priv.json"), "--shares", str(root / "shares"),
+                      "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E"],
+        }
+        for command, rest in commands.items():
+            capsys.readouterr()
+            assert run_cli([command, *rest, "--seed", "zz"]) == 2
+            assert f"groupauth {command}: error: argument --seed: must be hex, got 'zz'" in (
+                capsys.readouterr().err)
+
     def test_audit_without_trials_is_usage_error(self, pipeline, capsys):
         root = pipeline
         code = run_cli(["audit", "--key", str(root / "keys/priv.json"),

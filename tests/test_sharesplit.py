@@ -1,10 +1,12 @@
+import hashlib
 import itertools
 import random
 
 import pytest
 
 from groupauth.nscrypt import keygen
-from groupauth.policy import And, Or, Var, evaluate, parse, truth_table, variables
+from groupauth.policy import (And, Or, Var, authorized_family, evaluate, parse, truth_table,
+                             variables)
 from groupauth.sharesplit import (
     GroupLargerThanPrimeCount,
     InsufficientPrimes,
@@ -18,7 +20,8 @@ from groupauth.sharesplit import (
     slots_baseline,
     slots_packed,
 )
-from groupauth.sharesplit import _maximal_unsat, _plain_descent, _split_is_exact
+from groupauth.sharesplit import (_grow_classes, _maximal_unsat, _plain_descent,
+                                  _split_is_exact)
 from conftest import random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -209,6 +212,127 @@ def test_maximal_unsat_closed_forms():
     assert len(_maximal_unsat(or_of_ands, variables(or_of_ands))) == 1024
     with pytest.raises(InsufficientPrimes, match="separates 1024 maximal"):
         bl_split(or_of_ands, range(64))
+
+
+def random_family(rng, universe, density):
+    return frozenset(
+        frozenset(c)
+        for r in range(1, len(universe) + 1)
+        for c in itertools.combinations(universe, r)
+        if rng.random() < density)
+
+
+def reference_grow_classes(seed, remaining, universe):
+    """Sweeps until nothing changes, the oracle for one-pass `_grow_classes`."""
+    pos = {name: i for i, name in enumerate(universe)}
+    classes = [[m] for m in sorted(seed, key=pos.__getitem__)]
+    used = set(seed)
+    changed = True
+    while changed:
+        changed = False
+        for ci in range(len(classes)):
+            for holder in universe:
+                if holder in used:
+                    continue
+                others = [cls for i, cls in enumerate(classes) if i != ci]
+                new_groups = [
+                    frozenset([holder, *pick])
+                    for pick in itertools.product(*others)
+                ]
+                if all(g in remaining for g in new_groups):
+                    classes[ci].append(holder)
+                    used.add(holder)
+                    changed = True
+    return classes
+
+
+def test_grow_classes_matches_reference():
+    rng = random.Random(77)
+    for _ in range(150):
+        universe = tuple("ABCDEFG")[: rng.randint(2, 7)]
+        family = set(random_family(rng, universe, rng.choice([0.3, 0.6, 0.9])))
+        for seed in family:
+            assert _grow_classes(seed, family, universe) == \
+                reference_grow_classes(seed, family, universe)
+
+
+# Compile outputs pinned by SHA-256, holder order and part order included:
+# the compile code may get simpler or faster, never lay out another split
+# or plan.
+
+def split_digest(cases):
+    digest = hashlib.sha256()
+    for expr, n in cases:
+        try:
+            split = bl_split(expr, range(n))
+        except InsufficientPrimes:
+            digest.update(b"refused;")
+            continue
+        digest.update(repr([(h, sorted(s)) for h, s in split.items()]).encode())
+    return digest.hexdigest()
+
+
+def plan_digest(plans):
+    digest = hashlib.sha256()
+    for plan in plans:
+        digest.update(repr((plan.universe, plan.n, [
+            ([sorted(part) for part in slot.parts], list(slot.member_part.items()))
+            for slot in plan.slots])).encode())
+    return digest.hexdigest()
+
+
+def test_split_digest_pinned():
+    rng = random.Random(2024)
+    cases = [(parse("(A and (B or C)) or ((B or C) and (D or E) and (F or G or H))",
+                    tuple("ABCDEFGH")), 12)]
+    for _ in range(400):
+        names = tuple("ABCDEFGH")[: rng.randint(2, 8)]
+        cases.append((random_monotone_expr(rng, names, depth=rng.randint(2, 4)),
+                      rng.choice([4, 8, 12, 16, 32, 64])))
+    guided = 0
+    for expr, n in cases:
+        order = variables(expr)
+        maximal = _maximal_unsat(expr, order)
+        try:
+            plain = _plain_descent(expr, list(range(n)))
+        except InsufficientPrimes:
+            continue
+        guided += len(maximal) <= n and not _split_is_exact(plain, order, maximal)
+    assert guided >= 10
+    assert split_digest(cases) == (
+        "9e495030f3de77e3d14633d6d096ca04955fb1e2983158e816c1268a653533d4")
+
+
+TEN = tuple("ABCDEFGHIJ")
+TEN_POLICY = ("(A and B) or ((A or B) and (C or D or E))"
+              " or ((C or D) and (F or G) and (H or I or J))")
+
+
+@pytest.mark.parametrize("text, universe, cap, slots, expected", [
+    ("(A and B) or ((A or B) and (C or D or E))", ABCDE, 3, 5,
+     "14cd0b138f14616a28ae74d9f71060a5ff7821b6e2194dc6f443dd6eb46034ec"),
+    (TEN_POLICY, TEN, 4, 26,
+     "9f70bc6ace1dad93fe81f536465b36da806dfd203efb124521fa342ebf7c17a7"),
+], ids=["audit5", "audit10"])
+def test_benchmark_plans_pinned(text, universe, cap, slots, expected):
+    family = authorized_family(parse(text, universe), universe, cap)
+    packed = slots_packed(family, 16, universe)
+    assert len(packed.slots) == slots
+    assert plan_digest([packed, slots_baseline(family, 16, universe)]) == expected
+
+
+def test_random_plans_pinned():
+    rng = random.Random(31)
+    plans = []
+    for _ in range(200):
+        universe = tuple("ABCDEFG")[: rng.randint(1, 7)]
+        family = random_family(rng, universe, rng.choice([0.2, 0.5, 0.8]))
+        if not family:
+            continue
+        n = rng.choice([8, 12, 16])
+        plans += [slots_packed(family, n, universe), slots_baseline(family, n, universe)]
+    assert plan_digest(plans) == (
+        "d5f5691d48ed168cc1d61929455ed518a2a9909ba1e4fde8c2c810bcbf2ef91f")
 
 
 class TestSlotAssignment:
