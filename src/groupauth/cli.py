@@ -63,12 +63,12 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
 def cmd_keygen(args) -> int:
     if (args.force_p is None) != (args.force_s is None):
         raise SchemaError("--force-p and --force-s must be given together")
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
     strategy = "seeded-random" if args.seed is not None else "deterministic-least-prime"
     pub, priv = nscrypt.keygen(
         args.n, strategy=strategy, seed=args.seed,
         force_p=args.force_p, force_s=args.force_s)
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
     files.save(pub, out / "pub.json")
     files.save(priv, out / "priv.json")
     print(f"wrote {out / 'pub.json'} and {out / 'priv.json'} (n={pub.n}, p={pub.p})")
@@ -79,8 +79,6 @@ def cmd_compile(args) -> int:
     universe = _universe_arg(args.universe)
     expr = policy.parse(args.policy, universe)
     priv = files.load(args.key, expect_kind="ns-private")
-    out = Path(args.output)
-    out.mkdir(parents=True, exist_ok=True)
 
     if args.mode == "monotone":
         if not policy.is_monotone(expr):
@@ -88,22 +86,22 @@ def cmd_compile(args) -> int:
                 "policy is non-monotone (contains NOT); monotone mode needs AND/OR only")
         split = sharesplit.bl_split(expr, range(priv.n))
         shares = sharesplit.issue_monotone(split, priv)
-        for holder, share in shares.items():
-            files.save(share, out / f"share_{holder}.json")
-        print(f"monotone split over {priv.n} primes; "
-              f"wrote {len(shares)} share files to {out}")
-        return 0
+        summary = f"monotone split over {priv.n} primes"
+    else:
+        family = policy.authorized_family(expr, universe, args.max_size)
+        if not family:
+            raise GroupAuthError("policy authorizes no groups at this size cap")
+        build = sharesplit.slots_packed if args.pack else sharesplit.slots_baseline
+        plan = build(family, priv.n, universe)
+        shares = sharesplit.issue_sequence(plan, priv)
+        summary = f"{len(family)} authorized groups compiled into {len(plan.slots)} slots"
 
-    family = policy.authorized_family(expr, universe, args.max_size)
-    if not family:
-        raise GroupAuthError("policy authorizes no groups at this size cap")
-    build = sharesplit.slots_packed if args.pack else sharesplit.slots_baseline
-    plan = build(family, priv.n, universe)
-    shares = sharesplit.issue_sequence(plan, priv)
+    # created only once the shares exist, so a refused run leaves nothing behind
+    out = Path(args.output)
+    out.mkdir(parents=True, exist_ok=True)
     for holder, share in shares.items():
         files.save(share, out / f"share_{holder}.json")
-    print(f"{len(family)} authorized groups compiled into {len(plan.slots)} slots; "
-          f"wrote {len(shares)} share files to {out}")
+    print(f"{summary}; wrote {len(shares)} share files to {out}")
     return 0
 
 
@@ -111,7 +109,7 @@ def cmd_challenge(args) -> int:
     pub = files.load(args.pub, expect_kind="ns-public")
     challenge, state = protocol.make_challenge(
         pub, mode=args.mode, merge=args.merge, slot_count=args.slots,
-        rng=random.Random(args.seed), force_m=args.force_m)
+        rng=None if args.seed is None else random.Random(args.seed), force_m=args.force_m)
     files.save(challenge, args.output)
     files.save(state, args.state)
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
@@ -352,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--n", type=int, required=True, help="number of system primes")
-    p.add_argument("--seed", type=_hex, help="hex seed for seeded-random generation")
+    p.add_argument("--seed", type=_hex,
+                   help="hex seed for seeded-random generation; for tests only: the key "
+                        "comes from a Mersenne Twister and is only as secret as the seed")
     p.add_argument("--force-p", type=int, help="pin the prime modulus")
     p.add_argument("--force-s", type=int, help="pin the secret exponent")
     p.add_argument("-o", "--output", required=True, help="output directory")
@@ -374,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["monotone", "sequence"], default="monotone")
     p.add_argument("--slots", type=int, default=1, help="slot count (sequence mode)")
     p.add_argument("--merge", choices=["or", "sum", "xor"], default=None)
-    p.add_argument("--seed", type=_hex, help="hex seed")
+    p.add_argument("--seed", type=_hex,
+                   help="hex seed, for tests only (default: the OS generator)")
     p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")
     p.add_argument("-o", "--output", required=True, help="challenge file")
     p.add_argument("--state", required=True, help="verifier state file (keep local)")

@@ -5,18 +5,25 @@ big integer is a decimal string so files survive any JSON parser without
 64-bit truncation. Serialization is key-sorted and newline-terminated, so
 identical inputs produce byte-identical files.
 
-`dumps` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
-indent=2)` plus a newline, but does not call it: with `indent` set, CPython
-skips its C encoder and runs the pure-Python one, which took most of the
-time of writing a protocol message. `_write` emits the same text directly,
-with strings escaped by `json.encoder.encode_basestring_ascii`, the C
-function that encoder uses.
-
 `_SCHEMAS` is the one definition of each kind: its class, and its fields in
 the order they are checked, each with a JSON name, an attribute and a codec.
 `to_document` and `from_document` both read it, so a kind is written and
 parsed the same way by construction. Kinds: ns-public, ns-private,
 share-monotone, share-sequence, challenge, verifier-state, response, verdict.
+
+`dumps` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
+indent=2)` plus a newline, but does not call it or build `doc`: with
+`indent` set, CPython skips its C encoder and runs the pure-Python one.
+Instead each kind has a line table, built once at import from `_SCHEMAS`:
+one row per line of the file in sorted key order, holding the line's
+pre-escaped `  "name": ` prefix, the attribute and its codec's `write`. The
+"kind" line is constant text. `_write` renders each value, with strings
+escaped by `json.encoder.encode_basestring_ascii`, the C function the stdlib
+encoder uses.
+
+`dumps` and `to_document` find an object's kind through one dispatch,
+`_schema_of`: a dict keyed by class, looked up along the object's MRO, so a
+subclass of a schema class is written as that kind.
 """
 
 from __future__ import annotations
@@ -56,7 +63,7 @@ def _is_decimal(raw) -> bool:
 
 def _decimals(raw) -> bool:
     """True for a list of decimal strings."""
-    return isinstance(raw, list) and all(_is_decimal(x) for x in raw)
+    return isinstance(raw, list) and all(map(_is_decimal, raw))
 
 
 # Codecs: one (write, read) pair per encoding. `write` maps an attribute to
@@ -143,15 +150,39 @@ _SCHEMAS = {
 }
 
 
+def _line_table(kind: str, fields) -> tuple:
+    """The rows `dumps` writes for one kind, in sorted key order.
+
+    A row is (prefix, attr, write); the "kind" row is its whole constant
+    line, with attr and write None.
+    """
+    rows = {name: (f"  {encode_basestring_ascii(name)}: ", attr, write)
+            for name, attr, (write, _) in fields}
+    rows["kind"] = (f'  "kind": {encode_basestring_ascii(kind)}', None, None)
+    return tuple(rows[name] for name in sorted(rows))
+
+
+# class -> (kind, fields, line table), for `_schema_of`
+_BY_CLASS = {cls: (kind, fields, _line_table(kind, fields))
+             for kind, (cls, fields) in _SCHEMAS.items()}
+
+
+def _schema_of(obj) -> tuple:
+    """(kind, fields, line table) of the first schema class in obj's MRO."""
+    for cls in type(obj).__mro__:
+        schema = _BY_CLASS.get(cls)
+        if schema is not None:
+            return schema
+    raise TypeError(f"no schema for {type(obj).__name__}")
+
+
 def to_document(obj) -> dict:
     """Convert a library object to its JSON-ready document."""
-    for kind, (cls, fields) in _SCHEMAS.items():
-        if isinstance(obj, cls):
-            doc = {"kind": kind}
-            for name, attr, (write, _) in fields:
-                doc[name] = write(getattr(obj, attr))
-            return doc
-    raise TypeError(f"no schema for {type(obj).__name__}")
+    kind, fields, _ = _schema_of(obj)
+    doc = {"kind": kind}
+    for name, attr, (write, _) in fields:
+        doc[name] = write(getattr(obj, attr))
+    return doc
 
 
 def from_document(doc: dict):
@@ -194,10 +225,10 @@ def _write(value, indent: str) -> str:
 
 def dumps(obj) -> str:
     """The file text of `obj`: key-sorted, two-space indented JSON and a newline."""
-    doc = to_document(obj)
-    fields = ",\n".join([f"  {encode_basestring_ascii(key)}: {_write(doc[key], '  ')}"
-                         for key in sorted(doc)])
-    return "{\n" + fields + "\n}\n"
+    _, _, rows = _schema_of(obj)
+    lines = [prefix if attr is None else prefix + _write(write(getattr(obj, attr)), "  ")
+             for prefix, attr, write in rows]
+    return "{\n" + ",\n".join(lines) + "\n}\n"
 
 
 def save(obj, path: str | Path) -> None:

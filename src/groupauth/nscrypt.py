@@ -158,15 +158,22 @@ def keygen(
     for p; seeded-random draws a random prime in (product, 2*product). The
     secret exponent is drawn until it is invertible mod p-1, and the public
     values are v_i = primes_i^(s^-1 mod (p-1)) mod p, so v_i^s = primes_i
-    (mod p). `force_p` / `force_s` pin those values exactly, which is how
-    the built-in demo systems are reproduced bit for bit.
+    (mod p). With no seed, s (and p under seeded-random) comes from the
+    operating system's generator, so every unseeded key is a fresh secret.
+    A seed makes the key reproducible, for tests only. `force_p` / `force_s`
+    pin those values exactly, which is how the built-in demo systems are
+    reproduced bit for bit.
     """
     primes = system_primes(n)
     if strategy not in KEYGEN_STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if isinstance(seed, bytes):
         seed = int.from_bytes(seed, "big") if seed else 0
-    rng = random.Random(0 if seed is None else seed)
+    # No seed: the OS generator (the class `secrets` exports, taken from
+    # `random`, since importing `secrets` loads hashlib and its libcrypto).
+    # A seeded key is as secret as its seed, and the Mersenne Twister is no
+    # cryptographic generator: seeds are for tests and reproducible demos.
+    rng = random.SystemRandom() if seed is None else random.Random(seed)
 
     product = math.prod(primes)
 
@@ -214,10 +221,12 @@ def encrypt(pub: NsPublicKey, m: Plaintext) -> Ciphertext:
     """
     if not 0 < m < (1 << pub.n):
         raise ValueError(f"plaintext must be in [1, 2^{pub.n})")
+    v, p = pub.v, pub.p
     c = 1
-    for i in range(pub.n):
-        if (m >> i) & 1:
-            c = (c * pub.v[i]) % pub.p
+    while m:  # one step per set bit, lowest first
+        low = m & -m
+        c = c * v[low.bit_length() - 1] % p
+        m ^= low
     return c
 
 

@@ -123,7 +123,7 @@ class ResponseVector:
     def __post_init__(self):
         if not self.values:
             raise ValueError("a response carries at least one value")
-        if any(v < 0 for v in self.values):
+        if min(self.values) < 0:
             raise ValueError("response values are non-negative")
 
 
@@ -153,10 +153,14 @@ def make_challenge(
     """Draw one secret message, encrypt it, and open a session.
 
     The message is uniform over [1, 2^n), and its one ciphertext serves
-    every slot. `force_m` pins the message, mirroring the keygen overrides,
-    so fixed known-answer sessions can be reproduced.
+    every slot. With `rng` None, m and the session id come from the
+    operating system's generator. `rng` is for tests and benchmarks only:
+    the Mersenne Twister is linear, so its state leaks through the session
+    ids, and a verifier that reuses one would let an observer predict m.
+    `force_m` pins the message, mirroring the keygen overrides, so fixed
+    known-answer sessions can be reproduced.
     """
-    rng = rng if rng is not None else random.Random()
+    rng = rng if rng is not None else random.SystemRandom()
     merge = merge if merge is not None else _default_merge(mode)
     _check_mode_merge(mode, merge)
     m = rng.randrange(1, 1 << pub.n) if force_m is None else force_m

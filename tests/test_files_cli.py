@@ -338,17 +338,45 @@ class TestKeygenCli:
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
-            [sys.executable, "-m", "groupauth.cli", "keygen", "--n", "12",
+            [sys.executable, "-m", "groupauth.cli", "keygen", "--n", "12", "--seed", "5eed",
              "-o", str(tmp_path / "keys")],
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        assert run_cli(["keygen", "--n", "12", "-o", str(tmp_path / "ref")]) == 0
+        assert run_cli(["keygen", "--n", "12", "--seed", "5eed", "-o", str(tmp_path / "ref")]) == 0
         for name in ("pub.json", "priv.json"):
             assert (tmp_path / "keys" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
 
     def test_force_flags_must_pair(self, tmp_path):
         assert run_cli(["keygen", "--n", "8", "--force-p", "9700247",
                         "-o", str(tmp_path)]) == 2
+
+
+class TestRefusedRunsLeaveNoDirectory:
+    def test_keygen_bad_n(self, tmp_path, capsys):
+        out = tmp_path / "kd" / "keys"
+        assert run_cli(["keygen", "--n", "65", "-o", str(out)]) == 2
+        assert "n must be in [2, 64]" in capsys.readouterr().err
+        assert not (tmp_path / "kd").exists()
+
+    def test_compile_monotone_not(self, tmp_path, capsys):
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        code = run_cli([
+            "compile", "--policy", "A and not B", "--universe", "A,B",
+            "--mode", "monotone", "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 1  # a compile failure, as in TestCliExitCodes
+        assert "monotone" in capsys.readouterr().err
+        assert not (tmp_path / "sd").exists()
+
+    def test_compile_no_groups(self, tmp_path, capsys):
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        code = run_cli([
+            "compile", "--policy", "A and B", "--universe", "A,B", "--max-size", "1",
+            "--mode", "sequence", "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 1
+        assert "no groups" in capsys.readouterr().err
+        assert not (tmp_path / "sd").exists()
 
 
 @pytest.fixture
@@ -427,6 +455,18 @@ class TestPipeline:
                             "-o", str(root / f"c_{name}.json"),
                             "--state", str(root / f"s_{name}.json")]) == 0
             blobs.append((root / f"c_{name}.json").read_bytes())
+        assert blobs[0] == blobs[1]
+
+    def test_challenge_without_seed_uses_os_generator(self, pipeline, monkeypatch):
+        # with the OS generator stood in for by Random(4), no seed must match --seed 4
+        root = pipeline
+        monkeypatch.setattr(random, "SystemRandom", lambda: random.Random(4))
+        blobs = []
+        for name, seed in (("x", []), ("y", ["--seed", "4"])):
+            assert run_cli(["challenge", "--pub", str(root / "keys/pub.json"), *seed,
+                            "-o", str(root / f"c_{name}.json"),
+                            "--state", str(root / f"s_{name}.json")]) == 0
+            blobs.append((root / f"s_{name}.json").read_bytes())
         assert blobs[0] == blobs[1]
 
     def test_audit_command_exact(self, pipeline, capsys):

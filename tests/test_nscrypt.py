@@ -54,6 +54,12 @@ class TestKeygen:
         c = keygen(8, strategy="seeded-random", seed=b"other seed")
         assert c != a
 
+    @pytest.mark.parametrize("strategy", KEYGEN_STRATEGIES)
+    def test_unseeded_keys_are_secret(self, strategy):
+        # no seed means the OS generator: two keys share no s
+        (_, a), (_, b) = keygen(12, strategy), keygen(12, strategy)
+        assert a.s != b.s
+
     def test_deterministic_modulus_is_least_prime(self):
         _, priv = keygen(8)
         product = math.prod(priv.primes)
@@ -149,6 +155,17 @@ class TestEncryptDecrypt:
             encrypt(pub, 0)
         with pytest.raises(ValueError):
             encrypt(pub, 1 << pub.n)
+
+    def test_product_of_set_bits(self):
+        # the reference: multiply v_i for every position i whose bit is set
+        pub, _ = keygen(64, seed=3)
+        rng = random.Random(3)
+        for m in [1, 1 << 63, (1 << 64) - 1] + [rng.randrange(1, 1 << 64) for _ in range(50)]:
+            expected = 1
+            for i in range(pub.n):
+                if (m >> i) & 1:
+                    expected = expected * pub.v[i] % pub.p
+            assert encrypt(pub, m) == expected
 
     def test_exhaustive_roundtrip_n8(self):
         pub, priv = keygen(8)

@@ -61,6 +61,13 @@ class TestMakeChallenge:
             Challenge(session_id="x", mode="sequence", merge="sum",
                       slot_count=2, ciphertexts=ciphertexts)
 
+    def test_unseeded_draws_from_os_generator(self, airplane, monkeypatch):
+        a = make_challenge(airplane.pub)
+        b = make_challenge(airplane.pub)
+        assert a[0].session_id != b[0].session_id
+        monkeypatch.setattr(protocol.random, "SystemRandom", lambda: random.Random(4))
+        assert make_challenge(airplane.pub) == make_challenge(airplane.pub, rng=random.Random(4))
+
     def test_plaintext_range(self, airplane):
         rng = random.Random(9)
         for _ in range(200):
@@ -144,6 +151,11 @@ class TestMerges:
     def test_monotone_missing_member(self):
         rs = [ResponseVector("s", (v,)) for v in (192, 192)]
         assert merge_monotone(rs) == 192
+
+    @pytest.mark.parametrize("values", [(-1,), (3, -1), ()])
+    def test_response_values_checked(self, values):
+        with pytest.raises(ValueError):
+            ResponseVector("s", values)
 
     def test_monotone_single(self):
         assert merge_monotone([ResponseVector("s", (77,))]) == 77
