@@ -56,6 +56,11 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
+def _seeded_rng(seed: int | None) -> random.Random | None:
+    """A Mersenne Twister for `--seed`; without one, None, so the OS generator is used."""
+    return None if seed is None else random.Random(seed)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -109,7 +114,7 @@ def cmd_challenge(args) -> int:
     pub = files.load(args.pub, expect_kind="ns-public")
     challenge, state = protocol.make_challenge(
         pub, mode=args.mode, merge=args.merge, slot_count=args.slots,
-        rng=None if args.seed is None else random.Random(args.seed), force_m=args.force_m)
+        rng=_seeded_rng(args.seed), force_m=args.force_m)
     files.save(challenge, args.output)
     files.save(state, args.state)
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
@@ -123,7 +128,7 @@ def cmd_respond(args) -> int:
         raise SchemaError(f"{args.share}: not a share file", field="kind")
     challenge = files.load(args.challenge, expect_kind="challenge")
     response = protocol.token_respond(
-        share, challenge, null_policy=_NULL_POLICIES[args.null], rng=random.Random(args.seed))
+        share, challenge, null_policy=_NULL_POLICIES[args.null], rng=_seeded_rng(args.seed))
     files.save(response, args.output)
     print(f"session {response.session_id}: response -> {args.output}")
     return 0
@@ -172,7 +177,7 @@ def cmd_audit(args) -> int:
     expected = policy.authorized_family(expr, holders, args.max_size)
 
     report = protocol.audit(
-        priv, shares, expected, trials=args.trials, rng=random.Random(args.seed),
+        priv, shares, expected, trials=args.trials, rng=_seeded_rng(args.seed),
         mode=mode, merge=args.merge, null_policy=null_policy, force_m=args.force_m)
     frequencies = sorted(report.frequencies().items(),
                          key=lambda kv: (len(kv[0]), _format_group(kv[0], holders)))
@@ -180,6 +185,9 @@ def cmd_audit(args) -> int:
     if args.json:
         doc = {
             "trials": report.trials,
+            "mode": mode,
+            "merge": report.merge,
+            "null": null_policy,
             "all_exact": report.all_exact,
             "expected": sorted(_format_group(g, holders) for g in report.expected),
             "false_accepts": sorted(_format_group(g, holders) for g in report.false_accepts()),
@@ -385,7 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--share", required=True, help="this holder's share file")
     p.add_argument("--challenge", required=True, help="challenge file")
     p.add_argument("--null", choices=["one", "random"], default="one")
-    p.add_argument("--seed", type=_hex, help="hex seed for random nulls")
+    p.add_argument("--seed", type=_hex,
+                   help="hex seed for random nulls, for tests only (default: the OS generator)")
     p.add_argument("-o", "--output", required=True, help="response file")
     p.set_defaults(func=cmd_respond)
 
@@ -403,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--universe", required=True)
     p.add_argument("--max-size", type=int, default=None)
     p.add_argument("--trials", type=int, default=1)
-    p.add_argument("--seed", type=_hex, help="hex seed")
+    p.add_argument("--seed", type=_hex,
+                   help="hex seed for messages and random nulls (default: the OS generator)")
     p.add_argument("--merge", choices=["or", "sum", "xor"], default=None)
     p.add_argument("--null", choices=["one", "random"], default="one")
     p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")

@@ -37,6 +37,7 @@ __all__ = [
     "variables",
     "truth_table",
     "subset_fold",
+    "subset_matches",
     "group_of",
     "authorized_family",
 ]
@@ -47,6 +48,8 @@ MAX_UNIVERSE = 20  # every subset consumer enumerates 2^|universe| subsets
 # walk recurse once or more per level, so deeper text would hit Python's
 # recursion limit instead of a ParseError.
 _MAX_DEPTH = 100
+
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
 class PolicyError(GroupAuthError):
@@ -106,7 +109,7 @@ def check_universe(universe: Sequence[str]) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise PolicyError("universe contains duplicate names")
     for name in names:
-        if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        if not _NAME_RE.fullmatch(name):
             raise PolicyError(f"invalid holder name: {name!r}")
     return names
 
@@ -326,18 +329,92 @@ def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
     return go(expr)
 
 
+def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
+                 width: int) -> int:
+    """Every subset's fold of `values`, subset a in field a of one int.
+
+    Field a is the `width` bits from a·width up. The fold doubles once per
+    value: the subsets that hold position j are those without it, each
+    combined with value j, so the packed int grows by one shifted
+    `combine(acc, v * ones)` per value, where `ones` holds a 1 in every
+    field so far. `combine` must act on each field alone: OR and XOR do,
+    and so does a sum when no field's total reaches 2^width.
+    """
+    acc, ones, shift = 0, 1, width
+    for v in values:
+        acc |= combine(acc, v * ones) << shift
+        ones |= ones << shift
+        shift <<= 1
+    return acc
+
+
+def _fold_width(h: int, top: int, target: int = 0) -> int:
+    """The field width for folding h values of at most `top`.
+
+    h·top bounds every subset's sum (OR and XOR stay below 2^top.bit_length()),
+    and a field must also hold the target it is compared against.
+    """
+    return max(h * top, target, 1).bit_length()
+
+
 def subset_fold(values: Sequence[int], combine: Callable[[int, int], int]) -> list[int]:
     """Fold `values` over every subset of their positions, starting from 0.
 
     Entry a of the result folds, in position order, the values at the set
-    bits of a. The list doubles once per value: the subsets that hold
-    position j are those without it, each combined with value j, so there
-    is one `combine` call per non-empty subset.
+    bits of a. Values are non-negative and `combine` is `operator.or_`,
+    `operator.add` or `operator.xor`. This is the unpacked view of the
+    packed fold that `subset_matches` runs: each subset's value sits in a
+    field of one int, max(h·max value, 1).bit_length() bits wide for h
+    values, and the fold costs a few big-int operations per value, not one
+    `combine` call per subset.
     """
-    acc = [0]
-    for v in values:
-        acc += [combine(x, v) for x in acc]
-    return acc
+    width = _fold_width(len(values), max(values, default=0))
+    total = width << len(values)
+    digits = format(_packed_fold(values, combine, width), f"0{total}b")
+    return [int(digits[i - width:i], 2) for i in range(total, 0, -width)]
+
+
+def subset_matches(
+    columns: Sequence[Sequence[int]],
+    combine: Callable[[int, int], int],
+    target: int,
+) -> list[int]:
+    """Every subset whose fold equals `target` in at least one column, ascending.
+
+    Each column holds one value per position, h positions in all, and a
+    subset is a bit mask over them, folded as in `subset_fold`. All columns
+    share one field width, w = max(h·max value, target).bit_length(), so
+    no sum overflows its field and the target always fits.
+
+    Per column the cost is a few big-int operations per position for the
+    fold and a few for the test, whatever 2^h is. Field a of
+    x = fold ^ target·ones is zero exactly when subset a folds to the
+    target, and with `low` the lower w − 1 bits of every field and `high`
+    its top bit, ~(((x & low) + low) | x | low) & high sets the top bit of
+    exactly the zero fields: the sum carries into a top bit from any set
+    low bit and never past it. The columns' hits are ORed, and one pass
+    over their binary digits lists the set ones, so the walk is linear in
+    the size of the packed int plus the number of matches.
+    """
+    if not columns:
+        return []
+    h = len(columns[0])
+    width = _fold_width(h, max(map(max, columns)) if h else 0, target)
+    ones = ((1 << (width << h)) - 1) // ((1 << width) - 1)  # a 1 in every field
+    high = ones << (width - 1)
+    low = high - ones
+    aimed = target * ones
+    hits = 0
+    for column in columns:
+        x = _packed_fold(column, combine, width) ^ aimed
+        hits |= ~(((x & low) + low) | x | low) & high
+    flags = format(hits >> (width - 1), "b")[::-width]  # character a is subset a's flag
+    found = []
+    a = flags.find("1")
+    while a >= 0:
+        found.append(a)
+        a = flags.find("1", a + 1)
+    return found
 
 
 def group_of(mask: int, order: Sequence[str]) -> frozenset[str]:

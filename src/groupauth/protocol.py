@@ -16,7 +16,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import GroupAuthError
 from .nscrypt import (
@@ -28,7 +28,7 @@ from .nscrypt import (
     public_key_of,
     residue_bits,
 )
-from .policy import check_universe, group_of, subset_fold
+from .policy import check_universe, group_of, subset_matches
 from .sharesplit import ShareSequence
 
 __all__ = [
@@ -198,9 +198,11 @@ def token_respond(
     session's ciphertext; where it holds none it answers a null value, whose
     presence corrupts the merge and is what rejects over-full groups. A
     token raises the ciphertext to s once, at its first share, and reads
-    every slot's bits off that residue.
+    every slot's bits off that residue. With `rng` None, random-nonzero
+    nulls come from the operating system's generator; `rng` is for tests
+    and benchmarks, as in `make_challenge`.
     """
-    rng = rng if rng is not None else random.Random()
+    rng = rng if rng is not None else random.SystemRandom()
     return _respond(share, challenge, null_policy, rng, {})
 
 
@@ -244,15 +246,16 @@ def _respond(
         raise ValueError("a share sequence answers sequence challenges")
     if len(share.slots) != challenge.slot_count:
         raise ValueError("share sequence length does not match the challenge")
-    u = None  # c^s mod p, read at the first slot that holds a share
+    primes, masks = share.reading
+    bits = None  # the residue's bits over every slot's primes, read at the first share
     values = []
-    for prime_set in share.slots:
-        if prime_set is None:
+    for mask in masks:
+        if mask is None:
             values.append(_null_value(null_policy, share.n, rng))
             continue
-        if u is None:
-            u = _residue(share, c, residues)
-        values.append(residue_bits(u, prime_set))
+        if bits is None:
+            bits = residue_bits(_residue(share, c, residues), primes)
+        values.append(bits & mask)
     return ResponseVector(session_id=challenge.session_id, values=tuple(values))
 
 
@@ -360,22 +363,23 @@ class AuditReport:
         return frozenset(out)
 
 
-def _accepted_masks(responses: list[ResponseVector], state: VerifierState) -> set[int]:
-    """Every subset of `responses` whose merge `verify` would accept.
+def _accepted_masks(responses: list[ResponseVector], state: VerifierState) -> list[int]:
+    """Every subset of `responses` whose merge `verify` would accept, ascending.
 
     A subset is a bit mask over the responses' positions. Per slot,
-    `subset_fold` merges every subset with the same OR, sum or XOR that
+    `subset_matches` merges every subset with the same OR, sum or XOR that
     `merge_responses` takes, so a subset is accepted exactly when some
     slot's merged value equals the plaintext. The plaintext is non-zero, so
     the empty subset's 0 never matches.
     """
-    combine = _MERGE_OPS[state.merge]
-    m = state.plaintexts[0]
-    accepted: set[int] = set()
-    for j in range(state.slot_count):
-        merged = subset_fold([r.values[j] for r in responses], combine)
-        accepted.update(a for a, value in enumerate(merged) if value == m)
-    return accepted
+    columns = list(zip(*(r.values for r in responses)))  # one per slot
+    return subset_matches(columns, _MERGE_OPS[state.merge], state.plaintexts[0])
+
+
+@lru_cache(maxsize=4096)
+def _group(mask: int, universe: tuple[str, ...]) -> frozenset[str]:
+    """`group_of`, memoised. Bounded, since a 20-holder audit has 2^20 subsets."""
+    return group_of(mask, universe)
 
 
 def audit(
@@ -405,8 +409,19 @@ def audit(
     A response depends only on the share and the ciphertext, so a trial
     raises its ciphertext to s once per distinct share `(p, s)`, not once
     per holder, and every holder of that key reads its bits off the one
-    residue. The responses equal `token_respond`'s, and nulls are drawn
-    from `rng` in the same holder and slot order.
+    residue, once over all its slots' primes. The responses equal
+    `token_respond`'s, and nulls are drawn from `rng` in the same holder
+    and slot order. With `rng` None, messages and nulls come from the
+    operating system's generator.
+
+    The merges of all 2^h subsets of h holders are never listed. Per slot,
+    `policy.subset_matches` packs every subset's merged value into one
+    field of a single int, w = max(h·max value, m).bit_length() bits wide
+    so no sum overflows, folds each holder in with one big-int `combine`,
+    and finds the subsets equal to m with one zero-field test. So a trial
+    costs its `pow`s, a few big-int operations per holder and slot, one
+    pass over the packed digits, and a bounded memo lookup per accepted
+    subset.
 
     Every subset of a trial shares the holders' one response each. A token
     answers a challenge the same way whoever else is present, so with
@@ -420,7 +435,7 @@ def audit(
     if trials < 1:
         raise ValueError("an audit needs at least one trial")
     universe = check_universe(tuple(shares))
-    rng = rng if rng is not None else random.Random()
+    rng = rng if rng is not None else random.SystemRandom()
     merge = merge if merge is not None else _default_merge(mode)
     pub = public_key_of(priv)
     slot_count = 1
@@ -438,5 +453,5 @@ def audit(
         responses = [_respond(shares[h], challenge, null_policy, rng, residues)
                      for h in universe]
         report.accepted_by_trial.append(frozenset(
-            group_of(a, universe) for a in _accepted_masks(responses, state)))
+            _group(a, universe) for a in _accepted_masks(responses, state)))
     return report

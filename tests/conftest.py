@@ -4,6 +4,11 @@ import pytest
 
 from groupauth import fixtures, policy
 
+# the ten-holder policy of the `audit10` and `session-seq64` benchmark workloads
+TEN = tuple("ABCDEFGHIJ")
+TEN_POLICY = ("(A and B) or ((A or B) and (C or D or E))"
+              " or ((C or D) and (F or G) and (H or I or J))")
+
 
 @pytest.fixture(scope="session")
 def airplane():

@@ -469,6 +469,43 @@ class TestPipeline:
             blobs.append((root / f"s_{name}.json").read_bytes())
         assert blobs[0] == blobs[1]
 
+    @pytest.mark.parametrize("command", ["respond", "audit"])
+    def test_nulls_without_seed_use_os_generator(self, pipeline, monkeypatch, capsys, command):
+        # with the OS generator stood in for by Random(4), no seed must match --seed 4
+        root = pipeline
+        _challenge_session(root, _slot_count(root))
+        holder = next(h for h in "ABCDE" if None in json.loads(
+            (root / f"shares/share_{h}.json").read_text())["slots"])
+        args = {
+            "respond": ["--share", str(root / f"shares/share_{holder}.json"),
+                        "--challenge", str(root / "challenge.json"), "-o", str(root / "r.json")],
+            "audit": ["--key", str(root / "keys/priv.json"), "--shares", str(root / "shares"),
+                      "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                      "--max-size", "3", "--trials", "20", "--json"],
+        }[command]
+        drawn = []
+        monkeypatch.setattr(random, "SystemRandom", lambda: drawn.append(1) or random.Random(4))
+        capsys.readouterr()
+        outputs = []
+        for seed in ([], ["--seed", "4"]):
+            assert run_cli([command, *args, "--null", "random", *seed]) in (0, 1)
+            outputs.append(capsys.readouterr().out + (
+                (root / "r.json").read_text() if command == "respond" else ""))
+        assert drawn == [1]
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("null", ["one", "random"])
+    def test_audit_json_names_settings(self, pipeline, capsys, null):
+        root = pipeline
+        run_cli(["audit", "--key", str(root / "keys/priv.json"),
+                 "--shares", str(root / "shares"),
+                 "--policy", fixtures.AIRPLANE_POLICY,
+                 "--universe", "A,B,C,D,E", "--max-size", "3",
+                 "--force-m", "2919", "--null", null, "--seed", "1", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        policy = {"one": "one", "random": "random-nonzero"}[null]
+        assert (doc["mode"], doc["merge"], doc["null"]) == ("sequence", "sum", policy)
+
     def test_audit_command_exact(self, pipeline, capsys):
         root = pipeline
         code = run_cli(["audit", "--key", str(root / "keys/priv.json"),

@@ -23,6 +23,7 @@ from groupauth.policy import (
     parse,
     render,
     subset_fold,
+    subset_matches,
 )
 from groupauth.protocol import audit
 from groupauth.sharesplit import bl_split
@@ -253,3 +254,49 @@ class TestSubsetFold:
         for a, value in enumerate(folded):
             members = [v for j, v in enumerate(values) if (a >> j) & 1]
             assert value == functools.reduce(combine, members, 0), a
+
+
+def list_fold(values, combine):
+    """Every subset's fold as a list, doubled once per value: the reference layout."""
+    acc = [0]
+    for v in values:
+        acc += [combine(x, v) for x in acc]
+    return acc
+
+
+def list_matches(columns, combine, target):
+    return sorted({a for column in columns
+                   for a, value in enumerate(list_fold(column, combine)) if value == target})
+
+
+@st.composite
+def fold_cases(draw):
+    """Columns of h values below 2^n, with the edge values 0, 1, 2^n - 1 and m drawn often."""
+    n = draw(st.integers(min_value=2, max_value=64))
+    h = draw(st.integers(min_value=1, max_value=8))
+    m = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    value = st.one_of(st.sampled_from([0, 1, (1 << n) - 1, m]),
+                      st.integers(min_value=0, max_value=(1 << n) - 1))
+    column = st.lists(value, min_size=h, max_size=h)
+    return draw(st.lists(column, min_size=1, max_size=4)), m
+
+
+class TestSubsetMatches:
+    @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
+    @given(case=fold_cases())
+    def test_matches_list_fold(self, combine, case):
+        columns, m = case
+        assert subset_matches(columns, combine, m) == list_matches(columns, combine, m)
+
+    @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
+    def test_ten_holders_many_matches(self, combine):
+        # 1,024 fields a column and 26 columns, as in the ten-holder audit;
+        # columns of one m and zeros match half of all subsets
+        rng = random.Random(17)
+        m = 0x68A0
+        columns = [[rng.choice([0, m, rng.randrange(1 << 16)]) for _ in range(10)]
+                   for _ in range(24)]
+        columns += [[m] + [0] * 9, [m] * 10]
+        matches = subset_matches(columns, combine, m)
+        assert len(matches) >= 512
+        assert matches == list_matches(columns, combine, m)

@@ -8,6 +8,7 @@ import pytest
 from groupauth import files, fixtures, numtheory, protocol
 from groupauth.errors import GroupAuthError
 from groupauth.nscrypt import KeyShare, NsPrivateKey, keygen, partial_decrypt
+from groupauth.policy import authorized_family, parse
 from groupauth.protocol import (
     Challenge,
     ResponseVector,
@@ -21,6 +22,7 @@ from groupauth.protocol import (
     verify,
 )
 from groupauth.sharesplit import ShareSequence, issue_sequence, slots_baseline, slots_packed
+from conftest import TEN, TEN_POLICY
 
 ABCDE = ("A", "B", "C", "D", "E")
 
@@ -102,6 +104,24 @@ class TestTokenRespond:
                 airplane.shares["E"], challenge, "random-nonzero", rng)
             null = response.values[6]  # E holds nothing at the last slot
             assert 2 <= null < (1 << 12)
+
+    def test_unseeded_nulls_draw_from_os_generator(self, airplane, monkeypatch):
+        blank = dataclasses.replace(
+            airplane.shares["A"], slots=(None,) * len(airplane.plan.slots))
+        challenge, _ = airplane_challenge(airplane)
+        assert (token_respond(blank, challenge, "random-nonzero")
+                != token_respond(blank, challenge, "random-nonzero"))
+        drawn = []
+        monkeypatch.setattr(protocol.random, "SystemRandom",
+                            lambda: drawn.append(1) or random.Random(4))
+        assert (token_respond(blank, challenge, "random-nonzero")
+                == token_respond(blank, challenge, "random-nonzero", random.Random(4)))
+        assert len(drawn) == 1
+        unseeded = airplane_audit(airplane, airplane.shares, "random-nonzero", trials=20,
+                                  seed=None)
+        assert len(drawn) == 2
+        seeded = airplane_audit(airplane, airplane.shares, "random-nonzero", trials=20, seed=4)
+        assert unseeded.accepted_by_trial == seeded.accepted_by_trial
 
     def test_sequence_matches_per_slot_partial_decrypt(self, airplane):
         rng = random.Random(17)
@@ -382,6 +402,19 @@ class TestAuditMatchesReference:
             small.priv, small.pub, small.shares, small.expected_family,
             "monotone", "or", (1, 2, 100, small.message, 128, 254, 255))
 
+    def test_ten_holder_packed(self):
+        # the `audit10` deployment: 1,023 subsets, 26 slots; 0x68a0 is
+        # answered by 212 subsets outside the family and its complement by none
+        pub, priv = keygen(16, seed=1)
+        family = authorized_family(parse(TEN_POLICY, TEN), TEN, 4)
+        shares = issue_sequence(slots_packed(family, 16, TEN), priv)
+        for m, false_accepts in ((0x68A0, 212), (0x975F, 0)):
+            report = audit(priv, shares, family, rng=random.Random(0),
+                           mode="sequence", merge="sum", force_m=m)
+            assert len(report.false_accepts()) == false_accepts and not report.missed()
+        audit_agrees_with_reference(priv, pub, shares, family, "sequence", "sum",
+                                    (0x68A0, 0x975F, 0xFFFF))
+
 
 @pytest.fixture
 def pow_calls(monkeypatch):
@@ -418,9 +451,10 @@ def mixed_key_shares(request, airplane):
 
 
 def airplane_audit(airplane, shares, null_policy="one", seed=0, trials=1, force_m=None):
+    """An audit of the airplane family; seed None passes no rng."""
     return audit(airplane.priv, shares, airplane.expected_family, trials=trials,
-                 rng=random.Random(seed), mode="sequence", merge="sum",
-                 null_policy=null_policy, force_m=force_m)
+                 rng=None if seed is None else random.Random(seed), mode="sequence",
+                 merge="sum", null_policy=null_policy, force_m=force_m)
 
 
 # accepted - expected per trial of `airplane_audit(..., "random-nonzero", seed=5,

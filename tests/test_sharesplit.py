@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import math
 import random
 
 import pytest
 
-from groupauth.nscrypt import keygen
+from groupauth import files
+from groupauth.nscrypt import keygen, residue_bits
 from groupauth.policy import (And, Or, Var, authorized_family, evaluate, parse, truth_table,
                              variables)
 from groupauth.sharesplit import (
@@ -12,6 +14,7 @@ from groupauth.sharesplit import (
     InsufficientPrimes,
     NonMonotoneError,
     SlotAssignment,
+    ShareSequence,
     SlotPlan,
     authorized_groups,
     bl_split,
@@ -22,7 +25,7 @@ from groupauth.sharesplit import (
 )
 from groupauth.sharesplit import (_grow_classes, _maximal_unsat, _plain_descent,
                                   _split_is_exact)
-from conftest import random_monotone_expr
+from conftest import TEN, TEN_POLICY, random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
 
@@ -303,11 +306,6 @@ def test_split_digest_pinned():
         "9e495030f3de77e3d14633d6d096ca04955fb1e2983158e816c1268a653533d4")
 
 
-TEN = tuple("ABCDEFGHIJ")
-TEN_POLICY = ("(A and B) or ((A or B) and (C or D or E))"
-              " or ((C or D) and (F or G) and (H or I or J))")
-
-
 @pytest.mark.parametrize("text, universe, cap, slots, expected", [
     ("(A and B) or ((A or B) and (C or D or E))", ABCDE, 3, 5,
      "14cd0b138f14616a28ae74d9f71060a5ff7821b6e2194dc6f443dd6eb46034ec"),
@@ -516,3 +514,44 @@ class TestPlanValidation:
         slot = SlotAssignment(parts=(frozenset(range(4)),), member_part={"Z": 0})
         with pytest.raises(ValueError):
             SlotPlan(universe=("A",), n=4, slots=[slot])
+
+
+def ten_holder_plan(n=16):
+    """The `audit10` benchmark's packed plan: the ten-holder policy, groups of at most 4."""
+    family = authorized_family(parse(TEN_POLICY, TEN), TEN, 4)
+    return slots_packed(family, n, TEN)
+
+
+class TestShareReading:
+    """`ShareSequence.reading`: every slot's primes together, and one mask per slot."""
+
+    def test_masks_read_each_slot(self, airplane):
+        _, priv = keygen(16, seed=3)
+        rng = random.Random(2)
+        for shares in (airplane.shares, issue_sequence(ten_holder_plan(), priv)):
+            for share in shares.values():
+                primes, masks = share.reading
+                assert len(masks) == len(share.slots)
+                assert set(primes) == set().union(*(s for s in share.slots if s is not None))
+                for _ in range(20):
+                    # a random part of the primes times a cofactor: a mix of set
+                    # and clear bits in each slot
+                    u = rng.randrange(1, share.p) * math.prod(
+                        q for q in primes if rng.random() < 0.5)
+                    bits = residue_bits(u, primes)
+                    for slot, mask in zip(share.slots, masks):
+                        assert (mask is None) == (slot is None)
+                        if slot is not None:
+                            assert bits & mask == residue_bits(u, slot)
+
+    def test_reading_is_no_field(self, airplane):
+        share = airplane.shares["A"]
+        fresh = ShareSequence(share.holder, share.s, share.p, share.n, share.slots)
+        before = (repr(fresh), hash(fresh), files.dumps(fresh))
+        assert "reading" not in fresh.__dict__
+        fresh.reading
+        assert "reading" in fresh.__dict__
+        assert fresh == share and hash(fresh) == hash(share)
+        assert (repr(fresh), hash(fresh), files.dumps(fresh)) == before
+        assert "reading" not in repr(fresh) and "reading" not in files.dumps(fresh)
+        assert files.from_document(files.to_document(fresh)) == fresh
