@@ -131,6 +131,19 @@ class KeyShare:
             raise ValueError("prime subset must be non-empty")
         check_share_primes(self.prime_subset)
 
+    @cached_property
+    def reading(self) -> tuple[tuple[int, ...], tuple[int]]:
+        """The share's primes, and the bit mask of its one slot.
+
+        The same shape as `ShareSequence.reading`, so both kinds of share
+        answer through one read-then-answer path: the token reads the
+        residue's bits over the primes once and answers `bits & mask`. The
+        fields are frozen, so the value never goes stale; it is stored on
+        this object alone and is not part of equality or any file.
+        """
+        # 0 is divisible by every prime, so it reads the whole mask
+        return tuple(sorted(self.prime_subset)), (residue_bits(0, self.prime_subset),)
+
 
 def check_share_primes(primes: frozenset[int], n: int = numtheory.MAX_N) -> None:
     """Raise ValueError unless every prime is among the first n primes.

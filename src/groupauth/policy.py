@@ -36,7 +36,6 @@ __all__ = [
     "is_monotone",
     "variables",
     "truth_table",
-    "subset_fold",
     "subset_matches",
     "group_of",
     "authorized_family",
@@ -357,23 +356,6 @@ def _fold_width(h: int, top: int, target: int = 0) -> int:
     return max(h * top, target, 1).bit_length()
 
 
-def subset_fold(values: Sequence[int], combine: Callable[[int, int], int]) -> list[int]:
-    """Fold `values` over every subset of their positions, starting from 0.
-
-    Entry a of the result folds, in position order, the values at the set
-    bits of a. Values are non-negative and `combine` is `operator.or_`,
-    `operator.add` or `operator.xor`. This is the unpacked view of the
-    packed fold that `subset_matches` runs: each subset's value sits in a
-    field of one int, max(h·max value, 1).bit_length() bits wide for h
-    values, and the fold costs a few big-int operations per value, not one
-    `combine` call per subset.
-    """
-    width = _fold_width(len(values), max(values, default=0))
-    total = width << len(values)
-    digits = format(_packed_fold(values, combine, width), f"0{total}b")
-    return [int(digits[i - width:i], 2) for i in range(total, 0, -width)]
-
-
 def subset_matches(
     columns: Sequence[Sequence[int]],
     combine: Callable[[int, int], int],
@@ -382,7 +364,7 @@ def subset_matches(
     """Every subset whose fold equals `target` in at least one column, ascending.
 
     Each column holds one value per position, h positions in all, and a
-    subset is a bit mask over them, folded as in `subset_fold`. All columns
+    subset is a bit mask over them, folded by `_packed_fold`. All columns
     share one field width, w = max(h·max value, target).bit_length(), so
     no sum overflows its field and the target always fits.
 

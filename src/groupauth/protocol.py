@@ -17,6 +17,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache, reduce
+from itertools import repeat
 
 from .errors import GroupAuthError
 from .nscrypt import (
@@ -27,6 +28,7 @@ from .nscrypt import (
     partial_decrypt,  # noqa: F401  (uncalled here; perfbench/spans.py wraps this name)
     public_key_of,
     residue_bits,
+    system_primes,
 )
 from .policy import check_universe, group_of, subset_matches
 from .sharesplit import ShareSequence
@@ -182,10 +184,6 @@ def make_challenge(
     return challenge, state
 
 
-def _null_value(null_policy: str, n: int, rng: random.Random) -> int:
-    return 1 if null_policy == "one" else rng.randrange(2, 1 << n)
-
-
 def token_respond(
     share: KeyShare | ShareSequence,
     challenge: Challenge,
@@ -197,66 +195,78 @@ def token_respond(
     Where the token holds a share it answers the partial decryption of the
     session's ciphertext; where it holds none it answers a null value, whose
     presence corrupts the merge and is what rejects over-full groups. A
-    token raises the ciphertext to s once, at its first share, and reads
-    every slot's bits off that residue. With `rng` None, random-nonzero
+    token reads, then answers: it raises the ciphertext to s once and reads
+    the residue's bits over all its slots' primes with one `residue_bits`
+    (a token with no share reads nothing and pays no `pow`), then answers
+    each slot with `bits & mask` or a null. With `rng` None, random-nonzero
     nulls come from the operating system's generator; `rng` is for tests
     and benchmarks, as in `make_challenge`.
     """
     rng = rng if rng is not None else random.SystemRandom()
-    return _respond(share, challenge, null_policy, rng, {})
+    n = _answerable(share, challenge.mode, challenge.slot_count, null_policy)
+    primes, masks = share.reading
+    bits = _read(share.p, share.s, primes, challenge.ciphertexts[0], {})
+    return ResponseVector(session_id=challenge.session_id,
+                          values=tuple(_answer(bits, masks, null_policy, n, rng)))
 
 
-def _residue(
-    share: KeyShare | ShareSequence, c: int, residues: dict[tuple[int, int], int],
+def _answerable(
+    share: KeyShare | ShareSequence, mode: str, slot_count: int, null_policy: str,
 ) -> int:
-    """c^s mod p under the share's (p, s): from `residues`, or computed into it."""
-    if not 1 <= c < share.p:
-        raise ValueError("ciphertext out of range")
-    key = (share.p, share.s)
-    u = residues.get(key)
-    if u is None:
-        u = residues[key] = pow(c, share.s, share.p)
-    return u
+    """Refuse a share that cannot answer this challenge shape; else its null width n.
 
-
-def _respond(
-    share: KeyShare | ShareSequence,
-    challenge: Challenge,
-    null_policy: str,
-    rng: random.Random,
-    residues: dict[tuple[int, int], int],
-) -> ResponseVector:
-    """`token_respond`, reading c^s mod p from `residues` where it is there.
-
-    `residues` maps a share's `(p, s)` to the residue of this challenge's
-    ciphertext and is filled on a miss. An answer depends only on the share
-    and the ciphertext, so tokens of one key answering one challenge may
-    share a dict; a fresh dict is a token doing its own `pow`.
+    A null is drawn below 2^n. A key share answers its one slot and never a
+    null, so its width is 0.
     """
     if null_policy not in NULL_POLICIES:
         raise ValueError(f"unknown null policy {null_policy!r}")
-    c = challenge.ciphertexts[0]
     if isinstance(share, KeyShare):
-        if challenge.mode != "monotone":
+        if mode != "monotone":
             raise ValueError("a single key share answers monotone challenges")
-        value = residue_bits(_residue(share, c, residues), share.prime_subset)
-        return ResponseVector(session_id=challenge.session_id, values=(value,))
-
-    if challenge.mode != "sequence":
+        return 0
+    if mode != "sequence":
         raise ValueError("a share sequence answers sequence challenges")
-    if len(share.slots) != challenge.slot_count:
+    if len(share.slots) != slot_count:
         raise ValueError("share sequence length does not match the challenge")
-    primes, masks = share.reading
-    bits = None  # the residue's bits over every slot's primes, read at the first share
+    return share.n
+
+
+def _read(
+    p: int, s: int, primes: tuple[int, ...], c: int, residues: dict[tuple[int, int], int],
+) -> int:
+    """The bits of c^s mod p over `primes`, by `residue_bits`: a token's read.
+
+    c^s mod p comes from `residues`, keyed by (p, s), or is computed into
+    it, so reads under one key share a `pow`. With no primes there is
+    nothing to read, and no `pow` is paid.
+    """
+    if not primes:
+        return 0
+    if not 1 <= c < p:
+        raise ValueError("ciphertext out of range")
+    u = residues.get((p, s))
+    if u is None:
+        u = residues[p, s] = pow(c, s, p)
+    return residue_bits(u, primes)
+
+
+def _answer(
+    bits: int, masks: tuple[int | None, ...], null_policy: str, n: int, rng: random.Random,
+) -> list[int]:
+    """One value per slot: `bits & mask` where a share is held, else a null.
+
+    `bits` must cover every held slot's primes. Nulls are 1, or drawn from
+    [2, 2^n) with `rng` in slot order.
+    """
     values = []
     for mask in masks:
-        if mask is None:
-            values.append(_null_value(null_policy, share.n, rng))
-            continue
-        if bits is None:
-            bits = residue_bits(_residue(share, c, residues), primes)
-        values.append(bits & mask)
-    return ResponseVector(session_id=challenge.session_id, values=tuple(values))
+        if mask is not None:
+            values.append(bits & mask)
+        elif null_policy == "one":
+            values.append(1)
+        else:
+            values.append(rng.randrange(2, 1 << n))
+    return values
 
 
 def merge_monotone(responses: list[ResponseVector]) -> int:
@@ -363,19 +373,6 @@ class AuditReport:
         return frozenset(out)
 
 
-def _accepted_masks(responses: list[ResponseVector], state: VerifierState) -> list[int]:
-    """Every subset of `responses` whose merge `verify` would accept, ascending.
-
-    A subset is a bit mask over the responses' positions. Per slot,
-    `subset_matches` merges every subset with the same OR, sum or XOR that
-    `merge_responses` takes, so a subset is accepted exactly when some
-    slot's merged value equals the plaintext. The plaintext is non-zero, so
-    the empty subset's 0 never matches.
-    """
-    columns = list(zip(*(r.values for r in responses)))  # one per slot
-    return subset_matches(columns, _MERGE_OPS[state.merge], state.plaintexts[0])
-
-
 @lru_cache(maxsize=4096)
 def _group(mask: int, universe: tuple[str, ...]) -> frozenset[str]:
     """`group_of`, memoised. Bounded, since a 20-holder audit has 2^20 subsets."""
@@ -406,24 +403,30 @@ def audit(
     drawn under `public_key_of(priv)`, which derives the public key once per
     key object, so repeated calls on one `priv` pay for it once.
 
-    A response depends only on the share and the ciphertext, so a trial
+    A token's read depends only on its key and the ciphertext, so a trial
     raises its ciphertext to s once per distinct share `(p, s)`, not once
-    per holder, and every holder of that key reads its bits off the one
-    residue, once over all its slots' primes. The responses equal
-    `token_respond`'s, and nulls are drawn from `rng` in the same holder
-    and slot order. With `rng` None, messages and nulls come from the
-    operating system's generator.
+    per holder. For share sequences it also reads the residue's bits once
+    per key, over `system_primes(n)`: every slot's primes are among those,
+    so `bits & mask` is each holder's exact answer. Key shares keep one
+    read per share, over its own primes. The answers equal
+    `token_respond`'s values, and nulls are drawn from `rng` in the same
+    holder and slot order. No response objects are built: the answers go
+    straight to `policy.subset_matches` as its columns. The share checks
+    `token_respond` makes, with the same messages, run once per audit, and
+    the ciphertext range check once per key and trial.
+    With `rng` None, messages and nulls come from the operating system's
+    generator.
 
     The merges of all 2^h subsets of h holders are never listed. Per slot,
-    `policy.subset_matches` packs every subset's merged value into one
-    field of a single int, w = max(h·max value, m).bit_length() bits wide
-    so no sum overflows, folds each holder in with one big-int `combine`,
-    and finds the subsets equal to m with one zero-field test. So a trial
-    costs its `pow`s, a few big-int operations per holder and slot, one
-    pass over the packed digits, and a bounded memo lookup per accepted
-    subset.
+    `subset_matches` packs every subset's merged value into one field of a
+    single int, w = max(h·max value, m).bit_length() bits wide so no sum
+    overflows, folds each holder in with one big-int `combine`, and finds
+    the subsets equal to m with one zero-field test. So a trial costs one
+    `pow` and one bit read per key, one list of answers per holder, a few
+    big-int operations per holder and slot, one pass over the packed
+    digits, and a bounded memo lookup per accepted subset.
 
-    Every subset of a trial shares the holders' one response each. A token
+    Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with
     null_policy="one" the accepted sets are those of responding afresh per
     subset. With null_policy="random-nonzero" each holder draws its nulls
@@ -444,14 +447,33 @@ def audit(
             slot_count = len(share.slots)
             break
 
+    # refuse a bad session shape before any share, as the first challenge would
+    _check_session(mode, merge, slot_count)
+    reads: dict[tuple[int, int, int | tuple[int, ...]], int] = {}  # read -> position
+    read_args = []  # per position: the p, s and primes of one read
+    answerers = []  # per holder: its read's position, its slot masks, its null width
+    for h in universe:
+        share = shares[h]
+        n = _answerable(share, mode, slot_count, null_policy)
+        primes, masks = share.reading
+        # a share sequence reads system_primes(n), which holds every slot's
+        # primes, so n names its read
+        wide = bool(primes) and isinstance(share, ShareSequence)
+        key = (share.p, share.s, n if wide else primes)
+        if key not in reads:
+            reads[key] = len(read_args)
+            read_args.append((share.p, share.s, system_primes(n) if wide else primes))
+        answerers.append((reads[key], masks, n))
+    combine = _MERGE_OPS[merge]
+
     report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
     for _ in range(trials):
         challenge, state = make_challenge(
             pub, mode=mode, merge=merge, slot_count=slot_count,
             rng=rng, force_m=force_m)
-        residues: dict[tuple[int, int], int] = {}
-        responses = [_respond(shares[h], challenge, null_policy, rng, residues)
-                     for h in universe]
-        report.accepted_by_trial.append(frozenset(
-            _group(a, universe) for a in _accepted_masks(responses, state)))
+        c, residues = challenge.ciphertexts[0], {}
+        bits = [_read(p, s, primes, c, residues) for p, s, primes in read_args]
+        answers = [_answer(bits[i], masks, null_policy, n, rng) for i, masks, n in answerers]
+        accepted = subset_matches(list(zip(*answers)), combine, state.plaintexts[0])
+        report.accepted_by_trial.append(frozenset(map(_group, accepted, repeat(universe))))
     return report

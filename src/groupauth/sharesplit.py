@@ -443,10 +443,13 @@ class ShareSequence:
     def reading(self) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
         """Every slot's primes together, and each slot's bit mask (None: no share).
 
-        A token reads the residue's bits over the union once and answers a
-        slot with `bits & mask`, which equals `residue_bits(u, slot)`. The
-        fields are frozen, so the value never goes stale; it is stored on
-        this object alone and is not part of equality or any file.
+        A token reads the residue's bits over the union once, one `pow` and
+        one `residue_bits`, and answers a slot with `bits & mask`, which
+        equals `residue_bits(u, slot)`. An audit reads once per key instead,
+        over `system_primes(n)`, which holds every slot's primes, and uses
+        the masks alone. The fields are frozen, so the value never goes
+        stale; it is stored on this object alone and is not part of
+        equality or any file.
         """
         held = [prime_set for prime_set in self.slots if prime_set is not None]
         # 0 is divisible by every prime, so it reads a slot's whole mask

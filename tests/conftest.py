@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -39,6 +40,15 @@ def random_monotone_expr(rng: random.Random, names: tuple[str, ...], depth: int 
         return node_cls(tuple(children))
 
     return gen(depth)
+
+
+def random_family(rng: random.Random, universe: tuple[str, ...], density: float):
+    """Each non-empty subset of the universe, kept with probability `density`."""
+    return frozenset(
+        frozenset(c)
+        for r in range(1, len(universe) + 1)
+        for c in itertools.combinations(universe, r)
+        if rng.random() < density)
 
 
 @pytest.fixture

@@ -22,9 +22,9 @@ from groupauth.policy import (
     is_monotone,
     parse,
     render,
-    subset_fold,
     subset_matches,
 )
+from groupauth.policy import _fold_width, _packed_fold
 from groupauth.protocol import audit
 from groupauth.sharesplit import bl_split
 from conftest import random_monotone_expr
@@ -245,11 +245,19 @@ class TestAuthorizedFamily:
 
 
 
+def unpacked_fold(values, combine):
+    """`_packed_fold` at the width `subset_matches` takes, one entry per subset."""
+    width = _fold_width(len(values), max(values, default=0))
+    total = width << len(values)
+    digits = format(_packed_fold(values, combine, width), f"0{total}b")
+    return [int(digits[i - width:i], 2) for i in range(total, 0, -width)]
+
+
 class TestSubsetFold:
     @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
     @given(values=st.lists(st.integers(min_value=0, max_value=1 << 70), max_size=7))
     def test_entry_folds_its_set_bits(self, combine, values):
-        folded = subset_fold(values, combine)
+        folded = unpacked_fold(values, combine)
         assert len(folded) == 1 << len(values)
         for a, value in enumerate(folded):
             members = [v for j, v in enumerate(values) if (a >> j) & 1]

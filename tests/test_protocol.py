@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import inspect
 import itertools
 import random
@@ -7,7 +8,8 @@ import pytest
 
 from groupauth import files, fixtures, numtheory, protocol
 from groupauth.errors import GroupAuthError
-from groupauth.nscrypt import KeyShare, NsPrivateKey, keygen, partial_decrypt
+from groupauth.nscrypt import (KeyShare, NsPrivateKey, keygen, partial_decrypt, public_key_of,
+                               residue_bits)
 from groupauth.policy import authorized_family, parse
 from groupauth.protocol import (
     Challenge,
@@ -22,7 +24,7 @@ from groupauth.protocol import (
     verify,
 )
 from groupauth.sharesplit import ShareSequence, issue_sequence, slots_baseline, slots_packed
-from conftest import TEN, TEN_POLICY
+from conftest import TEN, TEN_POLICY, random_family
 
 ABCDE = ("A", "B", "C", "D", "E")
 
@@ -429,25 +431,58 @@ def pow_calls(monkeypatch):
     return calls
 
 
-def per_holder_residues(monkeypatch):
-    """Make `audit` compute one residue per holder, as separate tokens would."""
-    respond = protocol._respond
-    monkeypatch.setattr(
-        protocol, "_respond",
-        lambda share, challenge, null_policy, rng, residues:
-            respond(share, challenge, null_policy, rng, {}))
+def per_holder_audit(priv, shares, expected, trials, rng, *, mode, merge, null_policy,
+                     force_m=None):
+    """`audit` done token by token: each holder reads its own residue.
+
+    Each trial draws its challenge and then every holder's `token_respond`
+    from `rng` in holder order, as `audit` does, and accepts the subsets
+    whose merge of those responses `verify` accepts.
+    """
+    universe = tuple(shares)
+    first = next(iter(shares.values()))
+    slot_count = len(first.slots) if isinstance(first, ShareSequence) else 1
+    report = protocol.AuditReport(universe=universe, expected=frozenset(expected))
+    for _ in range(trials):
+        challenge, state = make_challenge(
+            public_key_of(priv), mode=mode, merge=merge, slot_count=slot_count,
+            rng=rng, force_m=force_m)
+        responses = {h: token_respond(shares[h], challenge, null_policy, rng) for h in universe}
+        report.accepted_by_trial.append(frozenset(
+            frozenset(combo)
+            for size in range(1, len(universe) + 1)
+            for combo in itertools.combinations(universe, size)
+            if verify(state, merge_responses(state, [responses[h] for h in combo])).accepted))
+    return report
+
+
+@pytest.fixture
+def read_calls(monkeypatch):
+    """The primes of each `residue_bits` read that `protocol` does itself."""
+    calls = []
+
+    def counting_read(u, primes):
+        calls.append(tuple(primes))
+        return residue_bits(u, primes)
+
+    monkeypatch.setattr(protocol, "residue_bits", counting_read)
+    return calls
+
+
+def mixed_shares(airplane, same_p):
+    """The airplane shares with C's issued under a second key, of the same p or another."""
+    priv = airplane.priv
+    force_p = priv.p if same_p else None
+    _, second = keygen(priv.n, "seeded-random", seed=7, force_p=force_p)
+    assert second.s != priv.s and (second.p == priv.p) == same_p
+    shares = dict(airplane.shares)
+    shares["C"] = issue_sequence(airplane.plan, second)["C"]
+    return shares
 
 
 @pytest.fixture(params=["same p", "other p"])
 def mixed_key_shares(request, airplane):
-    """The airplane shares with C's issued under a second key."""
-    priv = airplane.priv
-    force_p = priv.p if request.param == "same p" else None
-    _, second = keygen(priv.n, "seeded-random", seed=7, force_p=force_p)
-    assert second.s != priv.s and (second.p == priv.p) == (force_p is not None)
-    shares = dict(airplane.shares)
-    shares["C"] = issue_sequence(airplane.plan, second)["C"]
-    return shares
+    return mixed_shares(airplane, request.param == "same p")
 
 
 def airplane_audit(airplane, shares, null_policy="one", seed=0, trials=1, force_m=None):
@@ -483,9 +518,9 @@ class TestSharedResidue:
         airplane_audit(airplane, mixed_key_shares)
         assert len(pow_calls) == 2
 
-    def test_per_holder_reference_pays_per_holder(self, airplane, pow_calls, monkeypatch):
-        per_holder_residues(monkeypatch)
-        airplane_audit(airplane, airplane.shares)
+    def test_per_holder_reference_pays_per_holder(self, airplane, pow_calls):
+        per_holder_audit(airplane.priv, airplane.shares, airplane.expected_family, 1,
+                         random.Random(0), mode="sequence", merge="sum", null_policy="one")
         assert len(pow_calls) == len(airplane.shares)
 
     def test_token_respond_pays_its_own_pow(self, airplane, small, pow_calls):
@@ -501,34 +536,70 @@ class TestSharedResidue:
         token_respond(small.shares["A1"], mono)
         assert len(pow_calls) == len(airplane.shares) + 1
 
+    def test_one_read_per_key(self, airplane, mixed_key_shares, read_calls):
+        # a sequence key's bits are read once a trial, over all n primes
+        airplane_audit(airplane, airplane.shares, trials=3)
+        assert read_calls == [airplane.priv.primes] * 3
+        read_calls.clear()
+        airplane_audit(airplane, mixed_key_shares, "random-nonzero", trials=3)
+        assert read_calls == [airplane.priv.primes] * 2 * 3
+
+    def test_key_shares_read_once_each(self, small, pow_calls, read_calls):
+        audit(small.priv, small.shares, small.expected_family, trials=2,
+              rng=random.Random(0), mode="monotone")
+        assert len(pow_calls) == 2
+        # A2 and A3 hold the same primes, so they share a read
+        distinct = list(dict.fromkeys(share.reading[0] for share in small.shares.values()))
+        assert len(distinct) == 2 and read_calls == distinct * 2
+
+    def test_token_respond_reads_once(self, airplane, read_calls):
+        challenge, _ = airplane_challenge(airplane)
+        for share in airplane.shares.values():
+            token_respond(share, challenge)
+        assert read_calls == [share.reading[0] for share in airplane.shares.values()]
+        blank = dataclasses.replace(
+            airplane.shares["A"], slots=(None,) * len(airplane.plan.slots))
+        token_respond(blank, challenge, "random-nonzero", random.Random(1))
+        assert len(read_calls) == len(airplane.shares)
+
     @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
     def test_responses_are_token_responses(
             self, airplane, mixed_key_shares, monkeypatch, null_policy):
+        # the columns `audit` folds, read back per holder
         seen = []
-        accepted_masks, draw = protocol._accepted_masks, protocol.make_challenge
+        matches, draw = protocol.subset_matches, protocol.make_challenge
         monkeypatch.setattr(protocol, "make_challenge",
                             lambda *a, **k: seen.append(draw(*a, **k)) or seen[-1])
-        monkeypatch.setattr(protocol, "_accepted_masks",
-                            lambda rs, state: seen.append(rs) or accepted_masks(rs, state))
+        monkeypatch.setattr(protocol, "subset_matches",
+                            lambda columns, *a: seen.append(columns) or matches(columns, *a))
         airplane_audit(airplane, mixed_key_shares, null_policy, trials=4)
         assert len(seen) == 2 * 4
-        for (challenge, _), responses in zip(seen[::2], seen[1::2]):
-            for h, response in zip(ABCDE, responses):
+        for (challenge, _), columns in zip(seen[::2], seen[1::2]):
+            answers = list(zip(*columns))
+            assert len(answers) == len(ABCDE)
+            for h, answer in zip(ABCDE, answers):
                 share = mixed_key_shares[h]
-                own = token_respond(share, challenge, "one")
-                assert response.session_id == own.session_id
+                own = token_respond(share, challenge, "one").values
                 # random nulls aside, each slot answers what the token would
-                for slot, got, want in zip(share.slots, response.values, own.values):
+                for slot, got, want in zip(share.slots, answer, own, strict=True):
                     assert got == want or (slot is None and null_policy != "one"), h
 
     @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
-    def test_accepts_as_per_holder_residues(
-            self, airplane, mixed_key_shares, monkeypatch, null_policy):
-        shared = [airplane_audit(airplane, mixed_key_shares, null_policy, seed, trials=20)
-                  for seed in range(5)]
-        per_holder_residues(monkeypatch)
-        for seed, report in enumerate(shared):
-            reference = airplane_audit(airplane, mixed_key_shares, null_policy, seed, trials=20)
+    def test_accepts_as_per_holder_residues(self, airplane, mixed_key_shares, null_policy):
+        for seed in range(5):
+            report = airplane_audit(airplane, mixed_key_shares, null_policy, seed, trials=20)
+            reference = per_holder_audit(
+                airplane.priv, mixed_key_shares, airplane.expected_family, 20,
+                random.Random(seed), mode="sequence", merge="sum", null_policy=null_policy)
+            assert report.accepted_by_trial == reference.accepted_by_trial, seed
+
+    def test_monotone_accepts_as_per_holder_residues(self, small):
+        for seed in range(5):
+            report = audit(small.priv, small.shares, small.expected_family, trials=20,
+                           rng=random.Random(seed), mode="monotone")
+            reference = per_holder_audit(
+                small.priv, small.shares, small.expected_family, 20, random.Random(seed),
+                mode="monotone", merge="or", null_policy="one")
             assert report.accepted_by_trial == reference.accepted_by_trial, seed
 
     @pytest.mark.parametrize(
@@ -549,6 +620,118 @@ class TestSharedResidue:
             assert accepted >= airplane.expected_family, t
             extra = sorted("".join(sorted(g)) for g in accepted - airplane.expected_family)
             assert extra == RANDOM_NULL_FALSE_ACCEPTS_SEED_5.get(t, []), t
+
+
+# `audit` results pinned by SHA-256 together with the state each audit leaves
+# its rng in: the audit may get faster, never accept other subsets or draw
+# other numbers. Taken before the per-key residue read went in.
+
+def test_audit_digest_pinned(airplane, small):
+    digest = hashlib.sha256()
+
+    def pin(report, rng):
+        accepted = [sorted(sorted(g) for g in trial) for trial in report.accepted_by_trial]
+        digest.update(repr((accepted, rng.getrandbits(64))).encode())
+
+    rng = random.Random(18)
+    keys = {n: keygen(n, seed=n)[1] for n in (8, 12, 16)}
+    cases = 0
+    while cases < 80:
+        universe = tuple("ABCDEF")[: rng.randint(1, 6)]
+        family = random_family(rng, universe, rng.choice([0.2, 0.5, 0.8]))
+        if not family:
+            continue
+        cases += 1
+        priv = keys[rng.choice((8, 12, 16))]
+        for planner in (slots_packed, slots_baseline):
+            shares = issue_sequence(planner(family, priv.n, universe), priv)
+            for merge in ("sum", "xor"):
+                for null_policy in protocol.NULL_POLICIES:
+                    trial_rng = random.Random(rng.getrandbits(32))
+                    pin(audit(priv, shares, family, trials=3, rng=trial_rng,
+                              mode="sequence", merge=merge, null_policy=null_policy),
+                        trial_rng)
+    for same_p in (True, False):
+        shares = mixed_shares(airplane, same_p)
+        for null_policy in protocol.NULL_POLICIES:
+            for merge in ("sum", "xor"):
+                trial_rng = random.Random(same_p)
+                pin(audit(airplane.priv, shares, airplane.expected_family, trials=10,
+                          rng=trial_rng, mode="sequence", merge=merge,
+                          null_policy=null_policy), trial_rng)
+    for m in range(1, 1 << small.pub.n):
+        trial_rng = random.Random(m)
+        pin(audit(small.priv, small.shares, small.expected_family, rng=trial_rng,
+                  mode="monotone", force_m=m), trial_rng)
+    for null_policy in protocol.NULL_POLICIES:
+        trial_rng = random.Random(3)
+        pin(audit(small.priv, small.shares, small.expected_family, trials=20,
+                  rng=trial_rng, mode="monotone", null_policy=null_policy), trial_rng)
+    assert digest.hexdigest() == (
+        "b6484a7fbadf3e8fb850dc666b6d3811e0bd5f4aa55fbcac972978a4445d4a64")
+
+
+class TestRefusals:
+    """Each refusal of a share, with one message through `token_respond` and `audit`."""
+
+    def refused(self, message, respond, run_audit):
+        for call in (respond, run_audit):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call()
+
+    def test_key_share_under_sequence(self, airplane, small):
+        challenge, _ = airplane_challenge(airplane)
+        self.refused(
+            "a single key share answers monotone challenges",
+            lambda: token_respond(small.shares["A1"], challenge),
+            lambda: audit(small.priv, small.shares, small.expected_family,
+                          mode="sequence", force_m=small.message))
+
+    def test_sequence_under_monotone(self, airplane, small):
+        # a one-slot sequence, so the monotone session's shape is valid
+        share = airplane.shares["A"]
+        single = {"A": dataclasses.replace(share, slots=share.slots[:1])}
+        mono, _ = make_challenge(small.pub, rng=random.Random(0), force_m=small.message)
+        self.refused(
+            "a share sequence answers sequence challenges",
+            lambda: token_respond(share, mono),
+            lambda: audit(airplane.priv, single, frozenset(), mode="monotone",
+                          force_m=fixtures.AIRPLANE_MESSAGE))
+
+    def test_slot_count_mismatch(self, airplane):
+        challenge, _ = make_challenge(
+            airplane.pub, mode="sequence", merge="sum", slot_count=3, rng=random.Random(0))
+        shares = dict(airplane.shares)
+        shares["C"] = dataclasses.replace(shares["C"], slots=shares["C"].slots[:3])
+        self.refused(
+            "share sequence length does not match the challenge",
+            lambda: token_respond(airplane.shares["A"], challenge),
+            lambda: airplane_audit(airplane, shares, force_m=fixtures.AIRPLANE_MESSAGE))
+
+    @pytest.mark.parametrize("mode", protocol.MODES)
+    def test_unknown_null_policy(self, airplane, small, mode):
+        if mode == "monotone":
+            system = small
+            challenge, _ = make_challenge(small.pub, rng=random.Random(0))
+        else:
+            system = airplane
+            challenge, _ = airplane_challenge(airplane)
+        share = next(iter(system.shares.values()))
+        self.refused(
+            "unknown null policy 'bogus'",
+            lambda: token_respond(share, challenge, "bogus"),
+            lambda: audit(system.priv, system.shares, system.expected_family, mode=mode,
+                          null_policy="bogus"))
+
+    def test_key_share_ciphertext_out_of_range(self, small):
+        mono, _ = make_challenge(small.pub, rng=random.Random(0), force_m=small.message)
+        shares = dict(small.shares)
+        shares["A2"] = dataclasses.replace(shares["A2"], p=mono.ciphertexts[0])
+        self.refused(
+            "ciphertext out of range",
+            lambda: token_respond(shares["A2"], mono),
+            lambda: audit(small.priv, shares, small.expected_family, mode="monotone",
+                          force_m=small.message))
 
 
 class TestCompleteness:

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from groupauth import files
-from groupauth.nscrypt import keygen, residue_bits
+from groupauth.nscrypt import KeyShare, keygen, residue_bits, system_primes
 from groupauth.policy import (And, Or, Var, authorized_family, evaluate, parse, truth_table,
                              variables)
 from groupauth.sharesplit import (
@@ -25,7 +25,7 @@ from groupauth.sharesplit import (
 )
 from groupauth.sharesplit import (_grow_classes, _maximal_unsat, _plain_descent,
                                   _split_is_exact)
-from conftest import TEN, TEN_POLICY, random_monotone_expr
+from conftest import TEN, TEN_POLICY, random_family, random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
 
@@ -215,14 +215,6 @@ def test_maximal_unsat_closed_forms():
     assert len(_maximal_unsat(or_of_ands, variables(or_of_ands))) == 1024
     with pytest.raises(InsufficientPrimes, match="separates 1024 maximal"):
         bl_split(or_of_ands, range(64))
-
-
-def random_family(rng, universe, density):
-    return frozenset(
-        frozenset(c)
-        for r in range(1, len(universe) + 1)
-        for c in itertools.combinations(universe, r)
-        if rng.random() < density)
 
 
 def reference_grow_classes(seed, remaining, universe):
@@ -523,7 +515,7 @@ def ten_holder_plan(n=16):
 
 
 class TestShareReading:
-    """`ShareSequence.reading`: every slot's primes together, and one mask per slot."""
+    """`reading`: a share's primes together, and one mask per slot."""
 
     def test_masks_read_each_slot(self, airplane):
         _, priv = keygen(16, seed=3)
@@ -539,14 +531,25 @@ class TestShareReading:
                     u = rng.randrange(1, share.p) * math.prod(
                         q for q in primes if rng.random() < 0.5)
                     bits = residue_bits(u, primes)
+                    # an audit reads once per key, over all n primes
+                    wide = residue_bits(u, system_primes(share.n))
                     for slot, mask in zip(share.slots, masks):
                         assert (mask is None) == (slot is None)
                         if slot is not None:
-                            assert bits & mask == residue_bits(u, slot)
+                            assert bits & mask == wide & mask == residue_bits(u, slot)
 
-    def test_reading_is_no_field(self, airplane):
-        share = airplane.shares["A"]
-        fresh = ShareSequence(share.holder, share.s, share.p, share.n, share.slots)
+    def test_key_share_reads_its_one_slot(self, small):
+        rng = random.Random(4)
+        for share in small.shares.values():
+            primes, masks = share.reading
+            assert primes == tuple(sorted(share.prime_subset)) and len(masks) == 1
+            for _ in range(20):
+                u = rng.randrange(1, share.p) * math.prod(
+                    q for q in primes if rng.random() < 0.5)
+                assert residue_bits(u, small.priv.primes) & masks[0] == residue_bits(u, primes)
+
+    @staticmethod
+    def check_reading_is_no_field(fresh, share):
         before = (repr(fresh), hash(fresh), files.dumps(fresh))
         assert "reading" not in fresh.__dict__
         fresh.reading
@@ -555,3 +558,13 @@ class TestShareReading:
         assert (repr(fresh), hash(fresh), files.dumps(fresh)) == before
         assert "reading" not in repr(fresh) and "reading" not in files.dumps(fresh)
         assert files.from_document(files.to_document(fresh)) == fresh
+
+    def test_reading_is_no_field(self, airplane):
+        share = airplane.shares["A"]
+        self.check_reading_is_no_field(
+            ShareSequence(share.holder, share.s, share.p, share.n, share.slots), share)
+
+    def test_key_share_reading_is_no_field(self, small):
+        share = small.shares["A1"]
+        self.check_reading_is_no_field(
+            KeyShare(share.holder, share.s, share.p, share.prime_subset), share)
