@@ -24,6 +24,9 @@ __all__ = ["run_cli", "main"]
 # --null choices to the library's null-response policies
 _NULL_POLICIES = {"one": "one", "random": "random-nonzero"}
 
+# what `respond` and `audit` accept as a share file
+_SHARES = (nscrypt.KeyShare, sharesplit.ShareSequence)
+
 
 def _hex(text: str) -> int:
     try:
@@ -61,6 +64,13 @@ def _seeded_rng(seed: int | None) -> random.Random | None:
     return None if seed is None else random.Random(seed)
 
 
+def _deployment(args):
+    """The universe, parsed policy and private key that `compile` and `audit` share."""
+    universe = _universe_arg(args.universe)
+    expr = policy.parse(args.policy, universe)
+    return universe, expr, files.load(args.key, expect_kind="ns-private")
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -81,14 +91,12 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    universe = _universe_arg(args.universe)
-    expr = policy.parse(args.policy, universe)
-    priv = files.load(args.key, expect_kind="ns-private")
+    # a monotone split has no size cap and no slots to pack
+    if args.mode == "monotone" and (args.max_size is not None or args.pack):
+        raise SchemaError("--max-size and --pack apply to sequence mode only")
+    universe, expr, priv = _deployment(args)
 
     if args.mode == "monotone":
-        if not policy.is_monotone(expr):
-            raise sharesplit.NonMonotoneError(
-                "policy is non-monotone (contains NOT); monotone mode needs AND/OR only")
         split = sharesplit.bl_split(expr, range(priv.n))
         shares = sharesplit.issue_monotone(split, priv)
         summary = f"monotone split over {priv.n} primes"
@@ -124,7 +132,7 @@ def cmd_challenge(args) -> int:
 
 def cmd_respond(args) -> int:
     share = files.load(args.share)
-    if not isinstance(share, (nscrypt.KeyShare, sharesplit.ShareSequence)):
+    if not isinstance(share, _SHARES):
         raise SchemaError(f"{args.share}: not a share file", field="kind")
     challenge = files.load(args.challenge, expect_kind="challenge")
     response = protocol.token_respond(
@@ -150,26 +158,22 @@ def cmd_verify(args) -> int:
     return 0 if verdict.accepted else 1
 
 
-def _load_share_dir(directory: str) -> dict[str, object]:
+def _load_share_dir(directory: str, holders: tuple[str, ...]) -> dict[str, object]:
+    """Each holder's share file in `directory`; share files of other holders are ignored."""
     shares = {}
     for path in sorted(Path(directory).glob("*.json")):
         obj = files.load(path)
-        if isinstance(obj, (nscrypt.KeyShare, sharesplit.ShareSequence)):
+        if isinstance(obj, _SHARES):
             shares[obj.holder] = obj
-    if not shares:
-        raise SchemaError(f"no share files found in {directory}")
-    return shares
+    missing = [h for h in holders if h not in shares]
+    if missing:
+        raise SchemaError(f"{directory}: no share file for holder(s) {', '.join(missing)}")
+    return {h: shares[h] for h in holders}
 
 
 def cmd_audit(args) -> int:
-    universe = _universe_arg(args.universe)
-    expr = policy.parse(args.policy, universe)
-    priv = files.load(args.key, expect_kind="ns-private")
-    all_shares = _load_share_dir(args.shares)
-    holders = tuple(h for h in universe if h in all_shares)
-    if not holders:
-        raise SchemaError("no share files match the given universe")
-    shares = {h: all_shares[h] for h in holders}
+    holders, expr, priv = _deployment(args)
+    shares = _load_share_dir(args.shares, holders)
 
     sequence = any(isinstance(s, sharesplit.ShareSequence) for s in shares.values())
     mode = "sequence" if sequence else "monotone"
@@ -340,10 +344,11 @@ def _demo_small(emit_json: bool) -> int:
     return 0 if (split_ok and cipher_ok and contrib_ok and exact) else 1
 
 
+_DEMOS = {"airplane": _demo_airplane, "small": _demo_small}
+
+
 def cmd_demo(args) -> int:
-    if args.fixture == "airplane":
-        return _demo_airplane(args.json)
-    return _demo_small(args.json)
+    return _DEMOS[args.fixture](args.json)
 
 
 # ---------------------------------------------------------------------------
@@ -356,6 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Group authentication via split knapsack private keys.")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # the deployment flags of `compile` and `audit`, read by `_deployment`
+    deployment = argparse.ArgumentParser(add_help=False)
+    deployment.add_argument("--policy", required=True, help="policy expression text")
+    deployment.add_argument("--universe", required=True, help="comma-separated holder names")
+    deployment.add_argument("--max-size", type=int, default=None, help="largest allowed group")
+    deployment.add_argument("--key", required=True, help="private key file")
+
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--n", type=int, required=True, help="number of system primes")
     p.add_argument("--seed", type=_hex,
@@ -366,22 +378,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_keygen)
 
-    p = sub.add_parser("compile", help="compile a policy into share files")
-    p.add_argument("--policy", required=True, help="policy expression text")
-    p.add_argument("--universe", required=True, help="comma-separated holder names")
-    p.add_argument("--max-size", type=int, default=None, help="largest allowed group")
-    p.add_argument("--mode", choices=["monotone", "sequence"], required=True)
+    p = sub.add_parser(
+        "compile", parents=[deployment], help="compile a policy into share files",
+        description="Compile a policy into one share file per holder. --max-size and "
+                    "--pack apply to sequence mode only; monotone mode refuses them.")
+    p.add_argument("--mode", choices=protocol.MODES, required=True)
     p.add_argument("--pack", action="store_true",
                    help="pack multiple groups per slot (sequence mode)")
-    p.add_argument("--key", required=True, help="private key file")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("challenge", help="open a session: challenge + verifier state")
     p.add_argument("--pub", required=True, help="public key file")
-    p.add_argument("--mode", choices=["monotone", "sequence"], default="monotone")
+    p.add_argument("--mode", choices=protocol.MODES, default="monotone")
     p.add_argument("--slots", type=int, default=1, help="slot count (sequence mode)")
-    p.add_argument("--merge", choices=["or", "sum", "xor"], default=None)
+    p.add_argument("--merge", choices=protocol.MERGES, default=None)
     p.add_argument("--seed", type=_hex,
                    help="hex seed, for tests only (default: the OS generator)")
     p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("respond", help="answer a challenge from one share file")
     p.add_argument("--share", required=True, help="this holder's share file")
     p.add_argument("--challenge", required=True, help="challenge file")
-    p.add_argument("--null", choices=["one", "random"], default="one")
+    p.add_argument("--null", choices=_NULL_POLICIES, default="one")
     p.add_argument("--seed", type=_hex,
                    help="hex seed for random nulls, for tests only (default: the OS generator)")
     p.add_argument("-o", "--output", required=True, help="response file")
@@ -405,23 +416,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable verdict")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("audit", help="brute-force every subset against the policy")
-    p.add_argument("--key", required=True, help="private key file")
-    p.add_argument("--shares", required=True, help="directory of share files")
-    p.add_argument("--policy", required=True)
-    p.add_argument("--universe", required=True)
-    p.add_argument("--max-size", type=int, default=None)
+    p = sub.add_parser("audit", parents=[deployment],
+                       help="brute-force every subset against the policy")
+    p.add_argument("--shares", required=True,
+                   help="directory with a share file for every universe holder")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=_hex,
                    help="hex seed for messages and random nulls (default: the OS generator)")
-    p.add_argument("--merge", choices=["or", "sum", "xor"], default=None)
-    p.add_argument("--null", choices=["one", "random"], default="one")
+    p.add_argument("--merge", choices=protocol.MERGES, default=None)
+    p.add_argument("--null", choices=_NULL_POLICIES, default="one")
     p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser("demo", help="run a built-in known-answer demo")
-    p.add_argument("--fixture", choices=["airplane", "small"], required=True)
+    p.add_argument("--fixture", choices=_DEMOS, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_demo)
 
@@ -436,18 +445,12 @@ def run_cli(argv: list[str]) -> int:
         return 0 if exc.code in (0, None) else 2
     try:
         return args.func(args)
-    except SchemaError as exc:
+    except (SchemaError, ValueError, OSError) as exc:  # SchemaError before its base class
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except GroupAuthError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
 
 
 def main() -> None:

@@ -228,7 +228,8 @@ def bl_split(
     for expressions containing NOT.
     """
     if not is_monotone(expr):
-        raise NonMonotoneError("index splitting requires an AND/OR-only policy")
+        raise NonMonotoneError(
+            "policy is non-monotone (contains NOT); monotone mode needs AND/OR only")
     indices = list(prime_indices)
     if len(set(indices)) != len(indices):
         raise ValueError("prime indices must be distinct")

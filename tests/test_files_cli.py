@@ -315,6 +315,35 @@ class TestCliExitCodes:
     def test_help_is_zero(self):
         assert run_cli(["--help"]) == 0
 
+    @pytest.mark.parametrize("command", [
+        "keygen", "compile", "challenge", "respond", "verify", "audit", "demo"])
+    def test_subcommand_help_is_zero(self, command, capsys):
+        assert run_cli([command, "--help"]) == 0
+        assert capsys.readouterr().out.startswith(f"usage: groupauth {command} ")
+
+    @pytest.mark.parametrize("command,flag", [
+        ("challenge", "--pub"), ("respond", "--share"), ("verify", "--state"),
+        ("compile", "--key"), ("audit", "--key")])
+    def test_missing_input_file_is_2(self, pipeline, capsys, command, flag):
+        root = pipeline
+        args = {
+            "challenge": ["--pub", "-o", str(root / "c.json"), "--state", str(root / "s.json")],
+            "respond": ["--share", "--challenge", str(root / "c.json"),
+                        "-o", str(root / "r.json")],
+            "verify": ["--state", "--responses", str(root / "r.json")],
+            "compile": ["--policy", "A and B", "--universe", "A,B", "--mode", "sequence",
+                        "--key", "-o", str(root / "out")],
+            "audit": ["--policy", "A and B", "--universe", "A,B",
+                      "--shares", str(root / "shares"), "--key"],
+        }[command]
+        missing = root / "absent.json"
+        at = args.index(flag) + 1
+        capsys.readouterr()
+        assert run_cli([command, *args[:at], str(missing), *args[at:]]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and str(missing) in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
 
 class TestKeygenCli:
     def test_forced_key_matches_table(self, tmp_path):
@@ -366,6 +395,22 @@ class TestRefusedRunsLeaveNoDirectory:
             "--mode", "monotone", "--key", str(tmp_path / "priv.json"), "-o", str(out)])
         assert code == 1  # a compile failure, as in TestCliExitCodes
         assert "monotone" in capsys.readouterr().err
+        assert not (tmp_path / "sd").exists()
+
+    @pytest.mark.parametrize("flag", [["--max-size", "1"], ["--pack"]],
+                             ids=["max-size", "pack"])
+    def test_compile_monotone_sequence_flag(self, tmp_path, capsys, flag):
+        # a monotone split ignored both flags: with --max-size 1 it authorized pairs
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        capsys.readouterr()
+        code = run_cli([
+            "compile", "--policy", "(A and B) or (A and C) or (B and C)",
+            "--universe", "A,B,C", *flag, "--mode", "monotone",
+            "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: --max-size and --pack apply to sequence mode only\n")
         assert not (tmp_path / "sd").exists()
 
     def test_compile_no_groups(self, tmp_path, capsys):
@@ -530,6 +575,22 @@ class TestPipeline:
         out = capsys.readouterr().out
         policy = {"one": "one", "random": "random-nonzero"}[null]
         assert f"1 trial(s), mode=sequence, merge=sum, null={policy}\n" in out
+
+    def test_audit_refuses_holder_without_share(self, pipeline, capsys):
+        root = pipeline
+        (root / "shares/share_E.json").unlink()
+        args = ["audit", "--key", str(root / "keys/priv.json"),
+                "--shares", str(root / "shares"), "--max-size", "3", "--force-m", "2919"]
+        capsys.readouterr()
+        assert run_cli([*args, "--policy", fixtures.AIRPLANE_POLICY,
+                        "--universe", "A,B,C,D,E"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {root / 'shares'}: no share file for holder(s) E\n"
+        # a smaller universe audits the holders it names
+        assert run_cli([*args, "--policy", "(A and B) or ((A or B) and (C or D))",
+                        "--universe", "A,B,C,D"]) == 0
+        assert "result: exact" in capsys.readouterr().out
 
     def test_bad_seed_is_one_usage_error(self, pipeline, capsys):
         root = pipeline
