@@ -36,7 +36,10 @@ def _hex(text: str) -> int:
 
 
 def _universe_arg(text: str) -> tuple[str, ...]:
-    return policy.check_universe([part.strip() for part in text.split(",") if part.strip()])
+    # every part, so an empty name ("A,,B") is refused like any invalid one;
+    # a blank argument is the empty universe, refused as such
+    parts = text.split(",") if text.strip() else []
+    return policy.check_universe([part.strip() for part in parts])
 
 
 def _format_group(group: frozenset[str], universe: tuple[str, ...]) -> str:

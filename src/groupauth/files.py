@@ -14,12 +14,15 @@ share-monotone, share-sequence, challenge, verifier-state, response, verdict.
 `dumps` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
 indent=2)` plus a newline, but does not call it or build `doc`: with
 `indent` set, CPython skips its C encoder and runs the pure-Python one.
-Instead each kind has a line table, built once at import from `_SCHEMAS`:
-one row per line of the file in sorted key order, holding the line's
-pre-escaped `  "name": ` prefix, the attribute and its codec's `write`. The
-"kind" line is constant text. `_write` renders each value, with strings
-escaped by `json.encoder.encode_basestring_ascii`, the C function the stdlib
-encoder uses.
+There is no generic writer either. Each codec writes its own JSON text:
+decimal strings and their lists through "%d" format strings, text through
+`json.encoder.encode_basestring_ascii` (the C function the stdlib encoder
+uses), ints, bools and nulls as their literals. Each kind has a line table,
+built once at import from `_SCHEMAS`: one row per field in sorted key order,
+holding the text before the value (the separator, the constant "kind" line
+where it falls, and the pre-escaped `  "name": `), the attribute and its
+codec's `text`. So a file is one pass over its rows, and its bytes are those
+of the stdlib encoder.
 
 `dumps` and `to_document` find an object's kind through one dispatch,
 `_schema_of`: a dict keyed by class, looked up along the object's MRO, so a
@@ -66,16 +69,19 @@ def _decimals(raw) -> bool:
     return isinstance(raw, list) and all(map(_is_decimal, raw))
 
 
-# Codecs: one (write, read) pair per encoding. `write` maps an attribute to
-# its JSON value; `read(raw, field)` maps the JSON value back, or raises
-# SchemaError naming `field`. A missing field reads as None.
+# Codecs: one (write, read, text) triple per encoding. `write` maps an
+# attribute to its JSON value; `read(raw, field)` maps the JSON value back, or
+# raises SchemaError naming `field`. A missing field reads as None. `text`
+# maps the attribute straight to the JSON text `json.dumps(doc,
+# sort_keys=True, indent=2)` writes for `write`'s value as a top-level field,
+# nested lists indented from there.
 
-def _exact(kind: type):
+def _exact(kind: type, text):
     def read(raw, field):
         if type(raw) is not kind:  # exact, so a JSON true is no int
             raise SchemaError(f"field {field!r} must be {kind.__name__}", field=field)
         return raw
-    return (lambda value: value), read
+    return (lambda value: value), read, text
 
 
 def _read_int(raw, field):
@@ -118,13 +124,47 @@ def _read_int_or_null(raw, field):
     return raw
 
 
-_INT, _STR, _BOOL = _exact(int), _exact(str), _exact(bool)
-_BIG = (lambda value: str(int(value)), _read_int)
-_PRIME = (_BIG[0], _read_prime)
-_BIGS = (lambda values: [str(int(x)) for x in values], _read_ints)
-_PRIMES = (_write_primes, lambda raw, field: frozenset(_read_ints(raw, field)))
-_SLOTS = (lambda slots: [None if s is None else _write_primes(s) for s in slots], _read_slots)
-_INT_OR_NULL = (lambda value: value, _read_int_or_null)
+def _big_text(value) -> str:
+    return '"%d"' % (value,)
+
+
+def _decimals_text(indent: str):
+    """The `text` of a list of decimal strings whose closing bracket sits at `indent`.
+
+    "%d" writes what `str(int(x))` does, and one `%` over a format string
+    joined from one "%d" per value writes the whole list with no Python loop.
+    """
+    head, sep, tail = f'[\n{indent}  "', f'",\n{indent}  "', f'"\n{indent}]'
+
+    def text(values) -> str:
+        if not values:
+            return "[]"
+        return f'{head}{sep.join(("%d",) * len(values)) % tuple(values)}{tail}'
+    return text
+
+
+_bigs_text, _inner_bigs_text = _decimals_text("  "), _decimals_text("    ")
+
+
+def _slots_text(slots) -> str:
+    if not slots:
+        return "[]"
+    return "[\n    " + ",\n    ".join(
+        ["null" if s is None else _inner_bigs_text(sorted(s)) for s in slots]) + "\n  ]"
+
+
+_INT = _exact(int, int.__repr__)
+_STR = _exact(str, encode_basestring_ascii)
+_BOOL = _exact(bool, {True: "true", False: "false"}.__getitem__)
+_BIG = (lambda value: str(int(value)), _read_int, _big_text)
+_PRIME = (_BIG[0], _read_prime, _big_text)
+_BIGS = (lambda values: [str(int(x)) for x in values], _read_ints, _bigs_text)
+_PRIMES = (_write_primes, lambda raw, field: frozenset(_read_ints(raw, field)),
+           lambda primes: _bigs_text(sorted(primes)))
+_SLOTS = (lambda slots: [None if s is None else _write_primes(s) for s in slots],
+          _read_slots, _slots_text)
+_INT_OR_NULL = (lambda value: value, _read_int_or_null,
+                lambda value: "null" if value is None else int.__repr__(value))
 
 _SESSION = (("session_id", "session_id", _STR), ("mode", "mode", _STR),
             ("merge", "merge", _STR), ("slot_count", "slot_count", _INT))
@@ -151,24 +191,35 @@ _SCHEMAS = {
 
 
 def _line_table(kind: str, fields) -> tuple:
-    """The rows `dumps` writes for one kind, in sorted key order.
+    """The rows and the tail `dumps` writes for one kind, in sorted key order.
 
-    A row is (prefix, attr, write); the "kind" row is its whole constant
-    line, with attr and write None.
+    A row is (prefix, attr, text): the text before a field's value, then the
+    value's attribute and its codec's `text`. A prefix holds the separator
+    before its line, any constant line before it (the "kind" line), and its
+    own pre-escaped `  "name": `. The tail holds what follows the last value.
     """
-    rows = {name: (f"  {encode_basestring_ascii(name)}: ", attr, write)
-            for name, attr, (write, _) in fields}
-    rows["kind"] = (f'  "kind": {encode_basestring_ascii(kind)}', None, None)
-    return tuple(rows[name] for name in sorted(rows))
+    lines = {name: (f"  {encode_basestring_ascii(name)}: ", attr, text)
+             for name, attr, (_, _, text) in fields}
+    lines["kind"] = f'  "kind": {encode_basestring_ascii(kind)}'
+    rows, pending, sep = [], "{\n", ""
+    for name in sorted(lines):
+        line = lines[name]
+        if isinstance(line, str):
+            pending, sep = pending + sep + line, ",\n"
+        else:
+            prefix, attr, text = line
+            rows.append((pending + sep + prefix, attr, text))
+            pending, sep = "", ",\n"
+    return tuple(rows), pending + "\n}\n"
 
 
-# class -> (kind, fields, line table), for `_schema_of`
+# class -> (kind, fields, (rows, tail)), for `_schema_of`
 _BY_CLASS = {cls: (kind, fields, _line_table(kind, fields))
              for kind, (cls, fields) in _SCHEMAS.items()}
 
 
 def _schema_of(obj) -> tuple:
-    """(kind, fields, line table) of the first schema class in obj's MRO."""
+    """(kind, fields, (rows, tail)) of the first schema class in obj's MRO."""
     for cls in type(obj).__mro__:
         schema = _BY_CLASS.get(cls)
         if schema is not None:
@@ -180,7 +231,7 @@ def to_document(obj) -> dict:
     """Convert a library object to its JSON-ready document."""
     kind, fields, _ = _schema_of(obj)
     doc = {"kind": kind}
-    for name, attr, (write, _) in fields:
+    for name, attr, (write, _, _) in fields:
         doc[name] = write(getattr(obj, attr))
     return doc
 
@@ -194,41 +245,18 @@ def from_document(doc: dict):
         raise SchemaError(f"unknown file kind {kind!r}", field="kind")
     cls, fields = _SCHEMAS[kind]
     values = {}
-    for name, attr, (_, read) in fields:
+    for name, attr, (_, read, _) in fields:
         values[attr] = read(doc.get(name), name)
     return cls(**values)
 
 
-def _write(value, indent: str) -> str:
-    """One document value as `json.dumps(..., indent=2)` writes it at `indent`.
-
-    The checks run in the stdlib encoder's order, so bool is not taken as int.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, list):
-        if not value:
-            return "[]"
-        inner = indent + "  "
-        items = (",\n" + inner).join([_write(item, inner) for item in value])
-        return "[\n" + inner + items + "\n" + indent + "]"
-    raise TypeError(f"cannot write {type(value).__name__} to a file")
-
-
 def dumps(obj) -> str:
     """The file text of `obj`: key-sorted, two-space indented JSON and a newline."""
-    _, _, rows = _schema_of(obj)
-    lines = [prefix if attr is None else prefix + _write(write(getattr(obj, attr)), "  ")
-             for prefix, attr, write in rows]
-    return "{\n" + ",\n".join(lines) + "\n}\n"
+    rows, tail = _schema_of(obj)[2]
+    out = ""
+    for prefix, attr, text in rows:  # a loop, not a comprehension: no frame per call
+        out += prefix + text(getattr(obj, attr))
+    return out + tail
 
 
 def save(obj, path: str | Path) -> None:

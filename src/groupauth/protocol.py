@@ -51,30 +51,30 @@ __all__ = [
     "audit",
 ]
 
-MODES = ("monotone", "sequence")
-MERGES = ("or", "sum", "xor")
+# mode -> the merges a session in that mode takes, its default first
+_MODE_MERGES = {"monotone": ("or",), "sequence": ("sum", "xor")}
+MODES = tuple(_MODE_MERGES)
+MERGES = tuple(sorted({m for merges in _MODE_MERGES.values() for m in merges}))
 NULL_POLICIES = ("one", "random-nonzero")
 
 _MERGE_OPS = {"or": operator.or_, "sum": operator.add, "xor": operator.xor}
 
 
-def _default_merge(mode: str) -> str:
-    """The merge a session takes when none is named: OR when monotone, else sum."""
-    return "or" if mode == "monotone" else "sum"
-
-
-def _check_mode_merge(mode: str, merge: str) -> None:
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
-    if merge not in MERGES:
-        raise ValueError(f"unknown merge {merge!r}")
-    if (merge == "or") != (mode == "monotone"):
-        raise ValueError("or-merge is for monotone mode, sum/xor for sequence mode")
+def _default_merge(mode: str) -> str | None:
+    """The merge a session takes when none is named: the first its mode takes."""
+    return _MODE_MERGES[mode][0] if mode in MODES else None
 
 
 def _check_session(mode: str, merge: str, slot_count: int) -> None:
     """Shared shape rules of a challenge and its verifier state."""
-    _check_mode_merge(mode, merge)
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
+    if merge not in MERGES:
+        raise ValueError(f"unknown merge {merge!r}")
+    if merge not in _MODE_MERGES[mode]:
+        raise ValueError("or-merge is for monotone mode, sum/xor for sequence mode")
+    if type(slot_count) is not int:  # exact, so True is no slot count
+        raise ValueError("slot_count must be an int")
     if slot_count < 1:
         raise ValueError("slot_count must be >= 1")
     if mode == "monotone" and slot_count != 1:
@@ -137,9 +137,11 @@ class Verdict:
 
     def __post_init__(self):
         # an accepted verdict names the slot that matched; a rejection none
-        if self.accepted:
-            if not isinstance(self.matching_slot, int) or self.matching_slot < 0:
+        if self.accepted is True:
+            if type(self.matching_slot) is not int or self.matching_slot < 0:
                 raise ValueError("an accepted verdict's matching_slot must be an int >= 0")
+        elif self.accepted is not False:
+            raise ValueError("a verdict's accepted must be a bool")
         elif self.matching_slot is not None:
             raise ValueError("a rejected verdict's matching_slot must be null")
 
@@ -162,26 +164,13 @@ def make_challenge(
     `force_m` pins the message, mirroring the keygen overrides, so fixed
     known-answer sessions can be reproduced.
     """
-    rng = rng if rng is not None else random.SystemRandom()
     merge = merge if merge is not None else _default_merge(mode)
-    _check_mode_merge(mode, merge)
+    _check_session(mode, merge, slot_count)  # before anything is drawn
+    rng = rng if rng is not None else random.SystemRandom()
     m = rng.randrange(1, 1 << pub.n) if force_m is None else force_m
     session_id = f"{rng.getrandbits(64):016x}"
-    challenge = Challenge(
-        session_id=session_id,
-        mode=mode,
-        merge=merge,
-        slot_count=slot_count,
-        ciphertexts=(encrypt(pub, m),),
-    )
-    state = VerifierState(
-        session_id=session_id,
-        mode=mode,
-        merge=merge,
-        slot_count=slot_count,
-        plaintexts=(m,),
-    )
-    return challenge, state
+    return (Challenge(session_id, mode, merge, slot_count, (encrypt(pub, m),)),
+            VerifierState(session_id, mode, merge, slot_count, (m,)))
 
 
 def token_respond(
@@ -206,8 +195,8 @@ def token_respond(
     n = _answerable(share, challenge.mode, challenge.slot_count, null_policy)
     primes, masks = share.reading
     bits = _read(share.p, share.s, primes, challenge.ciphertexts[0], {})
-    return ResponseVector(session_id=challenge.session_id,
-                          values=tuple(_answer(bits, masks, null_policy, n, rng)))
+    return ResponseVector(challenge.session_id,
+                          tuple(_answer(bits, masks, null_policy, n, rng)))
 
 
 def _answerable(
@@ -316,16 +305,11 @@ def verify(state: VerifierState, merged: list[int]) -> Verdict:
     if merged and len(merged) != state.slot_count:
         raise ValueError(
             f"merged has {len(merged)} values, the session has {state.slot_count} slots")
-    matching = None
-    for i, value in enumerate(merged):
-        if value == state.plaintexts[0]:
-            matching = i
-            break
-    return Verdict(
-        session_id=state.session_id,
-        accepted=matching is not None,
-        matching_slot=matching,
-    )
+    try:
+        matching = merged.index(state.plaintexts[0])
+    except ValueError:
+        matching = None
+    return Verdict(state.session_id, matching is not None, matching)
 
 
 @dataclass

@@ -413,6 +413,23 @@ class TestRefusedRunsLeaveNoDirectory:
             "error: --max-size and --pack apply to sequence mode only\n")
         assert not (tmp_path / "sd").exists()
 
+    @pytest.mark.parametrize("universe, message", [
+        *((u, "invalid holder name: ''") for u in ["A,,B", "A,B,", ",A,B", "A, ,B"]),
+        *((u, "universe must not be empty") for u in ["", " "]),
+    ])
+    def test_compile_empty_holder_name(self, tmp_path, capsys, universe, message):
+        # empty names were dropped, so "A,,B" compiled for A and B
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        args = ["compile", "--policy", "A and B", "--mode", "monotone",
+                "--key", str(tmp_path / "priv.json")]
+        capsys.readouterr()
+        invalid = run_cli([*args, "--universe", "A,B-", "-o", str(tmp_path / "bad")])
+        assert capsys.readouterr().err == "error: invalid holder name: 'B-'\n"
+        out = tmp_path / "sd" / "shares"
+        assert run_cli([*args, "--universe", universe, "-o", str(out)]) == invalid
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sd").exists()
+
     def test_compile_no_groups(self, tmp_path, capsys):
         assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
         out = tmp_path / "sd" / "shares"

@@ -273,6 +273,26 @@ def test_dumps_matches_stdlib_encoder(kind, data):
     assert files.dumps(obj) == json.dumps(files.to_document(obj), sort_keys=True, indent=2) + "\n"
 
 
+EDGE_SHAPES = {
+    "null-slots-only": ShareSequence(holder="A", s=5, p=7, n=12, slots=(None, None, None)),
+    "empty-prime-set": ShareSequence(holder="A", s=5, p=7, n=12,
+                                     slots=(frozenset(), None, frozenset({3, 2}))),
+    "one-slot": ShareSequence(holder="A", s=5, p=7, n=12, slots=(frozenset({37, 2, 11}),)),
+    "no-slots": ShareSequence(holder="A", s=5, p=7, n=12, slots=()),
+    "response-8": ResponseVector("s1", tuple(range(10**20, 10**20 + 8))),
+    "rejected": Verdict("s1", False, None),
+    "accepted": Verdict("s1", True, 3),
+    "escaped-session-id": ResponseVector('a"b\\c\u2028d\ud800e', (0,)),
+    "escaped-challenge": Challenge('"\\\u2028\udfff', "sequence", "xor", 7, (10**125,)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(EDGE_SHAPES))
+def test_dumps_edge_shapes(shape):
+    obj = EDGE_SHAPES[shape]
+    assert files.dumps(obj) == json.dumps(files.to_document(obj), sort_keys=True, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("kind", ["challenge", "verifier-state", "response", "verdict"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())

@@ -7,13 +7,14 @@ import random
 import pytest
 
 from groupauth import files, fixtures, numtheory, protocol
-from groupauth.errors import GroupAuthError
+from groupauth.errors import GroupAuthError, SchemaError
 from groupauth.nscrypt import (KeyShare, NsPrivateKey, keygen, partial_decrypt, public_key_of,
                                residue_bits)
 from groupauth.policy import authorized_family, parse
 from groupauth.protocol import (
     Challenge,
     ResponseVector,
+    Verdict,
     VerifierState,
     audit,
     make_challenge,
@@ -56,6 +57,28 @@ class TestMakeChallenge:
         with pytest.raises(ValueError):
             Challenge(session_id="x", mode="monotone", merge="or",
                       slot_count=3, ciphertexts=(1, 2, 3))
+
+    @pytest.mark.parametrize("mode, merge, slot_count, message", [
+        ("bogus", None, 1, "unknown mode 'bogus'"),
+        ("bogus", "and", 0, "unknown mode 'bogus'"),
+        (["monotone"], "or", 1, "unknown mode ['monotone']"),
+        ("sequence", "and", 0, "unknown merge 'and'"),
+        ("sequence", "or", 1, "or-merge is for monotone mode, sum/xor for sequence mode"),
+        ("monotone", "sum", 1, "or-merge is for monotone mode, sum/xor for sequence mode"),
+        ("sequence", "sum", 0, "slot_count must be >= 1"),
+        ("sequence", "xor", -3, "slot_count must be >= 1"),
+        ("monotone", None, 2, "monotone mode has exactly one slot"),
+        ("monotone", "or", True, "slot_count must be an int"),
+    ])
+    def test_refusals_pinned(self, airplane, monkeypatch, mode, merge, slot_count, message):
+        # the whole shape is refused before m or the session id is drawn
+        monkeypatch.setattr(protocol, "encrypt", None)
+        rng = random.Random(11)
+        before = rng.getstate()
+        with pytest.raises(ValueError) as err:
+            make_challenge(airplane.pub, mode=mode, merge=merge, slot_count=slot_count, rng=rng)
+        assert str(err.value) == message
+        assert rng.getstate() == before
 
     @pytest.mark.parametrize("ciphertexts", [(5, 6), (5, 5), ()])
     def test_one_ciphertext_per_session(self, ciphertexts):
@@ -287,6 +310,40 @@ class TestVerify:
         _, mono_state = make_challenge(small.pub, rng=random.Random(0))
         for state in (seq_state, mono_state):
             assert not verify(state, []).accepted
+
+
+class TestBoolFields:
+    """Constructors refuse the bools that `files` could write but not load back."""
+
+    @pytest.mark.parametrize("cls, plaintext", [(Challenge, 5), (VerifierState, 5)])
+    @pytest.mark.parametrize("slot_count", [True, False, 1.0])
+    def test_session_slot_count_is_an_int(self, cls, plaintext, slot_count):
+        with pytest.raises(ValueError, match="^slot_count must be an int$"):
+            cls("x", "monotone", "or", slot_count, (plaintext,))
+        doc = files.to_document(cls("x", "monotone", "or", 1, (plaintext,)))
+        doc["slot_count"] = slot_count
+        with pytest.raises(SchemaError):
+            files.from_document(doc)
+
+    @pytest.mark.parametrize("accepted, matching_slot, message", [
+        (True, True, "an accepted verdict's matching_slot must be an int >= 0"),
+        (True, False, "an accepted verdict's matching_slot must be an int >= 0"),
+        (1, 0, "a verdict's accepted must be a bool"),
+        (0, None, "a verdict's accepted must be a bool"),
+        (None, None, "a verdict's accepted must be a bool"),
+    ])
+    def test_verdict_fields(self, accepted, matching_slot, message):
+        with pytest.raises(ValueError) as err:
+            Verdict("s", accepted, matching_slot)
+        assert str(err.value) == message
+        doc = {"kind": "verdict", "session_id": "s", "accepted": accepted,
+               "matching_slot": matching_slot}
+        with pytest.raises(SchemaError):
+            files.from_document(doc)
+
+    def test_verdicts_accepted(self):
+        assert Verdict("s", True, 0).matching_slot == 0
+        assert Verdict("s", False, None).matching_slot is None
 
 
 class TestAudit:
