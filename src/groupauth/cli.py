@@ -215,15 +215,13 @@ def cmd_audit(args) -> int:
     return 0 if report.all_exact else 1
 
 
-def _demo_airplane(emit_json: bool) -> int:
+def _demo_airplane(emit_json: bool) -> dict[str, bool]:
     system = fixtures.airplane_system()
     pub, priv = system.pub, system.priv
     plan = system.plan
     assert plan is not None
 
-    ok = pub.v == fixtures.AIRPLANE_V
     c = nscrypt.encrypt(pub, system.message)
-    roundtrip = nscrypt.decrypt(priv, c) == system.message
 
     challenge, _state = protocol.make_challenge(
         pub, mode="sequence", merge="sum", slot_count=len(plan.slots),
@@ -232,35 +230,36 @@ def _demo_airplane(emit_json: bool) -> int:
         holder: protocol.token_respond(system.shares[holder], challenge, "one")
         for holder in system.universe
     }
-    table_ok = all(
-        responses[h].values == fixtures.AIRPLANE_RESPONSES[h]
-        for h in system.universe
-    )
     report = protocol.audit(
         priv, system.shares, system.expected_family,
         mode="sequence", merge="sum", null_policy="one", force_m=system.message)
-    exact = report.all_exact
+    checks = {
+        "public_key_reproduced": pub.v == fixtures.AIRPLANE_V,
+        "ciphertext_roundtrip": nscrypt.decrypt(priv, c) == system.message,
+        "responses_reproduced": all(
+            responses[h].values == fixtures.AIRPLANE_RESPONSES[h] for h in system.universe),
+        "audit_exact": report.all_exact,
+    }
 
     if emit_json:
         print(json.dumps({
             "fixture": "airplane",
-            "public_key_reproduced": ok,
             "ciphertext": str(c),
             "ciphertext_tabulated": str(fixtures.AIRPLANE_CIPHERTEXT_TABULATED),
-            "responses_reproduced": table_ok,
-            "audit_exact": exact,
+            **checks,
         }, sort_keys=True, indent=2))
-        return 0 if (ok and roundtrip and table_ok and exact) else 1
+        return checks
 
     print(f"demo: airplane (n={pub.n}, p={pub.p}, 5 holders, policy {system.policy_text})")
-    print(f"public key values {'reproduced' if ok else 'MISMATCH'}:")
+    print(f"public key values "
+          f"{'reproduced' if checks['public_key_reproduced'] else 'MISMATCH'}:")
     for i, vi in enumerate(pub.v):
         print(f"  v[{i:2d}] = {vi}")
     print()
     print(f"challenge on message {system.message}: ciphertext = {c}")
     print(f"  note: the source tabulation lists {fixtures.AIRPLANE_CIPHERTEXT_TABULATED}, "
           f"which does not decrypt to {system.message}; the value above does "
-          f"(roundtrip {'ok' if roundtrip else 'FAILED'})")
+          f"(roundtrip {'ok' if checks['ciphertext_roundtrip'] else 'FAILED'})")
     print()
     print("share sequences (prime values per slot; '-' = no share):")
     headers = ["slot"] + list(system.universe) + ["groups authenticated"]
@@ -275,7 +274,8 @@ def _demo_airplane(emit_json: bool) -> int:
         rows.append(row)
     _print_table(headers, rows)
     print()
-    print(f"responses (null = 1) {'reproduced' if table_ok else 'MISMATCH'}; "
+    print(f"responses (null = 1) "
+          f"{'reproduced' if checks['responses_reproduced'] else 'MISMATCH'}; "
           "row 7 recomputed (source tabulation swaps B and C there):")
     headers = ["slot"] + list(system.universe)
     rows = [
@@ -289,20 +289,15 @@ def _demo_airplane(emit_json: bool) -> int:
           f"(sum merge, null = 1, message {system.message}):")
     print(f"  accepted {len(accepted)} groups: {_format_family(accepted, system.universe)}")
     print(f"  expected {len(report.expected)} groups -> "
-          f"{'exact match' if exact else 'MISMATCH'}")
-    return 0 if (ok and roundtrip and table_ok and exact) else 1
+          f"{'exact match' if checks['audit_exact'] else 'MISMATCH'}")
+    return checks
 
 
-def _demo_small(emit_json: bool) -> int:
+def _demo_small(emit_json: bool) -> dict[str, bool]:
     system = fixtures.small_system()
     pub, priv = system.pub, system.priv
 
-    split_ok = all(
-        system.shares[h].prime_subset == fixtures.SMALL_SPLIT_PRIMES[h]
-        for h in system.universe
-    )
     c = nscrypt.encrypt(pub, system.message)
-    cipher_ok = c == fixtures.SMALL_CIPHERTEXT
 
     challenge, _state = protocol.make_challenge(
         pub, mode="monotone", rng=random.Random(0), force_m=system.message)
@@ -310,48 +305,53 @@ def _demo_small(emit_json: bool) -> int:
         h: protocol.token_respond(system.shares[h], challenge).values[0]
         for h in system.universe
     }
-    contrib_ok = contributions == fixtures.SMALL_CONTRIBUTIONS
-
     report = protocol.audit(
         priv, system.shares, system.expected_family,
         mode="monotone", merge="or", force_m=system.message)
-    exact = report.all_exact
+    checks = {
+        "split_reproduced": all(
+            system.shares[h].prime_subset == fixtures.SMALL_SPLIT_PRIMES[h]
+            for h in system.universe),
+        "ciphertext_ok": c == fixtures.SMALL_CIPHERTEXT,
+        "contributions_reproduced": contributions == fixtures.SMALL_CONTRIBUTIONS,
+        "audit_exact": report.all_exact,
+    }
 
     if emit_json:
         print(json.dumps({
             "fixture": "small",
-            "split_reproduced": split_ok,
             "ciphertext": str(c),
-            "ciphertext_ok": cipher_ok,
             "contributions": {h: str(v) for h, v in contributions.items()},
-            "audit_exact": exact,
+            **checks,
         }, sort_keys=True, indent=2))
-        return 0 if (split_ok and cipher_ok and contrib_ok and exact) else 1
+        return checks
 
     print(f"demo: small (n={pub.n}, p={pub.p}, policy {system.policy_text})")
-    print(f"split {'reproduced' if split_ok else 'MISMATCH'}:")
+    print(f"split {'reproduced' if checks['split_reproduced'] else 'MISMATCH'}:")
     for holder in system.universe:
         primes = ",".join(str(q) for q in sorted(system.shares[holder].prime_subset))
         print(f"  {holder}: {{{primes}}}")
     print(f"challenge on message {system.message}: ciphertext = {c} "
-          f"({'matches' if cipher_ok else 'MISMATCH'})")
-    print("contributions: " + ", ".join(
-        f"{h} -> {contributions[h]}" for h in system.universe))
+          f"({'matches' if checks['ciphertext_ok'] else 'MISMATCH'})")
+    listed = ", ".join(f"{h} -> {contributions[h]}" for h in system.universe)
+    print(f"contributions: {listed} "
+          f"({'reproduced' if checks['contributions_reproduced'] else 'MISMATCH'})")
     both = contributions["A1"] | contributions["A2"]
     lone = contributions["A2"] | contributions["A3"]
     print(f"  A1,A2 merge to {both} ({'accepted' if both == system.message else 'rejected'})")
     print(f"  A2,A3 merge to {lone} ({'accepted' if lone == system.message else 'rejected'})")
     accepted = report.accepted_by_trial[0]
     print(f"audit of all 7 subsets: accepted {_format_family(accepted, system.universe)} "
-          f"-> {'exact match' if exact else 'MISMATCH'}")
-    return 0 if (split_ok and cipher_ok and contrib_ok and exact) else 1
+          f"-> {'exact match' if checks['audit_exact'] else 'MISMATCH'}")
+    return checks
 
 
+# fixture -> its demo, which prints its report and returns its named checks
 _DEMOS = {"airplane": _demo_airplane, "small": _demo_small}
 
 
 def cmd_demo(args) -> int:
-    return _DEMOS[args.fixture](args.json)
+    return 0 if all(_DEMOS[args.fixture](args.json).values()) else 1
 
 
 # ---------------------------------------------------------------------------

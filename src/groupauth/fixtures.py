@@ -108,7 +108,7 @@ AIRPLANE_ERRATA = {
     },
     "response-row-7": {
         "tabulated": AIRPLANE_RESPONSES_TABULATED_ROW7,
-        "computed": {"A": 39, "B": 2880, "C": 1, "D": 1, "E": 1},
+        "computed": {h: values[-1] for h, values in AIRPLANE_RESPONSES.items()},
     },
 }
 
@@ -134,7 +134,6 @@ SMALL_SPLIT_PRIMES = {
 class DemoSystem:
     """A fully assembled demo: keys, policy, shares, and known answers."""
 
-    name: str
     pub: nscrypt.NsPublicKey
     priv: nscrypt.NsPrivateKey
     universe: tuple[str, ...]
@@ -144,7 +143,6 @@ class DemoSystem:
     expected_family: frozenset[frozenset[str]]
     shares: dict[str, nscrypt.KeyShare | sharesplit.ShareSequence]
     message: int
-    ciphertext: int
     plan: sharesplit.SlotPlan | None = None
 
 
@@ -166,7 +164,6 @@ def airplane_system() -> DemoSystem:
     )
     shares = sharesplit.issue_sequence(plan, priv)
     return DemoSystem(
-        name="airplane",
         pub=pub,
         priv=priv,
         universe=AIRPLANE_UNIVERSE,
@@ -176,7 +173,6 @@ def airplane_system() -> DemoSystem:
         expected_family=family,
         shares=dict(shares),
         message=AIRPLANE_MESSAGE,
-        ciphertext=AIRPLANE_CIPHERTEXT,
         plan=plan,
     )
 
@@ -189,7 +185,6 @@ def small_system() -> DemoSystem:
     split = sharesplit.bl_split(expr, range(SMALL_N))
     shares = sharesplit.issue_monotone(split, priv)
     return DemoSystem(
-        name="small",
         pub=pub,
         priv=priv,
         universe=SMALL_UNIVERSE,
@@ -199,6 +194,5 @@ def small_system() -> DemoSystem:
         expected_family=family,
         shares=dict(shares),
         message=SMALL_MESSAGE,
-        ciphertext=SMALL_CIPHERTEXT,
         plan=None,
     )

@@ -36,6 +36,7 @@ __all__ = [
     "partial_decrypt",
     "residue_bits",
     "check_share_primes",
+    "share_reading",
 ]
 
 # Messages and ciphertexts are plain ints; these aliases keep signatures readable.
@@ -133,16 +134,25 @@ class KeyShare:
 
     @cached_property
     def reading(self) -> tuple[tuple[int, ...], tuple[int]]:
-        """The share's primes, and the bit mask of its one slot.
+        """`share_reading` of the one slot, built on first use and in no file."""
+        return share_reading((self.prime_subset,))
 
-        The same shape as `ShareSequence.reading`, so both kinds of share
-        answer through one read-then-answer path: the token reads the
-        residue's bits over the primes once and answers `bits & mask`. The
-        fields are frozen, so the value never goes stale; it is stored on
-        this object alone and is not part of equality or any file.
-        """
-        # 0 is divisible by every prime, so it reads the whole mask
-        return tuple(sorted(self.prime_subset)), (residue_bits(0, self.prime_subset),)
+
+def share_reading(
+    slots: tuple[frozenset[int] | None, ...],
+) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+    """Every slot's primes together, sorted, and each slot's bit mask (None: no share).
+
+    This is how a token reads, then answers: it raises the ciphertext to s
+    once, reads the residue's bits over these primes with one
+    `residue_bits`, and answers each slot with `bits & mask`, which equals
+    `residue_bits(u, slot)`, or with a null where it holds no share. A key
+    share is a share of one slot.
+    """
+    held = [primes for primes in slots if primes is not None]
+    # 0 is divisible by every prime, so it reads a slot's whole mask
+    masks = tuple(None if primes is None else residue_bits(0, primes) for primes in slots)
+    return tuple(sorted(frozenset().union(*held))), masks
 
 
 def check_share_primes(primes: frozenset[int], n: int = numtheory.MAX_N) -> None:
@@ -208,9 +218,7 @@ def keygen(
                 break
 
     if force_s is not None:
-        s = force_s
-        if math.gcd(s, p - 1) != 1:
-            raise ValueError("forced s is not invertible mod p-1")
+        s = force_s  # NsPrivateKey refuses one not invertible mod p-1
     else:
         while True:
             s = rng.randrange(2, p - 1)

@@ -28,8 +28,8 @@ from .nscrypt import (
     partial_decrypt,  # noqa: F401  (uncalled here; perfbench/spans.py wraps this name)
     public_key_of,
     residue_bits,
-    system_primes,
 )
+from .numtheory import SMALL_PRIME_RANK, SMALL_PRIMES
 from .policy import check_universe, group_of, subset_matches
 from .sharesplit import ShareSequence
 
@@ -184,17 +184,16 @@ def token_respond(
     Where the token holds a share it answers the partial decryption of the
     session's ciphertext; where it holds none it answers a null value, whose
     presence corrupts the merge and is what rejects over-full groups. A
-    token reads, then answers: it raises the ciphertext to s once and reads
-    the residue's bits over all its slots' primes with one `residue_bits`
-    (a token with no share reads nothing and pays no `pow`), then answers
-    each slot with `bits & mask` or a null. With `rng` None, random-nonzero
-    nulls come from the operating system's generator; `rng` is for tests
-    and benchmarks, as in `make_challenge`.
+    token reads, then answers, over its share's `reading`, as
+    `nscrypt.share_reading` sets out; a token with no share reads nothing
+    and pays no `pow`. With `rng` None, random-nonzero nulls come from the
+    operating system's generator; `rng` is for tests and benchmarks, as in
+    `make_challenge`.
     """
     rng = rng if rng is not None else random.SystemRandom()
     n = _answerable(share, challenge.mode, challenge.slot_count, null_policy)
     primes, masks = share.reading
-    bits = _read(share.p, share.s, primes, challenge.ciphertexts[0], {})
+    bits = _read(share.p, share.s, primes, challenge.ciphertexts[0])
     return ResponseVector(challenge.session_id,
                           tuple(_answer(bits, masks, null_policy, n, rng)))
 
@@ -220,23 +219,16 @@ def _answerable(
     return share.n
 
 
-def _read(
-    p: int, s: int, primes: tuple[int, ...], c: int, residues: dict[tuple[int, int], int],
-) -> int:
+def _read(p: int, s: int, primes: tuple[int, ...], c: int) -> int:
     """The bits of c^s mod p over `primes`, by `residue_bits`: a token's read.
 
-    c^s mod p comes from `residues`, keyed by (p, s), or is computed into
-    it, so reads under one key share a `pow`. With no primes there is
-    nothing to read, and no `pow` is paid.
+    With no primes there is nothing to read, and no `pow` is paid.
     """
     if not primes:
         return 0
     if not 1 <= c < p:
         raise ValueError("ciphertext out of range")
-    u = residues.get((p, s))
-    if u is None:
-        u = residues[p, s] = pow(c, s, p)
-    return residue_bits(u, primes)
+    return residue_bits(pow(c, s, p), primes)
 
 
 def _answer(
@@ -387,17 +379,17 @@ def audit(
     drawn under `public_key_of(priv)`, which derives the public key once per
     key object, so repeated calls on one `priv` pay for it once.
 
-    A token's read depends only on its key and the ciphertext, so a trial
-    raises its ciphertext to s once per distinct share `(p, s)`, not once
-    per holder. For share sequences it also reads the residue's bits once
-    per key, over `system_primes(n)`: every slot's primes are among those,
-    so `bits & mask` is each holder's exact answer. Key shares keep one
-    read per share, over its own primes. The answers equal
-    `token_respond`'s values, and nulls are drawn from `rng` in the same
-    holder and slot order. No response objects are built: the answers go
-    straight to `policy.subset_matches` as its columns. The share checks
-    `token_respond` makes, with the same messages, run once per audit, and
-    the ciphertext range check once per key and trial.
+    The residue c^s mod p depends only on the key and the ciphertext, so a
+    trial reads once per key `(p, s)`, not once per holder: one `pow`, and
+    one `residue_bits` over the first k system primes, where k is one past
+    the highest prime rank that any holder of that key reads. That prefix
+    holds every prime of the key's shares, so `bits & mask` is each
+    holder's exact answer, for key shares and share sequences alike. The
+    answers equal `token_respond`'s values, and nulls are drawn from `rng`
+    in the same holder and slot order. No response objects are built: the
+    answers go straight to `policy.subset_matches` as its columns. The
+    share checks `token_respond` makes, with the same messages, run once
+    per audit, and the ciphertext range check once per key and trial.
     With `rng` None, messages and nulls come from the operating system's
     generator.
 
@@ -433,21 +425,15 @@ def audit(
 
     # refuse a bad session shape before any share, as the first challenge would
     _check_session(mode, merge, slot_count)
-    reads: dict[tuple[int, int, int | tuple[int, ...]], int] = {}  # read -> position
-    read_args = []  # per position: the p, s and primes of one read
-    answerers = []  # per holder: its read's position, its slot masks, its null width
+    reads: dict[tuple[int, int], int] = {}  # key (p, s) -> its read's prime count k
+    answerers = []  # per holder: its key, its slot masks, its null width
     for h in universe:
         share = shares[h]
         n = _answerable(share, mode, slot_count, null_policy)
         primes, masks = share.reading
-        # a share sequence reads system_primes(n), which holds every slot's
-        # primes, so n names its read
-        wide = bool(primes) and isinstance(share, ShareSequence)
-        key = (share.p, share.s, n if wide else primes)
-        if key not in reads:
-            reads[key] = len(read_args)
-            read_args.append((share.p, share.s, system_primes(n) if wide else primes))
-        answerers.append((reads[key], masks, n))
+        key = share.p, share.s
+        reads[key] = max(reads.get(key, 0), SMALL_PRIME_RANK[primes[-1]] + 1 if primes else 0)
+        answerers.append((key, masks, n))
     combine = _MERGE_OPS[merge]
 
     report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
@@ -455,9 +441,9 @@ def audit(
         challenge, state = make_challenge(
             pub, mode=mode, merge=merge, slot_count=slot_count,
             rng=rng, force_m=force_m)
-        c, residues = challenge.ciphertexts[0], {}
-        bits = [_read(p, s, primes, c, residues) for p, s, primes in read_args]
-        answers = [_answer(bits[i], masks, null_policy, n, rng) for i, masks, n in answerers]
+        c = challenge.ciphertexts[0]
+        bits = {key: _read(*key, SMALL_PRIMES[:k], c) for key, k in reads.items()}
+        answers = [_answer(bits[key], masks, null_policy, n, rng) for key, masks, n in answerers]
         accepted = subset_matches(list(zip(*answers)), combine, state.plaintexts[0])
         report.accepted_by_trial.append(frozenset(map(_group, accepted, repeat(universe))))
     return report

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .errors import GroupAuthError
-from .nscrypt import (KeyShare, NsPrivateKey, check_share_primes, residue_bits,
+from .nscrypt import (KeyShare, NsPrivateKey, check_share_primes, share_reading,
                       system_primes)
 from .policy import (And, Or, PolicyExpr, Var, check_universe, evaluate, group_of,
                      is_monotone, variables)
@@ -442,21 +442,8 @@ class ShareSequence:
 
     @cached_property
     def reading(self) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-        """Every slot's primes together, and each slot's bit mask (None: no share).
-
-        A token reads the residue's bits over the union once, one `pow` and
-        one `residue_bits`, and answers a slot with `bits & mask`, which
-        equals `residue_bits(u, slot)`. An audit reads once per key instead,
-        over `system_primes(n)`, which holds every slot's primes, and uses
-        the masks alone. The fields are frozen, so the value never goes
-        stale; it is stored on this object alone and is not part of
-        equality or any file.
-        """
-        held = [prime_set for prime_set in self.slots if prime_set is not None]
-        # 0 is divisible by every prime, so it reads a slot's whole mask
-        masks = tuple(None if prime_set is None else residue_bits(0, prime_set)
-                      for prime_set in self.slots)
-        return tuple(sorted(frozenset().union(*held))), masks
+        """`share_reading` of the slots, built on first use and in no file."""
+        return share_reading(self.slots)
 
 
 def issue_monotone(

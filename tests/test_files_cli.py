@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import groupauth
-from groupauth import files, fixtures, numtheory
+from groupauth import files, fixtures, nscrypt, numtheory
 from groupauth.cli import run_cli
 from groupauth.errors import SchemaError
 from groupauth.nscrypt import keygen
@@ -385,6 +385,15 @@ class TestRefusedRunsLeaveNoDirectory:
         out = tmp_path / "kd" / "keys"
         assert run_cli(["keygen", "--n", "65", "-o", str(out)]) == 2
         assert "n must be in [2, 64]" in capsys.readouterr().err
+        assert not (tmp_path / "kd").exists()
+
+    def test_keygen_force_s_not_invertible(self, tmp_path, capsys):
+        # p - 1 is even, so an even s shares a factor with it
+        out = tmp_path / "kd" / "keys"
+        assert run_cli(["keygen", "--n", "12", "--force-p", str(fixtures.AIRPLANE_P),
+                        "--force-s", "4", "-o", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: secret exponent must be invertible mod p-1\n")
         assert not (tmp_path / "kd").exists()
 
     def test_compile_monotone_not(self, tmp_path, capsys):
@@ -775,3 +784,23 @@ class TestDemoCommand:
         assert run_cli(["demo", "--fixture", "airplane", "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["audit_exact"] is True
+
+    @pytest.mark.parametrize("fixture, check, line", [
+        ("airplane", "ciphertext_roundtrip", "(roundtrip FAILED)"),
+        ("small", "contributions_reproduced", "A3 -> 192 (MISMATCH)"),
+    ])
+    def test_json_carries_every_exit_check(self, fixture, check, line, monkeypatch, capsys):
+        # a failed check turned the exit code 1 while the JSON read all true
+        assert run_cli(["demo", "--fixture", fixture, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc[check] is True
+        if fixture == "airplane":
+            monkeypatch.setattr(nscrypt, "decrypt", lambda priv, c: 0)
+        else:
+            monkeypatch.setitem(fixtures.SMALL_CONTRIBUTIONS, "A1", 11)
+        assert run_cli(["demo", "--fixture", fixture, "--json"]) == 1
+        failed = [key for key, value in json.loads(capsys.readouterr().out).items()
+                  if value is False]
+        assert failed == [check]
+        assert run_cli(["demo", "--fixture", fixture]) == 1
+        assert line in capsys.readouterr().out

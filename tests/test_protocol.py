@@ -24,7 +24,8 @@ from groupauth.protocol import (
     token_respond,
     verify,
 )
-from groupauth.sharesplit import ShareSequence, issue_sequence, slots_baseline, slots_packed
+from groupauth.sharesplit import (ShareSequence, issue_monotone, issue_sequence,
+                                  slots_baseline, slots_packed)
 from conftest import TEN, TEN_POLICY, random_family
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -537,6 +538,15 @@ def mixed_shares(airplane, same_p):
     return shares
 
 
+def mixed_small_shares(small, same_p):
+    """The small shares with A2's reissued under a second key, of the same p or another."""
+    priv = small.priv
+    _, second = keygen(priv.n, "seeded-random", seed=7, force_p=priv.p if same_p else None)
+    assert second.s != priv.s and (second.p == priv.p) == same_p
+    ranks = frozenset(numtheory.SMALL_PRIME_RANK[q] for q in small.shares["A2"].prime_subset)
+    return {**small.shares, "A2": issue_monotone({"A2": ranks}, second)["A2"]}
+
+
 @pytest.fixture(params=["same p", "other p"])
 def mixed_key_shares(request, airplane):
     return mixed_shares(airplane, request.param == "same p")
@@ -605,9 +615,8 @@ class TestSharedResidue:
         audit(small.priv, small.shares, small.expected_family, trials=2,
               rng=random.Random(0), mode="monotone")
         assert len(pow_calls) == 2
-        # A2 and A3 hold the same primes, so they share a read
-        distinct = list(dict.fromkeys(share.reading[0] for share in small.shares.values()))
-        assert len(distinct) == 2 and read_calls == distinct * 2
+        # one key: one read a trial, over the prefix that holds A2's and A3's 19
+        assert read_calls == [small.priv.primes] * 2
 
     def test_token_respond_reads_once(self, airplane, read_calls):
         challenge, _ = airplane_challenge(airplane)
@@ -656,6 +665,23 @@ class TestSharedResidue:
                            rng=random.Random(seed), mode="monotone")
             reference = per_holder_audit(
                 small.priv, small.shares, small.expected_family, 20, random.Random(seed),
+                mode="monotone", merge="or", null_policy="one")
+            assert report.accepted_by_trial == reference.accepted_by_trial, seed
+
+    @pytest.mark.parametrize("same_p", [True, False], ids=["same p", "other p"])
+    def test_monotone_under_two_keys(self, small, same_p, pow_calls, read_calls):
+        shares = mixed_small_shares(small, same_p)
+        audit(small.priv, shares, small.expected_family, trials=3,
+              rng=random.Random(0), mode="monotone")
+        # A1 and A3 share one key and A2 holds the other: each key reads the
+        # prefix up to 19, the highest prime any of its holders reads
+        assert len(pow_calls) == 2 * 3
+        assert read_calls == [small.priv.primes] * 2 * 3
+        for seed in range(5):
+            report = audit(small.priv, shares, small.expected_family, trials=20,
+                           rng=random.Random(seed), mode="monotone")
+            reference = per_holder_audit(
+                small.priv, shares, small.expected_family, 20, random.Random(seed),
                 mode="monotone", merge="or", null_policy="one")
             assert report.accepted_by_trial == reference.accepted_by_trial, seed
 
