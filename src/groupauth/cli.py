@@ -101,6 +101,11 @@ def cmd_compile(args) -> int:
 
     if args.mode == "monotone":
         split = sharesplit.bl_split(expr, range(priv.n))
+        # a holder the policy does not name gets no share, and audit would then refuse
+        unnamed = [h for h in universe if h not in split]
+        if unnamed:
+            raise SchemaError("monotone mode issues no share to a holder the policy "
+                              f"does not name: {', '.join(unnamed)}")
         shares = sharesplit.issue_monotone(split, priv)
         summary = f"monotone split over {priv.n} primes"
     else:
@@ -162,12 +167,15 @@ def cmd_verify(args) -> int:
 
 
 def _load_share_dir(directory: str, holders: tuple[str, ...]) -> dict[str, object]:
-    """Each holder's share file in `directory`; share files of other holders are ignored."""
-    shares = {}
+    """Each holder's one share file in `directory`; share files of other holders are ignored."""
+    shares, paths = {}, {}
     for path in sorted(Path(directory).glob("*.json")):
         obj = files.load(path)
-        if isinstance(obj, _SHARES):
-            shares[obj.holder] = obj
+        if isinstance(obj, _SHARES) and obj.holder in holders:
+            if obj.holder in shares:
+                raise SchemaError(f"{directory}: holder {obj.holder} has two share files, "
+                                  f"{paths[obj.holder]} and {path}")
+            shares[obj.holder], paths[obj.holder] = obj, path
     missing = [h for h in holders if h not in shares]
     if missing:
         raise SchemaError(f"{directory}: no share file for holder(s) {', '.join(missing)}")
@@ -215,24 +223,25 @@ def cmd_audit(args) -> int:
     return 0 if report.all_exact else 1
 
 
+def _demo_run(system: fixtures.DemoSystem):
+    """A fixture's session on its own message: the ciphertext, every holder's response, the audit."""
+    challenge, _state = protocol.make_challenge(
+        system.pub, mode=system.mode, merge=system.merge,
+        slot_count=len(system.plan.slots) if system.plan else 1,
+        rng=random.Random(0), force_m=system.message)
+    responses = {h: protocol.token_respond(system.shares[h], challenge) for h in system.universe}
+    report = protocol.audit(
+        system.priv, system.shares, system.expected_family,
+        mode=system.mode, merge=system.merge, force_m=system.message)
+    return challenge.ciphertexts[0], responses, report
+
+
 def _demo_airplane(emit_json: bool) -> dict[str, bool]:
     system = fixtures.airplane_system()
     pub, priv = system.pub, system.priv
     plan = system.plan
     assert plan is not None
-
-    c = nscrypt.encrypt(pub, system.message)
-
-    challenge, _state = protocol.make_challenge(
-        pub, mode="sequence", merge="sum", slot_count=len(plan.slots),
-        rng=random.Random(0), force_m=system.message)
-    responses = {
-        holder: protocol.token_respond(system.shares[holder], challenge, "one")
-        for holder in system.universe
-    }
-    report = protocol.audit(
-        priv, system.shares, system.expected_family,
-        mode="sequence", merge="sum", null_policy="one", force_m=system.message)
+    c, responses, report = _demo_run(system)
     checks = {
         "public_key_reproduced": pub.v == fixtures.AIRPLANE_V,
         "ciphertext_roundtrip": nscrypt.decrypt(priv, c) == system.message,
@@ -267,9 +276,8 @@ def _demo_airplane(emit_json: bool) -> dict[str, bool]:
     for idx, slot in enumerate(plan.slots):
         row = [str(idx + 1)]
         for holder in system.universe:
-            part = slot.member_part.get(holder)
-            row.append("-" if part is None else
-                       ",".join(str(priv.primes[i]) for i in sorted(slot.parts[part])))
+            primes = system.shares[holder].slots[idx]
+            row.append("-" if primes is None else ",".join(map(str, sorted(primes))))
         row.append(_format_family(sharesplit.authorized_groups(slot), system.universe))
         rows.append(row)
     _print_table(headers, rows)
@@ -295,19 +303,9 @@ def _demo_airplane(emit_json: bool) -> dict[str, bool]:
 
 def _demo_small(emit_json: bool) -> dict[str, bool]:
     system = fixtures.small_system()
-    pub, priv = system.pub, system.priv
-
-    c = nscrypt.encrypt(pub, system.message)
-
-    challenge, _state = protocol.make_challenge(
-        pub, mode="monotone", rng=random.Random(0), force_m=system.message)
-    contributions = {
-        h: protocol.token_respond(system.shares[h], challenge).values[0]
-        for h in system.universe
-    }
-    report = protocol.audit(
-        priv, system.shares, system.expected_family,
-        mode="monotone", merge="or", force_m=system.message)
+    pub = system.pub
+    c, responses, report = _demo_run(system)
+    contributions = {h: r.values[0] for h, r in responses.items()}
     checks = {
         "split_reproduced": all(
             system.shares[h].prime_subset == fixtures.SMALL_SPLIT_PRIMES[h]
@@ -336,8 +334,8 @@ def _demo_small(emit_json: bool) -> dict[str, bool]:
     listed = ", ".join(f"{h} -> {contributions[h]}" for h in system.universe)
     print(f"contributions: {listed} "
           f"({'reproduced' if checks['contributions_reproduced'] else 'MISMATCH'})")
-    both = contributions["A1"] | contributions["A2"]
-    lone = contributions["A2"] | contributions["A3"]
+    both = protocol.merge_monotone([responses["A1"], responses["A2"]])
+    lone = protocol.merge_monotone([responses["A2"], responses["A3"]])
     print(f"  A1,A2 merge to {both} ({'accepted' if both == system.message else 'rejected'})")
     print(f"  A2,A3 merge to {lone} ({'accepted' if lone == system.message else 'rejected'})")
     accepted = report.accepted_by_trial[0]

@@ -7,7 +7,8 @@ Concrete syntax::
     factor:= "not" factor | NAME | "(" expr ")"
 
 `&`, `|` and `!` are accepted as aliases for `and`, `or` and `not`.
-NAME is [A-Za-z_][A-Za-z0-9_]*. Precedence is not > and > or; `and`/`or`
+NAME is [A-Za-z_][A-Za-z0-9_]* other than those three keywords, and any
+Unicode space separates tokens. Precedence is not > and > or; `and`/`or`
 chains are flattened into n-ary nodes.
 """
 
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Sequence
 
 from .errors import GroupAuthError
@@ -113,121 +115,78 @@ def check_universe(universe: Sequence[str]) -> tuple[str, ...]:
     return names
 
 
-_TOKEN_RE = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<op>[()&|!]))")
-_KEYWORDS = {"and": "and", "or": "or", "not": "not"}
-_ALIASES = {"&": "and", "|": "or", "!": "not"}
-
-
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    """Returns (kind, value, position) triples; kind is 'name', 'op' or 'end'."""
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            raise ParseError(f"unexpected character {stripped[0]!r}",
-                             len(text) - len(stripped))
-        start = match.start("name") if match.group("name") else match.start("op")
-        if match.group("name"):
-            word = match.group("name")
-            if word in _KEYWORDS:
-                tokens.append(("op", word, start))
-            else:
-                tokens.append(("name", word, start))
-        else:
-            sym = match.group("op")
-            tokens.append(("op", _ALIASES.get(sym, sym), start))
-        pos = match.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str, int]], universe: tuple[str, ...]):
-        self._tokens = tokens
-        self._index = 0
-        self._universe = set(universe)
-        self._depth = 0
-
-    @property
-    def token(self) -> tuple[str, str, int]:
-        return self._tokens[self._index]
-
-    def advance(self) -> None:
-        self._index += 1
-
-    def descend(self, pos: int) -> None:
-        """Step past an opening "(" or "not", one nesting level deeper."""
-        if self._depth == _MAX_DEPTH:
-            raise ParseError(f"policy nested deeper than {_MAX_DEPTH} levels", pos)
-        self._depth += 1
-        self.advance()
-
-    def expect_op(self, value: str) -> None:
-        kind, val, pos = self.token
-        if kind != "op" or val != value:
-            raise ParseError(f"expected {value!r}", pos)
-        self.advance()
-
-    def parse_expr(self) -> PolicyExpr:
-        children = [self.parse_term()]
-        while self.token[:2] == ("op", "or"):
-            self.advance()
-            children.append(self.parse_term())
-        if len(children) == 1:
-            return children[0]
-        flat: list[PolicyExpr] = []
-        for child in children:
-            flat.extend(child.children if isinstance(child, Or) else [child])
-        return Or(tuple(flat))
-
-    def parse_term(self) -> PolicyExpr:
-        children = [self.parse_factor()]
-        while self.token[:2] == ("op", "and"):
-            self.advance()
-            children.append(self.parse_factor())
-        if len(children) == 1:
-            return children[0]
-        flat: list[PolicyExpr] = []
-        for child in children:
-            flat.extend(child.children if isinstance(child, And) else [child])
-        return And(tuple(flat))
-
-    def parse_factor(self) -> PolicyExpr:
-        kind, value, pos = self.token
-        if kind == "op" and value == "not":
-            self.descend(pos)
-            inner = Not(self.parse_factor())
-            self._depth -= 1
-            return inner
-        if kind == "op" and value == "(":
-            self.descend(pos)
-            inner = self.parse_expr()
-            self.expect_op(")")
-            self._depth -= 1
-            return inner
-        if kind == "name":
-            if value not in self._universe:
-                raise UnknownHolder(f"unknown holder {value!r} (at position {pos})")
-            self.advance()
-            return Var(value)
-        if kind == "end":
-            raise ParseError("unexpected end of input", pos)
-        raise ParseError(f"unexpected {value!r}", pos)
+# a name, an operator symbol, or any other visible character: a bad one
+_TOKEN_RE = re.compile(rf"{_NAME_RE.pattern}|[()&|!]|(?P<bad>\S)")
+# keywords, their aliases and parentheses -> the operator a token stands for
+_OPERATORS = {"and": "and", "&": "and", "or": "or", "|": "or", "not": "not", "!": "not",
+              "(": "(", ")": ")"}
 
 
 def parse(text: str, universe: Sequence[str]) -> PolicyExpr:
     """Parse policy text over the given universe of holder names."""
-    names = check_universe(universe)
-    parser = _Parser(_tokenize(text), names)
-    expr = parser.parse_expr()
-    kind, value, pos = parser.token
+    holders = frozenset(check_universe(universe))
+    tokens = []  # (kind, value, position): kind is an operator, "name" or "end"
+    for match in _TOKEN_RE.finditer(text):  # whitespace is what no token matches
+        word, at = match.group(), match.start()
+        if match.lastgroup == "bad":
+            raise ParseError(f"unexpected character {word!r}", at)
+        op = _OPERATORS.get(word)
+        tokens.append((op, op, at) if op else ("name", word, at))
+    tokens.append(("end", "", len(text)))
+    index = depth = 0
+
+    def chain(op: str, cls: type[And] | type[Or], operand) -> PolicyExpr:
+        """operand (op operand)*, one n-ary `cls` node that absorbs `cls` operands."""
+        nonlocal index
+        nodes = [operand()]
+        while tokens[index][0] == op:
+            index += 1
+            nodes.append(operand())
+        if len(nodes) == 1:
+            return nodes[0]
+        # from a list: tuple() of a generator left about 0.2 MB in CPython's
+        # tuple free lists after a few thousand parses
+        return cls(tuple([c for node in nodes
+                          for c in (node.children if isinstance(node, cls) else (node,))]))
+
+    def factor() -> PolicyExpr:
+        nonlocal index, depth
+        kind, value, at = tokens[index]
+        index += 1
+        if kind == "name":
+            if value not in holders:
+                raise UnknownHolder(f"unknown holder {value!r} (at position {at})")
+            return Var(value)
+        if kind == "end":
+            raise ParseError("unexpected end of input", at)
+        if kind not in ("not", "("):
+            raise ParseError(f"unexpected {value!r}", at)
+        if depth == _MAX_DEPTH:
+            raise ParseError(f"policy nested deeper than {_MAX_DEPTH} levels", at)
+        depth += 1
+        if kind == "not":
+            node = Not(factor())
+        else:
+            node = expr()
+            kind, _, at = tokens[index]
+            if kind != ")":
+                raise ParseError("expected ')'", at)
+            index += 1
+        depth -= 1
+        return node
+
+    # the grammar's two chain rules, as partials: they add no Python frame, so
+    # each "(" level costs three (factor and two chains) of the recursion limit
+    term = partial(chain, "and", And, factor)
+    expr = partial(chain, "or", Or, term)
+    try:
+        tree = expr()
+    finally:
+        del expr, factor  # the rules refer to each other: free them now, not at gc
+    kind, value, at = tokens[index]
     if kind != "end":
-        raise ParseError(f"trailing input {value!r}", pos)
-    return expr
+        raise ParseError(f"trailing input {value!r}", at)
+    return tree
 
 
 def render(expr: PolicyExpr) -> str:

@@ -262,7 +262,7 @@ def merge_monotone(responses: list[ResponseVector]) -> int:
 
 def merge_sequence(responses: list[ResponseVector], merge: str) -> list[int]:
     """Per-slot arithmetic sum or XOR across all responses."""
-    if merge not in ("sum", "xor"):
+    if merge not in _MODE_MERGES["sequence"]:
         raise ValueError(f"unknown sequence merge {merge!r}")
     if not responses:
         return []

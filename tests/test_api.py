@@ -36,6 +36,21 @@ def test_root_reexports_are_declared():
                 assert alias.name in declared, f"groupauth.{node.module}.{alias.name}"
 
 
+def test_library_imports_only_the_standard_library():
+    # the package declares no dependencies, so every absolute import is stdlib
+    for path in sorted(Path(groupauth.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
+
+
 def test_traced_names_exist():
     # perfbench/spans.py wraps these attributes by name; a missing one
     # breaks `perfbench/run.py --trace 1`

@@ -439,6 +439,19 @@ class TestRefusedRunsLeaveNoDirectory:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sd").exists()
 
+    def test_compile_monotone_unnamed_holder(self, tmp_path, capsys):
+        # the split gave C no share file, and `audit` then refused the deployment
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        capsys.readouterr()
+        code = run_cli([
+            "compile", "--policy", "A and B", "--universe", "A,B,C", "--mode", "monotone",
+            "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: monotone mode issues no share to a holder the policy does not name: C\n")
+        assert not (tmp_path / "sd").exists()
+
     def test_compile_no_groups(self, tmp_path, capsys):
         assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
         out = tmp_path / "sd" / "shares"
@@ -732,6 +745,28 @@ class TestMonotoneCliFlow:
         assert run_cli(["verify", "--state", str(tmp_path / "s.json"),
                         "--responses", str(tmp_path / "r_A2.json"),
                         str(tmp_path / "r_A3.json")]) == 1
+
+    def test_audit_refuses_two_share_files_for_a_holder(self, tmp_path, capsys):
+        # the later file used to win: a stale share of A from "A or B or C"
+        # let A alone in, and an audit read the deployment as broken
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        shares, stale = tmp_path / "shares", tmp_path / "stale"
+        for policy_text, out in [("(A and B) or C", shares), ("A or B or C", stale)]:
+            assert run_cli(["compile", "--policy", policy_text, "--universe", "A,B,C",
+                            "--mode", "monotone", "--key", str(tmp_path / "priv.json"),
+                            "-o", str(out)]) == 0
+        (shares / "zz_old_A.json").write_bytes((stale / "share_A.json").read_bytes())
+        args = ["audit", "--key", str(tmp_path / "priv.json"), "--shares", str(shares),
+                "--force-m", "255"]
+        capsys.readouterr()
+        assert run_cli([*args, "--policy", "(A and B) or C", "--universe", "A,B,C"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {shares}: holder A has two share files, "
+                                f"{shares / 'share_A.json'} and {shares / 'zz_old_A.json'}\n")
+        # a holder outside the universe may have any number of files
+        assert run_cli([*args, "--policy", "C", "--universe", "B,C"]) == 0
+        assert "result: exact" in capsys.readouterr().out
 
 
 class TestFileAccessBoundaries:

@@ -1,4 +1,5 @@
 import functools
+import gc
 import itertools
 import operator
 import random
@@ -23,6 +24,7 @@ from groupauth.policy import (
     parse,
     render,
     subset_matches,
+    variables,
 )
 from groupauth.policy import _fold_width, _packed_fold
 from groupauth.protocol import audit
@@ -128,6 +130,74 @@ class TestParse:
             parse("A", ("A", "A"))
         with pytest.raises(PolicyError):
             parse("A", tuple(f"h{i}" for i in range(21)))
+
+    @pytest.mark.parametrize("text, message, position", [
+        ("A + B", "unexpected character '+'", 2),
+        ("A and\t\xe9", "unexpected character '\xe9'", 6),
+        ("A and", "unexpected end of input", 5),
+        ("", "unexpected end of input", 0),
+        ("A and or B", "unexpected 'or'", 6),
+        ("| A", "unexpected 'or'", 0),
+        ("()", "unexpected ')'", 1),
+        ("(A and B", "expected ')'", 8),
+        ("(A B)", "expected ')'", 3),
+        ("A B", "trailing input 'B'", 2),
+        ("A )", "trailing input ')'", 2),
+        ("A ! B", "trailing input 'not'", 2),
+        ("(" * 101 + "A" + ")" * 101, "policy nested deeper than 100 levels", 100),
+    ])
+    def test_parse_error_table(self, text, message, position):
+        with pytest.raises(ParseError) as err:
+            parse(text, ABCDE)
+        assert str(err.value) == f"{message} (at position {position})"
+        assert err.value.position == position
+
+    def test_unknown_holder_message(self):
+        with pytest.raises(UnknownHolder) as err:
+            parse("A and Z", ABCDE)
+        assert str(err.value) == "unknown holder 'Z' (at position 6)"
+
+    def test_tokens(self):
+        # only lower-case keywords are operators; any Unicode space separates
+        holders = ("A", "B", "AND", "and_")
+        assert parse("AND and and_", holders) == And((Var("AND"), Var("and_")))
+        assert parse("A\tand\nB\xa0or\r\nnot AND", holders) == parse(
+            "A and B or not AND", holders)
+
+    def test_parse_leaves_no_garbage_cycles(self):
+        # what a parse builds, it frees by reference counting, failed or not
+        gc.collect()
+        gc.disable()
+        try:
+            parse(INTRO, ABCDE)
+            for text in ["(A and", "A and Z", NESTED["not-paren"](101)]:
+                try:
+                    parse(text, ABCDE)
+                except PolicyError:
+                    pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
+HOSTILE_UNIVERSE = ("A", "B", "AND", "and_")
+HOSTILE_TEXT = st.lists(st.sampled_from([
+    "A", "B", "Z", "AND", "and_", "and", "or", "not", "&", "|", "!", "(", ")",
+    " ", "\t", "\n", "\xa0", "\xe9", "1", "_", "+", "",
+]), max_size=24).map("".join)
+
+
+@given(HOSTILE_TEXT)
+def test_parse_outcomes_are_a_tree_or_a_policy_error(text):
+    try:
+        tree = parse(text, HOSTILE_UNIVERSE)
+    except UnknownHolder:
+        return
+    except ParseError as err:
+        assert 0 <= err.position <= len(text)
+        return
+    assert parse(render(tree), HOSTILE_UNIVERSE) == tree
+    assert set(variables(tree)) <= set(HOSTILE_UNIVERSE)
 
 
 H21 = tuple(f"h{i}" for i in range(21))
