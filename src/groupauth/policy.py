@@ -14,6 +14,7 @@ chains are flattened into n-ary nodes.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -51,6 +52,10 @@ MAX_UNIVERSE = 20  # every subset consumer enumerates 2^|universe| subsets
 _MAX_DEPTH = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# a holder's share file is share_<name>.json, and file systems cap a file name
+# at 255 bytes. A length check, not a bound in `_NAME_RE`: `_TOKEN_RE` reuses
+# that pattern, and a bounded one would split a long policy word in two.
+_MAX_NAME = 64
 
 
 class PolicyError(GroupAuthError):
@@ -101,7 +106,8 @@ PolicyExpr = Var | And | Or | Not
 
 
 def check_universe(universe: Sequence[str]) -> tuple[str, ...]:
-    """Validate a holder universe: non-empty, distinct, bounded, sane names."""
+    """Validate a holder universe: non-empty, distinct and bounded, of names
+    that match NAME, are not keywords and have at most 64 characters."""
     names = tuple(universe)
     if not names:
         raise PolicyError("universe must not be empty")
@@ -110,8 +116,12 @@ def check_universe(universe: Sequence[str]) -> tuple[str, ...]:
     if len(set(names)) != len(names):
         raise PolicyError("universe contains duplicate names")
     for name in names:
-        if not _NAME_RE.fullmatch(name):
+        # a keyword can never be named in a policy
+        if not _NAME_RE.fullmatch(name) or name in _OPERATORS:
             raise PolicyError(f"invalid holder name: {name!r}")
+        if len(name) > _MAX_NAME:
+            raise PolicyError(
+                f"holder name longer than {_MAX_NAME} characters: {name[:_MAX_NAME]!r}...")
     return names
 
 
@@ -258,24 +268,15 @@ def variables(expr: PolicyExpr) -> tuple[str, ...]:
 def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
     """The policy's value on every subset of `order`, as one bit mask.
 
-    Bit a of the result is `evaluate(expr, group_of(a, order))`. A name that
-    is not in `order` is never present, so its variable reads false.
+    Bit a of the result is `evaluate(expr, group_of(a, order))`. A variable's
+    pattern is `_packed_fold` of its name's one-hot column under OR at width 1.
+    A name that is not in `order` is never present, so its variable reads false.
     """
-    size = 1 << len(order)
-    full = (1 << size) - 1
-    pos = {name: j for j, name in enumerate(order)}
+    full = (1 << (1 << len(order))) - 1
 
     def go(node: PolicyExpr) -> int:
         if isinstance(node, Var):
-            j = pos.get(node.name)
-            if j is None:
-                return 0
-            pattern = ((1 << (1 << j)) - 1) << (1 << j)
-            width = 1 << (j + 1)
-            while width < size:
-                pattern |= pattern << width
-                width *= 2
-            return pattern & full
+            return _packed_fold([x == node.name for x in order], operator.or_, 1)
         if isinstance(node, Not):
             return full ^ go(node.child)
         tables = [go(c) for c in node.children]

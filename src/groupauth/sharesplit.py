@@ -27,7 +27,6 @@ construction makes the equivalence unconditional.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -156,42 +155,35 @@ def _guided_descent(
     false under its unauthorized set; OR nodes copy it to all children, which
     are all false there too. It thus only reaches holders outside that set,
     so the set never covers it, while any satisfying group still covers
-    everything. The remaining indices fill the children evenly.
+    everything. At an AND node each index goes to the least-loaded child it
+    may enter, the lowest first on ties: the reserved indices ascending, each
+    into a child false under its set, then the free ones from the largest down.
     """
     # reserve the trailing indices; the leading ones keep their usual layout
     reserved = {indices[len(indices) - len(maximal) + u]: group_of(m, order)
                 for u, m in enumerate(maximal)}
 
     def route(node: And, items: list[int]) -> list[list[int]]:
-        k = len(node.children)
-        buckets: list[list[int]] = [[] for _ in range(k)]
-        free: list[int] = []
-        for x in sorted(items):
+        ranked = sorted(items)
+        buckets: list[list[int]] = [[] for _ in node.children]
+        sizes = [0] * len(buckets)
+        for x in ([x for x in ranked if x in reserved]
+                  + [x for x in reversed(ranked) if x not in reserved]):
             group = reserved.get(x)
             if group is None:
-                free.append(x)
-                continue
-            false_children = [
-                i for i, c in enumerate(node.children)
-                if not (c.name in group if isinstance(c, Var) else evaluate(c, group))
-            ]
-            assert false_children, "reserved index reached a satisfied AND"
-            target = min(false_children, key=lambda i: (len(buckets[i]), i))
+                target = sizes.index(min(sizes))
+            else:
+                false_children = [
+                    i for i, c in enumerate(node.children)
+                    if not (c.name in group if isinstance(c, Var) else evaluate(c, group))
+                ]
+                assert false_children, "reserved index reached a satisfied AND"
+                target = min(false_children, key=sizes.__getitem__)
             buckets[target].append(x)
-        for i in range(k):
-            if not buckets[i]:
-                if not free:
-                    raise InsufficientPrimes(
-                        "reserved indices crowd out an AND branch; "
-                        "more prime indices are needed")
-                buckets[i].append(free.pop())
-        # the smallest bucket, lowest child first on ties, takes the next index
-        sizes = [(len(bucket), i) for i, bucket in enumerate(buckets)]
-        heapq.heapify(sizes)
-        while free:
-            size, target = sizes[0]
-            buckets[target].append(free.pop())
-            heapq.heapreplace(sizes, (size + 1, target))
+            sizes[target] += 1
+        if 0 in sizes:
+            raise InsufficientPrimes(
+                "reserved indices crowd out an AND branch; more prime indices are needed")
         return buckets
 
     return _descend(expr, indices, route)

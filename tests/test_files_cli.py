@@ -439,6 +439,34 @@ class TestRefusedRunsLeaveNoDirectory:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sd").exists()
 
+    @pytest.mark.parametrize("policy_text, universe, message", [
+        ("A and B", "A,B,and", "invalid holder name: 'and'"),
+        (f"A and {'B' * 65}", f"A,{'B' * 65}",
+         f"holder name longer than 64 characters: '{'B' * 64}'..."),
+    ], ids=["keyword", "65-characters"])
+    def test_compile_unusable_holder_name(self, tmp_path, capsys, policy_text, universe,
+                                          message):
+        # "and" got a share file no policy can name, and a long name failed
+        # mid-run with "File name too long" after writing other shares
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        capsys.readouterr()
+        code = run_cli([
+            "compile", "--policy", policy_text, "--universe", universe, "--mode", "sequence",
+            "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "sd").exists()
+
+    def test_compile_64_character_holder_name(self, tmp_path):
+        name = "B" * 64
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "shares"
+        assert run_cli([
+            "compile", "--policy", f"A and {name}", "--universe", f"A,{name}",
+            "--mode", "sequence", "--key", str(tmp_path / "priv.json"), "-o", str(out)]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["share_A.json", f"share_{name}.json"]
+
     def test_compile_monotone_unnamed_holder(self, tmp_path, capsys):
         # the split gave C no share file, and `audit` then refused the deployment
         assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0

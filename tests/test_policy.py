@@ -131,6 +131,19 @@ class TestParse:
         with pytest.raises(PolicyError):
             parse("A", tuple(f"h{i}" for i in range(21)))
 
+    @pytest.mark.parametrize("name", ["and", "or", "not"])
+    def test_keyword_holder_name_refused(self, name):
+        # parse reads these as keywords, so no policy could name the holder
+        with pytest.raises(PolicyError, match=f"^invalid holder name: '{name}'$"):
+            parse("A", ("A", name))
+
+    def test_holder_name_length_cap(self):
+        # share_<name>.json must fit a 255-byte file name
+        name = "B" * 64
+        assert parse(f"A and {name}", ("A", name)) == And((Var("A"), Var(name)))
+        with pytest.raises(PolicyError, match="^holder name longer than 64 characters"):
+            parse("A", ("A", name + "B"))
+
     @pytest.mark.parametrize("text, message, position", [
         ("A + B", "unexpected character '+'", 2),
         ("A and\t\xe9", "unexpected character '\xe9'", 6),

@@ -150,6 +150,33 @@ class TestBlSplit:
                                    _maximal_unsat(expr, universe))
         assert bl_split(expr, range(12)) == {h: frozenset(v) for h, v in expected.items()}
 
+    # D alone satisfies this, so both maximal unauthorized sets, {A, C} and
+    # {B, C}, lack D. Plain descent is inexact here over 2 and 3 indices.
+    CROWD = "D or (A and B) or (C and D)"
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_crowd_policy_needs_guided_descent(self, n):
+        expr = parse(self.CROWD, tuple("ABCD"))
+        order = tuple("DABC")
+        maximal = _maximal_unsat(expr, order)
+        assert len(maximal) == 2
+        assert not _split_is_exact(_plain_descent(expr, list(range(n))), order, maximal)
+
+    def test_guided_descent_crowd_out_refused(self):
+        # both maximal sets hold C and lack D, so at (C and D) both reserved
+        # indices go to D, and with no free index C is left empty
+        expr = parse(self.CROWD, tuple("ABCD"))
+        with pytest.raises(InsufficientPrimes, match=(
+                "^reserved indices crowd out an AND branch; more prime indices are needed$")):
+            bl_split(expr, range(2))
+
+    def test_guided_descent_one_free_index(self):
+        # the free index 0 fills C, and A as the lower tie in (A and B)
+        expr = parse(self.CROWD, tuple("ABCD"))
+        split = bl_split(expr, range(3))
+        assert split == {"D": {0, 1, 2}, "A": {0, 2}, "B": {1}, "C": {0}}
+        assert covers_iff_satisfies(expr, split, 3)
+
     def test_separation_bound(self):
         # a 3-of-5 threshold has 10 maximal unauthorized pairs and cannot be
         # index-split exactly over 8 indices
