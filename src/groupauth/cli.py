@@ -366,7 +366,8 @@ def build_parser() -> argparse.ArgumentParser:
     deployment = argparse.ArgumentParser(add_help=False)
     deployment.add_argument("--policy", required=True, help="policy expression text")
     deployment.add_argument("--universe", required=True, help="comma-separated holder names")
-    deployment.add_argument("--max-size", type=int, default=None, help="largest allowed group")
+    deployment.add_argument("--max-size", type=int, default=None,
+                            help="largest allowed group, at least 1")
     deployment.add_argument("--key", required=True, help="private key file")
 
     p = sub.add_parser("keygen", help="generate a key pair")

@@ -17,8 +17,8 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Iterable, Sequence
+from functools import partial, reduce
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GroupAuthError
 
@@ -46,9 +46,10 @@ __all__ = [
 
 MAX_UNIVERSE = 20  # every subset consumer enumerates 2^|universe| subsets
 
-# Open "(" and "not" levels the parser accepts. The parser and every tree
-# walk recurse once or more per level, so deeper text would hit Python's
-# recursion limit instead of a ParseError.
+# Open "(" and "not" levels the parser accepts, so that deeper text is a
+# ParseError rather than a RecursionError. A level costs `parse` up to three
+# frames of the recursion limit, and every tree reading one `_fold` frame plus,
+# on Python 3.10-3.11, one comprehension frame (3.12 inlines comprehensions).
 _MAX_DEPTH = 100
 
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
@@ -199,65 +200,53 @@ def parse(text: str, universe: Sequence[str]) -> PolicyExpr:
     return tree
 
 
+T = TypeVar("T")
+_union = partial(reduce, operator.or_)  # `|` over a list: dicts keep first-mention order
+
+
+def _fold(node: PolicyExpr, var: Callable[[str], T], and_: Callable[[list[T]], T],
+          or_: Callable[[list[T]], T], not_: Callable[[T], T]) -> T:
+    """The tree's value, bottom up: `var(name)` at a leaf, `and_` or `or_` of
+    the list of the children's values, and `not_` of a Not's child value."""
+    if isinstance(node, Var):
+        return var(node.name)
+    if isinstance(node, Not):
+        return not_(_fold(node.child, var, and_, or_, not_))
+    values = [_fold(c, var, and_, or_, not_) for c in node.children]
+    return and_(values) if isinstance(node, And) else or_(values)
+
+
 def render(expr: PolicyExpr) -> str:
-    """Canonical text form with minimal parentheses; reparses to an equal AST."""
+    """Canonical text form with minimal parentheses; reparses to an equal AST.
 
-    def go(node: PolicyExpr, parent_prec: int) -> str:
-        if isinstance(node, Var):
-            return node.name
-        if isinstance(node, Not):
-            return "not " + go(node.child, 3)
-        if isinstance(node, And):
-            text = " and ".join(go(c, 2) for c in node.children)
-            prec = 2
-        else:
-            text = " or ".join(go(c, 1) for c in node.children)
-            prec = 1
-        return f"({text})" if prec < parent_prec else text
+    Folds to (text, precedence) pairs, 1 for or, 2 for and and 3 for the rest:
+    a child that binds more loosely than its parent's operator is parenthesized.
+    """
 
-    return go(expr, 0)
+    def wrap(value: tuple[str, int], prec: int) -> str:
+        return f"({value[0]})" if value[1] < prec else value[0]
+
+    return _fold(expr, lambda name: (name, 3),
+                 lambda values: (" and ".join(wrap(v, 2) for v in values), 2),
+                 lambda values: (" or ".join(wrap(v, 1) for v in values), 1),
+                 lambda value: ("not " + wrap(value, 3), 3))[0]
 
 
 def evaluate(expr: PolicyExpr, present: Iterable[str]) -> bool:
-    """Standard Boolean semantics; Var(x) is true iff x is present."""
-    members = frozenset(present)
+    """Standard Boolean semantics; Var(x) is true iff x is present.
 
-    def go(node: PolicyExpr) -> bool:
-        if isinstance(node, Var):
-            return node.name in members
-        if isinstance(node, And):
-            return all(go(c) for c in node.children)
-        if isinstance(node, Or):
-            return any(go(c) for c in node.children)
-        return not go(node.child)
-
-    return go(expr)
+    The tree's `_fold` of membership, `all`, `any` and `not`."""
+    return _fold(expr, frozenset(present).__contains__, all, any, operator.not_)
 
 
 def is_monotone(expr: PolicyExpr) -> bool:
     """Syntactic check: true iff the AST contains no NOT node."""
-    if isinstance(expr, Var):
-        return True
-    if isinstance(expr, Not):
-        return False
-    return all(is_monotone(c) for c in expr.children)
+    return _fold(expr, lambda _: True, all, all, lambda _: False)
 
 
 def variables(expr: PolicyExpr) -> tuple[str, ...]:
     """Holder names mentioned in the expression, in first-mention order."""
-    seen: dict[str, None] = {}
-
-    def go(node: PolicyExpr) -> None:
-        if isinstance(node, Var):
-            seen.setdefault(node.name)
-        elif isinstance(node, Not):
-            go(node.child)
-        else:
-            for c in node.children:
-                go(c)
-
-    go(expr)
-    return tuple(seen)
+    return tuple(_fold(expr, lambda name: {name: None}, _union, _union, lambda names: names))
 
 
 # ---------------------------------------------------------------------------
@@ -268,24 +257,14 @@ def variables(expr: PolicyExpr) -> tuple[str, ...]:
 def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
     """The policy's value on every subset of `order`, as one bit mask.
 
-    Bit a of the result is `evaluate(expr, group_of(a, order))`. A variable's
-    pattern is `_packed_fold` of its name's one-hot column under OR at width 1.
+    Bit a of the result is `evaluate(expr, group_of(a, order))`. It is the
+    tree's `_fold` of masks under `&`, `|` and XOR with all ones, where a
+    variable's is `_packed_fold` of its name's one-hot column under OR at width 1.
     A name that is not in `order` is never present, so its variable reads false.
     """
     full = (1 << (1 << len(order))) - 1
-
-    def go(node: PolicyExpr) -> int:
-        if isinstance(node, Var):
-            return _packed_fold([x == node.name for x in order], operator.or_, 1)
-        if isinstance(node, Not):
-            return full ^ go(node.child)
-        tables = [go(c) for c in node.children]
-        out = tables[0]
-        for t in tables[1:]:
-            out = (out & t) if isinstance(node, And) else (out | t)
-        return out
-
-    return go(expr)
+    return _fold(expr, lambda name: _packed_fold([x == name for x in order], operator.or_, 1),
+                 partial(reduce, operator.and_), _union, full.__xor__)
 
 
 def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
@@ -372,9 +351,11 @@ def authorized_family(
     """All non-empty subsets of the universe that satisfy the policy.
 
     Read off the policy's truth table, optionally capped at groups of
-    `max_size` members. A size cap is the only way to express seat-count
-    style limits; the expression language alone cannot.
+    `max_size` members, an int of at least 1. A size cap is the only way
+    to express seat-count style limits; the expression language alone cannot.
     """
+    if max_size is not None and (type(max_size) is not int or max_size < 1):
+        raise ValueError("max_size must be an int >= 1")
     names = check_universe(universe)
     limit = len(names) if max_size is None else max_size
     bits = format(truth_table(expr, names), "b")[::-1]  # bit a at position a

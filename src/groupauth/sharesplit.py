@@ -30,12 +30,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial, reduce
 
 from .errors import GroupAuthError
 from .nscrypt import (KeyShare, NsPrivateKey, check_share_primes, share_reading,
                       system_primes)
-from .policy import (And, Or, PolicyExpr, Var, check_universe, evaluate, group_of,
+from .policy import (And, Or, PolicyExpr, Var, _fold, check_universe, evaluate, group_of,
                      is_monotone, variables)
 
 __all__ = [
@@ -72,23 +72,17 @@ class GroupLargerThanPrimeCount(GroupAuthError):
 def _maximal_unsat(expr: PolicyExpr, order: tuple[str, ...]) -> list[int]:
     """Sorted masks of the maximal groups that fail a monotone expression.
 
-    Bottom-up over the tree: Var x fails within everyone but x, AND fails
-    where any child fails (the union of their sets), OR where every child
-    fails (intersections of one set per child). Each step keeps the maximal.
+    The tree's `_fold`: Var x fails within everyone but x, AND fails where
+    any child fails (the union of their sets), OR where every child fails
+    (intersections of one set per child). Each step keeps the maximal. There
+    is no NOT step: `bl_split` refuses a non-monotone expression first.
     """
     full = (1 << len(order)) - 1
-    pos = {name: j for j, name in enumerate(order)}
-
-    def go(node: PolicyExpr) -> list[int]:
-        if isinstance(node, Var):
-            return [full ^ (1 << pos[node.name])]
-        kept, *rest = [go(c) for c in node.children]
-        for sets in rest:
-            kept = _keep_maximal({*kept, *sets} if isinstance(node, And)
-                                 else {a & b for a in kept for b in sets})
-        return kept
-
-    return sorted(go(expr))
+    return sorted(_fold(
+        expr, lambda name: [full ^ (1 << order.index(name))],
+        partial(reduce, lambda kept, sets: _keep_maximal({*kept, *sets})),
+        partial(reduce, lambda kept, sets: _keep_maximal({a & b for a in kept for b in sets})),
+        not_=None))
 
 
 def _keep_maximal(masks: set[int]) -> list[int]:
@@ -173,10 +167,8 @@ def _guided_descent(
             if group is None:
                 target = sizes.index(min(sizes))
             else:
-                false_children = [
-                    i for i, c in enumerate(node.children)
-                    if not (c.name in group if isinstance(c, Var) else evaluate(c, group))
-                ]
+                false_children = [i for i, c in enumerate(node.children)
+                                  if not evaluate(c, group)]
                 assert false_children, "reserved index reached a satisfied AND"
                 target = min(false_children, key=sizes.__getitem__)
             buckets[target].append(x)

@@ -458,6 +458,20 @@ class TestRefusedRunsLeaveNoDirectory:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "sd").exists()
 
+    @pytest.mark.parametrize("max_size", ["0", "-1"])
+    def test_compile_max_size_below_one(self, tmp_path, capsys, max_size):
+        # exited 1 with "policy authorizes no groups at this size cap"
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        capsys.readouterr()
+        code = run_cli([
+            "compile", "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+            "--mode", "sequence", "--max-size", max_size,
+            "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == "error: max_size must be an int >= 1\n"
+        assert not (tmp_path / "sd").exists()
+
     def test_compile_64_character_holder_name(self, tmp_path):
         name = "B" * 64
         assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
@@ -675,6 +689,20 @@ class TestPipeline:
             assert run_cli([command, *rest, "--seed", "zz"]) == 2
             assert f"groupauth {command}: error: argument --seed: must be hex, got 'zz'" in (
                 capsys.readouterr().err)
+
+    @pytest.mark.parametrize("max_size", ["0", "-1"])
+    def test_audit_max_size_below_one(self, pipeline, capsys, max_size):
+        # checked against an empty family, all 16 groups were false accepts
+        root = pipeline
+        capsys.readouterr()
+        code = run_cli(["audit", "--key", str(root / "keys/priv.json"),
+                        "--shares", str(root / "shares"),
+                        "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                        "--max-size", max_size, "--force-m", "2919"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: max_size must be an int >= 1\n"
 
     def test_audit_without_trials_is_usage_error(self, pipeline, capsys):
         root = pipeline

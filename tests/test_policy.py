@@ -28,7 +28,7 @@ from groupauth.policy import (
 )
 from groupauth.policy import _fold_width, _packed_fold
 from groupauth.protocol import audit
-from groupauth.sharesplit import bl_split
+from groupauth.sharesplit import _maximal_unsat, bl_split
 from conftest import random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -76,6 +76,9 @@ class TestParse:
             And((Var("A1"), Var("A2"))),
             And((Var("A1"), Var("A3"))),
         ))
+        # a name that recurs under a later branch keeps its first place
+        assert variables(expr) == ("A1", "A2", "A3")
+        assert variables(parse("(B and A) or (A and C)", ABCDE)) == ("B", "A", "C")
 
     def test_dangling_operator(self):
         with pytest.raises(ParseError) as err:
@@ -114,6 +117,10 @@ class TestParse:
         assert [evaluate(expr, g) for g in groups] == [brute_eval(expr, g) for g in groups]
         assert authorized_family(expr, ("A", "B")) == {
             g for g in groups if brute_eval(expr, g)}
+        assert is_monotone(expr) == (shape == "and-or")
+        assert variables(expr) == (("B", "A") if shape == "and-or" else ("A",))
+        if shape == "and-or":  # B and (B or (B and ...)) is B, so only {A} fails
+            assert _maximal_unsat(expr, ("A", "B")) == [0b01]
 
     @pytest.mark.parametrize("shape", NESTED)
     def test_nesting_depth_101_refused(self, shape):
@@ -325,6 +332,12 @@ class TestAuthorizedFamily:
         expr = parse("A or B", ABCDE)
         family = authorized_family(expr, ABCDE, max_size=1)
         assert family == {frozenset({"A"}), frozenset({"B"})}
+
+    @pytest.mark.parametrize("max_size", [0, -1, True, 2.0, "3"])
+    def test_max_size_must_be_an_int_of_at_least_one(self, max_size):
+        # a cap below 1 gave the empty family, and True read as 1
+        with pytest.raises(ValueError, match=r"^max_size must be an int >= 1$"):
+            authorized_family(parse(INTRO, ABCDE), ABCDE, max_size)
 
 
 

@@ -7,8 +7,8 @@ import pytest
 
 from groupauth import files
 from groupauth.nscrypt import KeyShare, keygen, residue_bits, system_primes
-from groupauth.policy import (And, Or, Var, authorized_family, evaluate, parse, truth_table,
-                             variables)
+from groupauth.policy import (And, Or, Var, authorized_family, evaluate, group_of, parse,
+                             truth_table, variables)
 from groupauth.sharesplit import (
     GroupLargerThanPrimeCount,
     InsufficientPrimes,
@@ -205,6 +205,29 @@ class TestBlSplit:
             assert exact == covers_iff_satisfies(expr, split, n)
             inexact += not exact
         assert inexact > 0
+
+
+def test_maximal_sets_miss_disjoint_indices():
+    # two maximal unauthorized sets together are authorized, so in an exact
+    # split they cover every index: no index is missed by two of them, and
+    # the indices missed, summed over the maximal sets, are at most n
+    rng = random.Random(24)
+    splits = 0
+    for _ in range(3000):
+        names = tuple("ABCDEFGHI")[:rng.randint(2, 9)]
+        expr = random_monotone_expr(rng, names, depth=rng.randint(1, 5))
+        n = rng.randint(2, 64)
+        try:
+            split = bl_split(expr, range(n))
+        except InsufficientPrimes:
+            continue
+        order = variables(expr)
+        missed = [set(range(n)).difference(*(split.get(h, ()) for h in group_of(m, order)))
+                  for m in _maximal_unsat(expr, order)]
+        assert all(missed)
+        assert sum(map(len, missed)) == len(set().union(*missed)) <= n
+        splits += 1
+    assert splits > 2500
 
 
 def reference_maximal_unsat(table, nvars):
