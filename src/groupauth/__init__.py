@@ -27,6 +27,8 @@ from .nscrypt import (
     NsPrivateKey,
     NsPublicKey,
     Plaintext,
+    Share,
+    ShareSequence,
     decrypt,
     encrypt,
     keygen,
@@ -66,7 +68,6 @@ from .sharesplit import (
     GroupLargerThanPrimeCount,
     InsufficientPrimes,
     NonMonotoneError,
-    ShareSequence,
     SlotAssignment,
     SlotPlan,
     authorized_groups,

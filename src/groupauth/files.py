@@ -18,11 +18,12 @@ There is no generic writer either. Each codec writes its own JSON text:
 decimal strings and their lists through "%d" format strings, text through
 `json.encoder.encode_basestring_ascii` (the C function the stdlib encoder
 uses), ints, bools and nulls as their literals. Each kind has a line table,
-built once at import from `_SCHEMAS`: one row per field in sorted key order,
-holding the text before the value (the separator, the constant "kind" line
-where it falls, and the pre-escaped `  "name": `), the attribute and its
-codec's `text`. So a file is one pass over its rows, and its bytes are those
-of the stdlib encoder.
+built once at import from `_SCHEMAS` by rendering one template of the kind's
+file: key-sorted, with the "kind" line written out and a NUL where each
+field's value goes. The text between the NULs gives one row per field in
+sorted key order, holding the text before the value, the attribute and its
+codec's `text`; what follows the last NUL is the tail. So a file is one pass
+over its rows, and its bytes are those of the stdlib encoder.
 
 `dumps` and `to_document` find an object's kind through one dispatch,
 `_schema_of`: a dict keyed by class, looked up along the object's MRO, so a
@@ -37,9 +38,8 @@ from pathlib import Path
 
 from . import numtheory
 from .errors import SchemaError
-from .nscrypt import MAX_MODULUS, KeyShare, NsPrivateKey, NsPublicKey
+from .nscrypt import MAX_MODULUS, KeyShare, NsPrivateKey, NsPublicKey, ShareSequence
 from .protocol import Challenge, ResponseVector, Verdict, VerifierState
-from .sharesplit import ShareSequence
 
 __all__ = [
     "dumps",
@@ -194,23 +194,17 @@ def _line_table(kind: str, fields) -> tuple:
     """The rows and the tail `dumps` writes for one kind, in sorted key order.
 
     A row is (prefix, attr, text): the text before a field's value, then the
-    value's attribute and its codec's `text`. A prefix holds the separator
-    before its line, any constant line before it (the "kind" line), and its
-    own pre-escaped `  "name": `. The tail holds what follows the last value.
+    value's attribute and its codec's `text`. The kind's file is rendered
+    once, key-sorted, with the "kind" line holding its value and a NUL where
+    each field's value goes (an escaped name holds none). Split at the NULs,
+    its pieces are the rows' prefixes in sorted field order, then the tail.
     """
-    lines = {name: (f"  {encode_basestring_ascii(name)}: ", attr, text)
-             for name, attr, (_, _, text) in fields}
-    lines["kind"] = f'  "kind": {encode_basestring_ascii(kind)}'
-    rows, pending, sep = [], "{\n", ""
-    for name in sorted(lines):
-        line = lines[name]
-        if isinstance(line, str):
-            pending, sep = pending + sep + line, ",\n"
-        else:
-            prefix, attr, text = line
-            rows.append((pending + sep + prefix, attr, text))
-            pending, sep = "", ",\n"
-    return tuple(rows), pending + "\n}\n"
+    values = {name: (attr, text) for name, attr, (_, _, text) in fields}
+    lines = dict.fromkeys(values, "\0") | {"kind": encode_basestring_ascii(kind)}
+    template = ",\n".join(f"  {encode_basestring_ascii(name)}: {lines[name]}"
+                           for name in sorted(lines))
+    *prefixes, tail = f"{{\n{template}\n}}\n".split("\0")
+    return tuple((prefix, *values[name]) for prefix, name in zip(prefixes, sorted(values))), tail
 
 
 # class -> (kind, fields, (rows, tail)), for `_schema_of`

@@ -141,7 +141,7 @@ class DemoSystem:
     mode: str
     merge: str
     expected_family: frozenset[frozenset[str]]
-    shares: dict[str, nscrypt.KeyShare | sharesplit.ShareSequence]
+    shares: dict[str, nscrypt.Share]
     message: int
     plan: sharesplit.SlotPlan | None = None
 

@@ -7,6 +7,10 @@ exponent s and reads the bits back off as small-prime divisors. Because
 each bit surfaces as a separate prime factor, any holder of s who knows
 only a *subset* of the primes can recover exactly the bits in that subset,
 which is what the share-splitting layer builds on.
+
+A `Share` is a token's share material: `KeyShare` (monotone mode, one prime
+subset) and `ShareSequence` (sequence mode, one prime set or None per slot)
+are its two kinds, and both read a ciphertext through `Share.reading`.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ __all__ = [
     "Ciphertext",
     "NsPublicKey",
     "NsPrivateKey",
+    "Share",
     "KeyShare",
+    "ShareSequence",
     "MalformedCiphertext",
     "KEYGEN_STRATEGIES",
     "system_primes",
@@ -35,8 +41,6 @@ __all__ = [
     "decrypt",
     "partial_decrypt",
     "residue_bits",
-    "check_share_primes",
-    "share_reading",
 ]
 
 # Messages and ciphertexts are plain ints; these aliases keep signatures readable.
@@ -114,8 +118,27 @@ class NsPrivateKey:
         return NsPublicKey(n=self.n, p=self.p, v=v)
 
 
+class Share:
+    """A token's share material: a tuple of `slots`, each a prime set or None (no share)."""
+
+    @cached_property
+    def reading(self) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
+        """Every slot's primes together, sorted, and each slot's bit mask (None: no share).
+
+        This is how a token reads, then answers: it raises the ciphertext to
+        s once, reads the residue's bits over these primes with one
+        `residue_bits`, and answers each slot with `bits & mask`, which
+        equals `residue_bits(u, slot)`, or with a null where it holds no
+        share. Built on first use, and in no file.
+        """
+        held = [primes for primes in self.slots if primes is not None]
+        # 0 is divisible by every prime, so it reads a slot's whole mask
+        masks = tuple(None if primes is None else residue_bits(0, primes) for primes in self.slots)
+        return tuple(sorted(frozenset().union(*held))), masks
+
+
 @dataclass(frozen=True)
-class KeyShare:
+class KeyShare(Share):
     """One holder's share of the private key: a prime subset plus s.
 
     The prime subset decides which message bits this share can attest;
@@ -130,32 +153,38 @@ class KeyShare:
     def __post_init__(self):
         if not self.prime_subset:
             raise ValueError("prime subset must be non-empty")
-        check_share_primes(self.prime_subset)
+        _check_share_primes(self.prime_subset)
 
-    @cached_property
-    def reading(self) -> tuple[tuple[int, ...], tuple[int]]:
-        """`share_reading` of the one slot, built on first use and in no file."""
-        return share_reading((self.prime_subset,))
+    @property
+    def slots(self) -> tuple[frozenset[int]]:
+        """A key share is a share of one slot."""
+        return (self.prime_subset,)
 
 
-def share_reading(
-    slots: tuple[frozenset[int] | None, ...],
-) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-    """Every slot's primes together, sorted, and each slot's bit mask (None: no share).
+@dataclass(frozen=True)
+class ShareSequence(Share):
+    """A holder's ordered per-slot share list; None marks slots with no share.
 
-    This is how a token reads, then answers: it raises the ciphertext to s
-    once, reads the residue's bits over these primes with one
-    `residue_bits`, and answers each slot with `bits & mask`, which equals
-    `residue_bits(u, slot)`, or with a null where it holds no share. A key
-    share is a share of one slot.
+    Also used for holders assigned in no slot at all: their sequence is all
+    None, but their presence still corrupts every merge through null
+    responses, which is what locks them out.
     """
-    held = [primes for primes in slots if primes is not None]
-    # 0 is divisible by every prime, so it reads a slot's whole mask
-    masks = tuple(None if primes is None else residue_bits(0, primes) for primes in slots)
-    return tuple(sorted(frozenset().union(*held))), masks
+
+    holder: str
+    s: int
+    p: int
+    n: int
+    slots: tuple[frozenset[int] | None, ...]
+
+    def __post_init__(self):
+        # a null answer draws n random bits, so n is bounded like a key's
+        system_primes(self.n)
+        for prime_set in self.slots:
+            if prime_set is not None:
+                _check_share_primes(prime_set, self.n)
 
 
-def check_share_primes(primes: frozenset[int], n: int = numtheory.MAX_N) -> None:
+def _check_share_primes(primes: frozenset[int], n: int = numtheory.MAX_N) -> None:
     """Raise ValueError unless every prime is among the first n primes.
 
     Share material from outside the program is checked with this, so a

@@ -24,6 +24,8 @@ from .nscrypt import (
     KeyShare,
     NsPrivateKey,
     NsPublicKey,
+    Share,
+    ShareSequence,
     encrypt,
     partial_decrypt,  # noqa: F401  (uncalled here; perfbench/spans.py wraps this name)
     public_key_of,
@@ -31,7 +33,6 @@ from .nscrypt import (
 )
 from .numtheory import SMALL_PRIME_RANK, SMALL_PRIMES
 from .policy import check_universe, group_of, subset_matches
-from .sharesplit import ShareSequence
 
 __all__ = [
     "MODES",
@@ -174,7 +175,7 @@ def make_challenge(
 
 
 def token_respond(
-    share: KeyShare | ShareSequence,
+    share: Share,
     challenge: Challenge,
     null_policy: str = "one",
     rng: random.Random | None = None,
@@ -185,7 +186,7 @@ def token_respond(
     session's ciphertext; where it holds none it answers a null value, whose
     presence corrupts the merge and is what rejects over-full groups. A
     token reads, then answers, over its share's `reading`, as
-    `nscrypt.share_reading` sets out; a token with no share reads nothing
+    `Share.reading` sets out; a token with no share reads nothing
     and pays no `pow`. With `rng` None, random-nonzero nulls come from the
     operating system's generator; `rng` is for tests and benchmarks, as in
     `make_challenge`.
@@ -198,9 +199,7 @@ def token_respond(
                           tuple(_answer(bits, masks, null_policy, n, rng)))
 
 
-def _answerable(
-    share: KeyShare | ShareSequence, mode: str, slot_count: int, null_policy: str,
-) -> int:
+def _answerable(share: Share, mode: str, slot_count: int, null_policy: str) -> int:
     """Refuse a share that cannot answer this challenge shape; else its null width n.
 
     A null is drawn below 2^n. A key share answers its one slot and never a
@@ -357,7 +356,7 @@ def _group(mask: int, universe: tuple[str, ...]) -> frozenset[str]:
 
 def audit(
     priv: NsPrivateKey,
-    shares: dict[str, KeyShare | ShareSequence],
+    shares: dict[str, Share],
     expected: frozenset[frozenset[str]],
     trials: int = 1,
     rng: random.Random | None = None,

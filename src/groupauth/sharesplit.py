@@ -30,11 +30,10 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, partial, reduce
+from functools import partial, reduce
 
 from .errors import GroupAuthError
-from .nscrypt import (KeyShare, NsPrivateKey, check_share_primes, share_reading,
-                      system_primes)
+from .nscrypt import KeyShare, NsPrivateKey, ShareSequence
 from .policy import (And, Or, PolicyExpr, Var, _fold, check_universe, evaluate, group_of,
                      is_monotone, variables)
 
@@ -400,34 +399,6 @@ def slots_packed(
 
 # ---------------------------------------------------------------------------
 # share issuance
-
-
-@dataclass(frozen=True)
-class ShareSequence:
-    """A holder's ordered per-slot share list; None marks slots with no share.
-
-    Also used for holders assigned in no slot at all: their sequence is all
-    None, but their presence still corrupts every merge through null
-    responses, which is what locks them out.
-    """
-
-    holder: str
-    s: int
-    p: int
-    n: int
-    slots: tuple[frozenset[int] | None, ...]
-
-    def __post_init__(self):
-        # a null answer draws n random bits, so n is bounded like a key's
-        system_primes(self.n)
-        for prime_set in self.slots:
-            if prime_set is not None:
-                check_share_primes(prime_set, self.n)
-
-    @cached_property
-    def reading(self) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
-        """`share_reading` of the slots, built on first use and in no file."""
-        return share_reading(self.slots)
 
 
 def issue_monotone(

@@ -51,6 +51,22 @@ def test_library_imports_only_the_standard_library():
                 assert top in sys.stdlib_module_names, f"{path.name} imports {name}"
 
 
+@pytest.mark.parametrize("name", ["protocol", "files"])
+def test_runtime_does_not_import_the_compiler(name):
+    # tokens and the verifier run from share material alone: share types
+    # live in nscrypt, so neither module needs the policy compiler
+    path = Path(groupauth.__file__).parent / f"{name}.py"
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(m.rpartition(".")[2] == "sharesplit" for m in modules), (
+            f"{name}.py imports sharesplit")
+
+
 def test_traced_names_exist():
     # perfbench/spans.py wraps these attributes by name; a missing one
     # breaks `perfbench/run.py --trace 1`

@@ -825,6 +825,23 @@ class TestMonotoneCliFlow:
         assert "result: exact" in capsys.readouterr().out
 
 
+    def test_audit_refuses_max_size_on_monotone_shares(self, tmp_path, capsys):
+        # a monotone split has no size cap: the 4- and 5-holder groups were
+        # listed as false accepts and the audit exited 1
+        assert run_cli(["keygen", "--n", "12", "--seed", "5", "-o", str(tmp_path)]) == 0
+        deployment = ["--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                      "--key", str(tmp_path / "priv.json")]
+        assert run_cli(["compile", *deployment, "--mode", "monotone",
+                        "-o", str(tmp_path / "shares")]) == 0
+        capsys.readouterr()
+        assert run_cli(["audit", *deployment, "--shares", str(tmp_path / "shares"),
+                        "--max-size", "3", "--trials", "3", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --max-size applies to sequence mode only; "
+                                "these shares are monotone\n")
+
+
 class TestFileAccessBoundaries:
     def _record_opens(self, monkeypatch):
         opened = []

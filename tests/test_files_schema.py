@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from groupauth import files, protocol
 from groupauth.errors import SchemaError
-from groupauth.nscrypt import KeyShare, NsPrivateKey, NsPublicKey
+from groupauth.nscrypt import KeyShare, NsPrivateKey, NsPublicKey, Share
 from groupauth.numtheory import SMALL_PRIMES
 from groupauth.protocol import Challenge, ResponseVector, Verdict, VerifierState
 from groupauth.sharesplit import ShareSequence
@@ -313,3 +313,12 @@ def test_subclass_keeps_its_kind():
     assert files.to_document(obj)["kind"] == "response"
     assert files.dumps(obj) == files.dumps(ResponseVector(session_id="s1", values=(5, 1)))
     assert files.from_document(json.loads(files.dumps(obj))) == ResponseVector("s1", (5, 1))
+
+
+@pytest.mark.parametrize("kind", ["share-monotone", "share-sequence"])
+def test_share_files_load_as_shares(tmp_path, small, airplane, kind):
+    share = one_per_kind(small, airplane)[kind]
+    files.save(share, tmp_path / "share.json")
+    loaded = files.load(tmp_path / "share.json", expect_kind=kind)
+    assert isinstance(loaded, Share) and loaded == share
+    assert loaded.reading == share.reading

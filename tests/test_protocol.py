@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import inspect
@@ -922,6 +923,29 @@ class TestSoundness:
         for group, count in hits.items():
             if group not in (frozenset("BCDE"), frozenset("ACDE")):
                 assert count / 4095 < 0.10, (sorted(group), count)
+
+    @pytest.mark.parametrize("build, slots, classes, total, worst, worst_count", [
+        (slots_baseline, 16, [{"A"}, {"B"}, {"C"}, {"D"}, {"E"}], 2359, ["CD", "CE"], 332),
+        (slots_packed, 5, [{"A", "B"}, {"C", "E"}, {"D"}], 3922, ["ABDE"], 510),
+    ], ids=["baseline", "packed"])
+    def test_pack_trade_off(self, build, slots, classes, total, worst, worst_count):
+        # the README's and `--pack`'s figures: cap 3, n = 12, every message,
+        # null 1, sum merge; each answer is m & mask, so no key changes them
+        family = authorized_family(parse(fixtures.AIRPLANE_POLICY, ABCDE), ABCDE, 3)
+        _, priv = keygen(12, seed=5)
+        plan = build(family, 12, ABCDE)
+        shares = issue_sequence(plan, priv)
+        patterns = {}
+        for h in ABCDE:
+            patterns.setdefault(tuple(s is None for s in shares[h].slots), set()).add(h)
+        assert len(plan.slots) == slots and sorted(patterns.values(), key=min) == classes
+        hits = collections.Counter()
+        for m in range(1, 1 << 12):
+            hits.update(audit(priv, shares, family, mode="sequence", merge="sum",
+                              force_m=m).false_accepts())
+        top = max(hits.values())
+        assert sum(hits.values()) == total and top == worst_count
+        assert sorted("".join(sorted(g)) for g, c in hits.items() if c == top) == worst
 
     def test_oracle_matches_protocol(self, airplane):
         # seeded random challenges through the real stack must agree with

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from groupauth import files
-from groupauth.nscrypt import KeyShare, keygen, residue_bits, system_primes
+from groupauth.nscrypt import KeyShare, Share, keygen, residue_bits, system_primes
 from groupauth.policy import (And, Or, Var, authorized_family, evaluate, group_of, parse,
                              truth_table, variables)
 from groupauth.sharesplit import (
@@ -597,6 +597,17 @@ class TestShareReading:
                 u = rng.randrange(1, share.p) * math.prod(
                     q for q in primes if rng.random() < 0.5)
                 assert residue_bits(u, small.priv.primes) & masks[0] == residue_bits(u, primes)
+
+    def test_key_share_is_a_share_of_one_slot(self, small):
+        # small's split, and a 64-prime split of the ten-holder policy
+        _, priv = keygen(64, seed=7)
+        wide = issue_monotone(bl_split(parse(TEN_POLICY, TEN), range(64)), priv)
+        assert len(wide) == len(TEN)
+        for share in [*small.shares.values(), *wide.values()]:
+            assert isinstance(share, Share)
+            assert share.slots == (share.prime_subset,)
+            one_slot = ShareSequence(share.holder, share.s, share.p, 64, (share.prime_subset,))
+            assert share.reading == one_slot.reading
 
     @staticmethod
     def check_reading_is_no_field(fresh, share):
