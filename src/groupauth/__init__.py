@@ -53,6 +53,7 @@ from .policy import (
 from .protocol import (
     AuditReport,
     Challenge,
+    Deployment,
     ResponseVector,
     Verdict,
     VerifierState,

@@ -64,7 +64,7 @@ def _seeded_rng(seed: int | None) -> random.Random | None:
     return None if seed is None else random.Random(seed)
 
 
-def _deployment(args):
+def _policy_and_key(args):
     """The universe, parsed policy and private key that `compile` and `audit` share."""
     universe = _universe_arg(args.universe)
     expr = policy.parse(args.policy, universe)
@@ -94,7 +94,7 @@ def cmd_compile(args) -> int:
     # a monotone split has no size cap and no slots to pack
     if args.mode == "monotone" and (args.max_size is not None or args.pack):
         raise SchemaError("--max-size and --pack apply to sequence mode only")
-    universe, expr, priv = _deployment(args)
+    universe, expr, priv = _policy_and_key(args)
 
     if args.mode == "monotone":
         split = sharesplit.bl_split(expr, range(priv.n))
@@ -113,21 +113,25 @@ def cmd_compile(args) -> int:
         plan = build(family, priv.n, universe)
         shares = sharesplit.issue_sequence(plan, priv)
         summary = f"{len(family)} authorized groups compiled into {len(plan.slots)} slots"
+    pub, merge = nscrypt.public_key_of(priv), args.merge or protocol._default_merge(args.mode)
+    deployment = protocol.Deployment(pub.n, pub.p, pub.v, args.mode, merge,
+                                     len(shares[universe[0]].slots))
 
     # created only once the shares exist, so a refused run leaves nothing behind
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     for holder, share in shares.items():
         files.save(share, out / f"share_{holder}.json")
-    print(f"{summary}; wrote {len(shares)} share files to {out}")
+    files.save(deployment, out / "deployment.json")
+    print(f"{summary}; wrote {len(shares)} share files and deployment.json to {out}")
     return 0
 
 
 def cmd_challenge(args) -> int:
-    pub = files.load(args.pub, expect_kind="ns-public")
+    deployment = files.load(args.deployment, expect_kind="deployment")
     challenge, state = protocol.make_challenge(
-        pub, mode=args.mode, merge=args.merge, slot_count=args.slots,
-        rng=_seeded_rng(args.seed), force_m=args.force_m)
+        deployment, mode=deployment.mode, merge=deployment.merge,
+        slot_count=deployment.slot_count, rng=_seeded_rng(args.seed), force_m=args.force_m)
     files.save(challenge, args.output)
     files.save(state, args.state)
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
@@ -180,7 +184,7 @@ def _load_share_dir(directory: str, holders: tuple[str, ...]) -> dict[str, nscry
 
 
 def cmd_audit(args) -> int:
-    holders, expr, priv = _deployment(args)
+    holders, expr, priv = _policy_and_key(args)
     shares = _load_share_dir(args.shares, holders)
 
     sequence = any(isinstance(s, nscrypt.ShareSequence) for s in shares.values())
@@ -361,13 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
         description="Group authentication via split knapsack private keys.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the deployment flags of `compile` and `audit`, read by `_deployment`
-    deployment = argparse.ArgumentParser(add_help=False)
-    deployment.add_argument("--policy", required=True, help="policy expression text")
-    deployment.add_argument("--universe", required=True, help="comma-separated holder names")
-    deployment.add_argument("--max-size", type=int, default=None,
-                            help="largest allowed group, at least 1")
-    deployment.add_argument("--key", required=True, help="private key file")
+    # the flags `compile` and `audit` share; `_policy_and_key` reads the first four
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--policy", required=True, help="policy expression text")
+    shared.add_argument("--universe", required=True, help="comma-separated holder names")
+    shared.add_argument("--max-size", type=int, default=None,
+                        help="largest allowed group, at least 1")
+    shared.add_argument("--key", required=True, help="private key file")
+    shared.add_argument("--merge", choices=protocol.MERGES, default=None,
+                        help="or (monotone), sum (sequence default) or xor; xor cancels "
+                             "holders' equal answers, even with --null random (README Caveats)")
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--n", type=int, required=True, help="number of system primes")
@@ -380,9 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_keygen)
 
     p = sub.add_parser(
-        "compile", parents=[deployment], help="compile a policy into share files",
-        description="Compile a policy into one share file per holder. --max-size and "
-                    "--pack apply to sequence mode only; monotone mode refuses them.")
+        "compile", parents=[shared], help="compile a policy into share files",
+        description="Compile a policy into one share file per holder and deployment.json. "
+                    "--max-size and --pack apply to sequence mode only; monotone refuses them.")
     p.add_argument("--mode", choices=protocol.MODES, required=True)
     p.add_argument("--pack", action="store_true",
                    help="pack several groups per slot (sequence mode): fewer slots, more false "
@@ -393,10 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compile)
 
     p = sub.add_parser("challenge", help="open a session: challenge + verifier state")
-    p.add_argument("--pub", required=True, help="public key file")
-    p.add_argument("--mode", choices=protocol.MODES, default="monotone")
-    p.add_argument("--slots", type=int, default=1, help="slot count (sequence mode)")
-    p.add_argument("--merge", choices=protocol.MERGES, default=None)
+    p.add_argument("--deployment", required=True, help="deployment.json from compile")
     p.add_argument("--seed", type=_hex,
                    help="hex seed, for tests only (default: the OS generator)")
     p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")
@@ -420,14 +424,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true", help="machine-readable verdict")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("audit", parents=[deployment],
+    p = sub.add_parser("audit", parents=[shared],
                        help="brute-force every subset against the policy")
     p.add_argument("--shares", required=True,
                    help="directory with a share file for every universe holder")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=_hex,
                    help="hex seed for messages and random nulls (default: the OS generator)")
-    p.add_argument("--merge", choices=protocol.MERGES, default=None)
     p.add_argument("--null", choices=_NULL_POLICIES, default="one")
     p.add_argument("--force-m", type=int, help="pin the challenge plaintext (decimal)")
     p.add_argument("--json", action="store_true")

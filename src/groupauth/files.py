@@ -8,8 +8,9 @@ identical inputs produce byte-identical files.
 `_SCHEMAS` is the one definition of each kind: its class, and its fields in
 the order they are checked, each with a JSON name, an attribute and a codec.
 `to_document` and `from_document` both read it, so a kind is written and
-parsed the same way by construction. Kinds: ns-public, ns-private,
-share-monotone, share-sequence, challenge, verifier-state, response, verdict.
+parsed the same way by construction. Kinds: ns-public, deployment,
+ns-private, share-monotone, share-sequence, challenge, verifier-state,
+response, verdict.
 
 `dumps` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
 indent=2)` plus a newline, but does not call it or build `doc`: with
@@ -39,7 +40,7 @@ from pathlib import Path
 from . import numtheory
 from .errors import SchemaError
 from .nscrypt import MAX_MODULUS, KeyShare, NsPrivateKey, NsPublicKey, ShareSequence
-from .protocol import Challenge, ResponseVector, Verdict, VerifierState
+from .protocol import Challenge, Deployment, ResponseVector, Verdict, VerifierState
 
 __all__ = [
     "dumps",
@@ -166,12 +167,13 @@ _SLOTS = (lambda slots: [None if s is None else _write_primes(s) for s in slots]
 _INT_OR_NULL = (lambda value: value, _read_int_or_null,
                 lambda value: "null" if value is None else int.__repr__(value))
 
+_PUBLIC = (("n", "n", _INT), ("p", "p", _PRIME), ("v", "v", _BIGS))
 _SESSION = (("session_id", "session_id", _STR), ("mode", "mode", _STR),
             ("merge", "merge", _STR), ("slot_count", "slot_count", _INT))
 
 _SCHEMAS = {
-    "ns-public": (NsPublicKey, (
-        ("n", "n", _INT), ("p", "p", _PRIME), ("v", "v", _BIGS))),
+    "ns-public": (NsPublicKey, _PUBLIC),
+    "deployment": (Deployment, _PUBLIC + _SESSION[1:]),
     "ns-private": (NsPrivateKey, (
         ("n", "n", _INT), ("p", "p", _PRIME), ("s", "s", _BIG), ("primes", "primes", _BIGS))),
     "share-monotone": (KeyShare, (

@@ -38,6 +38,7 @@ __all__ = [
     "MODES",
     "MERGES",
     "NULL_POLICIES",
+    "Deployment",
     "Challenge",
     "VerifierState",
     "ResponseVector",
@@ -80,6 +81,19 @@ def _check_session(mode: str, merge: str, slot_count: int) -> None:
         raise ValueError("slot_count must be >= 1")
     if mode == "monotone" and slot_count != 1:
         raise ValueError("monotone mode has exactly one slot")
+
+
+@dataclass(frozen=True)
+class Deployment(NsPublicKey):
+    """The verifier's one, public input: the public key and the session shape of `compile`."""
+
+    mode: str
+    merge: str
+    slot_count: int
+
+    def __post_init__(self):
+        super().__post_init__()
+        _check_session(self.mode, self.merge, self.slot_count)
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import random
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -287,12 +288,14 @@ class TestCliExitCodes:
     def test_unknown_flag(self):
         assert run_cli(["keygen", "--wat", "7"]) == 2
 
-    def test_schema_violation_is_2(self, tmp_path):
+    def test_schema_violation_is_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
-        bad.write_text('{"kind": "ns-public", "n": 2, "p": "x", "v": []}')
-        code = run_cli(["challenge", "--pub", str(bad),
+        bad.write_text('{"kind": "deployment", "n": 2, "p": "7", "v": ["1", "2"], '
+                       '"mode": "monotone", "merge": "or", "slot_count": "1"}')
+        code = run_cli(["challenge", "--deployment", str(bad),
                         "-o", str(tmp_path / "c.json"), "--state", str(tmp_path / "s.json")])
         assert code == 2
+        assert "field 'slot_count' must be int" in capsys.readouterr().err
 
     def test_monotone_refuses_not(self, tmp_path, capsys):
         run_cli(["keygen", "--n", "8", "-o", str(tmp_path)])
@@ -322,12 +325,13 @@ class TestCliExitCodes:
         assert capsys.readouterr().out.startswith(f"usage: groupauth {command} ")
 
     @pytest.mark.parametrize("command,flag", [
-        ("challenge", "--pub"), ("respond", "--share"), ("verify", "--state"),
+        ("challenge", "--deployment"), ("respond", "--share"), ("verify", "--state"),
         ("compile", "--key"), ("audit", "--key")])
     def test_missing_input_file_is_2(self, pipeline, capsys, command, flag):
         root = pipeline
         args = {
-            "challenge": ["--pub", "-o", str(root / "c.json"), "--state", str(root / "s.json")],
+            "challenge": ["--deployment", "-o", str(root / "c.json"),
+                          "--state", str(root / "s.json")],
             "respond": ["--share", "--challenge", str(root / "c.json"),
                         "-o", str(root / "r.json")],
             "verify": ["--state", "--responses", str(root / "r.json")],
@@ -479,7 +483,8 @@ class TestRefusedRunsLeaveNoDirectory:
         assert run_cli([
             "compile", "--policy", f"A and {name}", "--universe", f"A,{name}",
             "--mode", "sequence", "--key", str(tmp_path / "priv.json"), "-o", str(out)]) == 0
-        assert sorted(p.name for p in out.iterdir()) == ["share_A.json", f"share_{name}.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "deployment.json", "share_A.json", f"share_{name}.json"]
 
     def test_compile_monotone_unnamed_holder(self, tmp_path, capsys):
         # the split gave C no share file, and `audit` then refused the deployment
@@ -492,6 +497,18 @@ class TestRefusedRunsLeaveNoDirectory:
         assert code == 2
         assert capsys.readouterr().err == (
             "error: monotone mode issues no share to a holder the policy does not name: C\n")
+        assert not (tmp_path / "sd").exists()
+
+    def test_compile_monotone_refuses_sequence_merge(self, tmp_path, capsys):
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        capsys.readouterr()
+        code = run_cli([
+            "compile", "--policy", "A and B", "--universe", "A,B", "--mode", "monotone",
+            "--merge", "sum", "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: or-merge is for monotone mode, sum/xor for sequence mode\n")
         assert not (tmp_path / "sd").exists()
 
     def test_compile_no_groups(self, tmp_path, capsys):
@@ -521,23 +538,17 @@ def pipeline(tmp_path):
     return tmp_path
 
 
-def _challenge_session(root, slots, seed="0f"):
-    assert run_cli(["challenge", "--pub", str(root / "keys/pub.json"),
-                    "--mode", "sequence", "--slots", str(slots),
+def _challenge_session(root, seed="0f"):
+    assert run_cli(["challenge", "--deployment", str(root / "shares/deployment.json"),
                     "--seed", seed, "--force-m", "2919",
                     "-o", str(root / "challenge.json"),
                     "--state", str(root / "state.json")]) == 0
 
 
-def _slot_count(root):
-    doc = json.loads((root / "shares/share_A.json").read_text())
-    return len(doc["slots"])
-
-
 class TestPipeline:
     def test_authorized_group_accepted(self, pipeline):
         root = pipeline
-        _challenge_session(root, _slot_count(root))
+        _challenge_session(root)
         for holder in ("A", "C"):
             assert run_cli(["respond", "--share", str(root / f"shares/share_{holder}.json"),
                             "--challenge", str(root / "challenge.json"),
@@ -548,7 +559,7 @@ class TestPipeline:
 
     def test_unauthorized_pair_rejected(self, pipeline):
         root = pipeline
-        _challenge_session(root, _slot_count(root))
+        _challenge_session(root)
         for holder in ("C", "D"):
             assert run_cli(["respond", "--share", str(root / f"shares/share_{holder}.json"),
                             "--challenge", str(root / "challenge.json"),
@@ -559,7 +570,7 @@ class TestPipeline:
 
     def test_verify_json_output(self, pipeline, capsys):
         root = pipeline
-        _challenge_session(root, _slot_count(root))
+        _challenge_session(root)
         for holder in ("A", "B"):
             run_cli(["respond", "--share", str(root / f"shares/share_{holder}.json"),
                      "--challenge", str(root / "challenge.json"),
@@ -572,11 +583,9 @@ class TestPipeline:
 
     def test_challenge_deterministic_under_seed(self, pipeline):
         root = pipeline
-        slots = _slot_count(root)
         blobs = []
         for name in ("x", "y"):
-            assert run_cli(["challenge", "--pub", str(root / "keys/pub.json"),
-                            "--mode", "sequence", "--slots", str(slots),
+            assert run_cli(["challenge", "--deployment", str(root / "shares/deployment.json"),
                             "--seed", "deadbeef",
                             "-o", str(root / f"c_{name}.json"),
                             "--state", str(root / f"s_{name}.json")]) == 0
@@ -589,7 +598,8 @@ class TestPipeline:
         monkeypatch.setattr(random, "SystemRandom", lambda: random.Random(4))
         blobs = []
         for name, seed in (("x", []), ("y", ["--seed", "4"])):
-            assert run_cli(["challenge", "--pub", str(root / "keys/pub.json"), *seed,
+            assert run_cli(["challenge", "--deployment", str(root / "shares/deployment.json"),
+                            *seed,
                             "-o", str(root / f"c_{name}.json"),
                             "--state", str(root / f"s_{name}.json")]) == 0
             blobs.append((root / f"s_{name}.json").read_bytes())
@@ -599,7 +609,7 @@ class TestPipeline:
     def test_nulls_without_seed_use_os_generator(self, pipeline, monkeypatch, capsys, command):
         # with the OS generator stood in for by Random(4), no seed must match --seed 4
         root = pipeline
-        _challenge_session(root, _slot_count(root))
+        _challenge_session(root)
         holder = next(h for h in "ABCDE" if None in json.loads(
             (root / f"shares/share_{h}.json").read_text())["slots"])
         args = {
@@ -677,7 +687,7 @@ class TestPipeline:
         root = pipeline
         commands = {
             "keygen": ["--n", "8", "-o", str(root / "k")],
-            "challenge": ["--pub", str(root / "keys/pub.json"),
+            "challenge": ["--deployment", str(root / "shares/deployment.json"),
                           "-o", str(root / "c.json"), "--state", str(root / "s.json")],
             "respond": ["--share", str(root / "shares/share_A.json"),
                         "--challenge", str(root / "c.json"), "-o", str(root / "r.json")],
@@ -717,7 +727,7 @@ class TestPipeline:
 
     def test_malformed_state_is_usage_error(self, pipeline, capsys):
         root = pipeline
-        _challenge_session(root, _slot_count(root))
+        _challenge_session(root)
         assert run_cli(["respond", "--share", str(root / "shares/share_A.json"),
                         "--challenge", str(root / "challenge.json"),
                         "-o", str(root / "r_A.json")]) == 0
@@ -734,10 +744,10 @@ class TestPipeline:
         # one message per session: a challenge with one ciphertext per slot
         # is refused by load, so respond exits 2
         root = pipeline
-        slots = _slot_count(root)
-        assert slots > 1
-        _challenge_session(root, slots)
+        _challenge_session(root)
         doc = json.loads((root / "challenge.json").read_text())
+        slots = doc["slot_count"]
+        assert slots > 1
         doc["ciphertexts"] *= slots
         (root / "challenge.json").write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
@@ -751,8 +761,7 @@ class TestPipeline:
 
     def test_per_index_random_flag_gone(self, pipeline):
         root = pipeline
-        assert run_cli(["challenge", "--pub", str(root / "keys/pub.json"),
-                        "--mode", "sequence", "--slots", str(_slot_count(root)),
+        assert run_cli(["challenge", "--deployment", str(root / "shares/deployment.json"),
                         "--per-index-random",
                         "-o", str(root / "challenge.json"),
                         "--state", str(root / "state.json")]) == 2
@@ -760,13 +769,12 @@ class TestPipeline:
 
     def test_session_mismatch_detected(self, pipeline):
         root = pipeline
-        slots = _slot_count(root)
-        _challenge_session(root, slots, seed="0f")
+        _challenge_session(root, seed="0f")
         run_cli(["respond", "--share", str(root / "shares/share_A.json"),
                  "--challenge", str(root / "challenge.json"),
                  "-o", str(root / "r_A.json")])
         # fresh session, stale response
-        _challenge_session(root, slots, seed="1234")
+        _challenge_session(root, seed="1234")
         code = run_cli(["verify", "--state", str(root / "state.json"),
                         "--responses", str(root / "r_A.json")])
         assert code == 1
@@ -782,8 +790,8 @@ class TestMonotoneCliFlow:
         assert run_cli(["compile", "--policy", "(A1 and A2) or (A1 and A3)",
                         "--universe", "A1,A2,A3", "--mode", "monotone",
                         "--key", str(keys / "priv.json"), "-o", str(shares)]) == 0
-        assert run_cli(["challenge", "--pub", str(keys / "pub.json"),
-                        "--mode", "monotone", "--seed", "aa",
+        assert run_cli(["challenge", "--deployment", str(shares / "deployment.json"),
+                        "--seed", "aa",
                         "--force-m", "202",
                         "-o", str(tmp_path / "c.json"),
                         "--state", str(tmp_path / "s.json")]) == 0
@@ -856,7 +864,7 @@ class TestFileAccessBoundaries:
 
     def test_respond_reads_only_its_own_share(self, pipeline, monkeypatch):
         root = pipeline
-        _challenge_session(root, _slot_count(root))
+        _challenge_session(root)
         opened = self._record_opens(monkeypatch)
         assert run_cli(["respond", "--share", str(root / "shares/share_A.json"),
                         "--challenge", str(root / "challenge.json"),
@@ -864,9 +872,17 @@ class TestFileAccessBoundaries:
         reads = [p for p in opened if "share_" in p]
         assert reads and all(p.endswith("share_A.json") for p in reads)
 
+    def test_challenge_reads_only_the_deployment(self, pipeline, monkeypatch):
+        root = pipeline
+        opened = self._record_opens(monkeypatch)
+        _challenge_session(root)
+        # no priv.json, pub.json or share file: what it writes is all else it opens
+        reads = [p for p in opened if Path(p).name not in ("challenge.json", "state.json")]
+        assert reads == [str(root / "shares/deployment.json")]
+
     def test_verify_never_reads_private_key(self, pipeline, monkeypatch):
         root = pipeline
-        _challenge_session(root, _slot_count(root))
+        _challenge_session(root)
         run_cli(["respond", "--share", str(root / "shares/share_A.json"),
                  "--challenge", str(root / "challenge.json"),
                  "-o", str(root / "r_A.json")])
@@ -874,6 +890,26 @@ class TestFileAccessBoundaries:
         run_cli(["verify", "--state", str(root / "state.json"),
                  "--responses", str(root / "r_A.json")])
         assert not any(p.endswith("priv.json") for p in opened)
+
+
+def _readme_walkthrough():
+    """Each `groupauth ...` command of README's CLI walkthrough block, split into argv."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI walkthrough", 1)[1].split("```", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("groupauth ")]
+
+
+class TestReadmeWalkthrough:
+    def test_every_step_runs(self, tmp_path, monkeypatch, capsys):
+        steps = _readme_walkthrough()
+        assert [argv[0] for argv in steps] == [
+            "keygen", "compile", "challenge", "respond", "respond", "verify", "audit"]
+        monkeypatch.chdir(tmp_path)
+        for argv in steps:
+            # a packed plan has false accepts, so its audit may report them
+            allowed = (0, 1) if argv[0] == "audit" else (0,)
+            assert run_cli(argv) in allowed, (argv, capsys.readouterr().err)
 
 
 class TestDemoCommand:

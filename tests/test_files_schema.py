@@ -23,6 +23,8 @@ def one_per_kind(small, airplane):
     verdict = protocol.verify(state, [protocol.merge_monotone([a1, a2])])
     return {
         "ns-public": small.pub,
+        "deployment": protocol.Deployment(small.pub.n, small.pub.p, small.pub.v,
+                                          "monotone", "or", 1),
         "ns-private": small.priv,
         "share-monotone": small.shares["A1"],
         "share-sequence": airplane.shares["C"],
@@ -39,6 +41,26 @@ GOLDEN = {
   "kind": "ns-public",
   "n": 8,
   "p": "9700247",
+  "v": [
+    "8567078",
+    "5509479",
+    "2006538",
+    "4340987",
+    "8643477",
+    "6404090",
+    "1424105",
+    "7671241"
+  ]
+}
+""",
+    "deployment": """\
+{
+  "kind": "deployment",
+  "merge": "or",
+  "mode": "monotone",
+  "n": 8,
+  "p": "9700247",
+  "slot_count": 1,
   "v": [
     "8567078",
     "5509479",
@@ -226,6 +248,12 @@ def public_keys(draw):
 
 
 @st.composite
+def deployments(draw):
+    pub = draw(public_keys())
+    return protocol.Deployment(pub.n, pub.p, pub.v, *draw(SESSIONS))
+
+
+@st.composite
 def private_keys(draw):
     n = draw(N)
     p = draw(st.integers(math.prod(SMALL_PRIMES[:n]) + 1, 10**126 - 1))
@@ -248,6 +276,7 @@ def sessions(draw, cls, values):
 
 OBJECTS = {
     "ns-public": public_keys(),
+    "deployment": deployments(),
     "ns-private": private_keys(),
     "share-monotone": st.builds(KeyShare, holder=TEXT, s=BIG, p=BIG,
                                 prime_subset=prime_sets(64, min_size=1)),
@@ -303,6 +332,12 @@ def test_message_roundtrip(kind, data):
     obj = data.draw(OBJECTS[kind])
     assume(json.loads(json.dumps(obj.session_id)) == obj.session_id)
     assert files.from_document(json.loads(files.dumps(obj))) == obj
+
+
+def test_deployment_names_no_holder_and_no_policy(small, airplane):
+    # the verifier's file: the public key and the session shape, nothing more
+    doc = files.to_document(one_per_kind(small, airplane)["deployment"])
+    assert sorted(doc) == sorted(["kind", "n", "p", "v", "mode", "merge", "slot_count"])
 
 
 def test_subclass_keeps_its_kind():

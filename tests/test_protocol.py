@@ -1028,6 +1028,15 @@ class TestXorPitfall:
                 hits += 1
         assert hits == 0
 
+    def test_random_nulls_leave_equal_shares(self, airplane):
+        # C, D and E hold one part in slots 1 and 2 of the hand plan, and
+        # neither slot has a null: their three equal answers XOR to one
+        report = audit(airplane.priv, airplane.shares, airplane.expected_family, trials=20,
+                       rng=random.Random(1), mode="sequence", merge="xor",
+                       null_policy="random-nonzero")
+        frequencies = report.frequencies()
+        assert [frequencies[frozenset(g)] for g in ("ACDE", "BCDE", "ABCDE")] == [1.0] * 3
+
 
 def _walk_json(node):
     yield node
