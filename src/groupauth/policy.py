@@ -17,7 +17,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import lru_cache, partial, reduce
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GroupAuthError
@@ -109,7 +109,12 @@ PolicyExpr = Var | And | Or | Not
 def check_universe(universe: Sequence[str]) -> tuple[str, ...]:
     """Validate a holder universe: non-empty, distinct and bounded, of names
     that match NAME, are not keywords and have at most 64 characters."""
-    names = tuple(universe)
+    return _checked_names(tuple(universe))
+
+
+@lru_cache(maxsize=64)
+def _checked_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    """`check_universe` of a name tuple, memoised: a refused tuple is not stored."""
     if not names:
         raise PolicyError("universe must not be empty")
     if len(names) > MAX_UNIVERSE:
@@ -275,15 +280,36 @@ def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
     value: the subsets that hold position j are those without it, each
     combined with value j, so the packed int grows by one shifted
     `combine(acc, v * ones)` per value, where `ones` holds a 1 in every
-    field so far. `combine` must act on each field alone: OR and XOR do,
-    and so does a sum when no field's total reaches 2^width.
+    field so far; `_fold_layout` gives each position's `ones` and shift.
+    `combine` must act on each field alone: OR and XOR do, and so does a
+    sum when no field's total reaches 2^width.
     """
-    acc, ones, shift = 0, 1, width
-    for v in values:
+    acc = 0
+    for v, (ones, shift) in zip(values, _fold_layout(len(values), width)[0]):
         acc |= combine(acc, v * ones) << shift
+    return acc
+
+
+@lru_cache(maxsize=8)
+def _fold_layout(h: int, width: int) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
+    """The constants of folding h positions into fields of `width` bits.
+
+    Returns the per-position steps of `_packed_fold`, position j's
+    (ones, shift) with a 1 in each of the 2^j fields so far and
+    shift = width·2^j, then over all 2^h fields `ones`, with a 1 in every
+    field, `low`, the lower width − 1 bits of every field, and `high`, the
+    top bit of every field. They depend on h and the width alone, so they
+    are built once, not per fold. Bounded, since an entry holds about four
+    ints of width·2^h bits; an audit's widths cluster near n + log2(h).
+    """
+    steps = []
+    ones, shift = 1, width
+    for _ in range(h):
+        steps.append((ones, shift))
         ones |= ones << shift
         shift <<= 1
-    return acc
+    high = ones << (width - 1)
+    return tuple(steps), ones, high - ones, high
 
 
 def _fold_width(h: int, top: int, target: int = 0) -> int:
@@ -321,9 +347,7 @@ def subset_matches(
         return []
     h = len(columns[0])
     width = _fold_width(h, max(map(max, columns)) if h else 0, target)
-    ones = ((1 << (width << h)) - 1) // ((1 << width) - 1)  # a 1 in every field
-    high = ones << (width - 1)
-    low = high - ones
+    _, ones, low, high = _fold_layout(h, width)
     aimed = target * ones
     hits = 0
     for column in columns:

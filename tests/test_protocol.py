@@ -82,6 +82,19 @@ class TestMakeChallenge:
         assert str(err.value) == message
         assert rng.getstate() == before
 
+    @pytest.mark.parametrize("force_m", [True, 2919.0, "2919"])
+    def test_force_m_must_be_an_int(self, small, monkeypatch, force_m):
+        # refused before m or the session id is drawn, by a challenge and an audit
+        monkeypatch.setattr(protocol, "encrypt", None)
+        rng = random.Random(11)
+        before = rng.getstate()
+        for call in (lambda: make_challenge(small.pub, rng=rng, force_m=force_m),
+                     lambda: audit(small.priv, small.shares, small.expected_family, rng=rng,
+                                   mode="monotone", force_m=force_m)):
+            with pytest.raises(ValueError, match="^force_m must be an int$"):
+                call()
+            assert rng.getstate() == before
+
     @pytest.mark.parametrize("ciphertexts", [(5, 6), (5, 5), ()])
     def test_one_ciphertext_per_session(self, ciphertexts):
         # a session has one message: two ciphertexts are refused even when
@@ -375,6 +388,30 @@ class TestAudit:
             audit(small.priv, small.shares, small.expected_family, trials=trials,
                   mode="monotone", merge="or")
 
+    @pytest.mark.parametrize("trials", [True, 2.0, "3"])
+    def test_trials_must_be_an_int(self, small, trials):
+        # refused before any share check: key shares cannot answer a sequence audit
+        rng = random.Random(11)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match="^trials must be an int$"):
+            audit(small.priv, small.shares, small.expected_family, trials=trials, rng=rng,
+                  mode="sequence")
+        assert rng.getstate() == before
+
+    def test_set_up_runs_once(self, airplane, monkeypatch):
+        # four trials pay one universe check and one share check per holder,
+        # and no trial builds a session object
+        calls = collections.Counter()
+
+        def counted(name):
+            real = getattr(protocol, name)
+            return lambda *a: calls.update([name]) or real(*a)
+
+        for name in ("check_universe", "_answerable", "Challenge", "VerifierState"):
+            monkeypatch.setattr(protocol, name, counted(name))
+        assert airplane_audit(airplane, airplane.shares, trials=4).trials == 4
+        assert calls == {"check_universe": 1, "_answerable": len(ABCDE)}
+
     def test_empty_expected_agreement(self, small):
         # an impossible message cannot be authenticated by anyone: compare
         # the empty expectation against an audit with a corrupted share set
@@ -632,16 +669,16 @@ class TestSharedResidue:
     @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
     def test_responses_are_token_responses(
             self, airplane, mixed_key_shares, monkeypatch, null_policy):
-        # the columns `audit` folds, read back per holder
+        # the columns `audit` folds, read back per holder from the trial's draw
         seen = []
-        matches, draw = protocol.subset_matches, protocol.make_challenge
-        monkeypatch.setattr(protocol, "make_challenge",
-                            lambda *a, **k: seen.append(draw(*a, **k)) or seen[-1])
+        matches, draw = protocol.subset_matches, protocol._draw
+        monkeypatch.setattr(protocol, "_draw", lambda *a: seen.append(draw(*a)) or seen[-1])
         monkeypatch.setattr(protocol, "subset_matches",
                             lambda columns, *a: seen.append(columns) or matches(columns, *a))
         airplane_audit(airplane, mixed_key_shares, null_policy, trials=4)
         assert len(seen) == 2 * 4
-        for (challenge, _), columns in zip(seen[::2], seen[1::2]):
+        for (_, session_id, c), columns in zip(seen[::2], seen[1::2]):
+            challenge = Challenge(session_id, "sequence", "sum", len(airplane.plan.slots), (c,))
             answers = list(zip(*columns))
             assert len(answers) == len(ABCDE)
             for h, answer in zip(ABCDE, answers):
