@@ -64,13 +64,6 @@ def _seeded_rng(seed: int | None) -> random.Random | None:
     return None if seed is None else random.Random(seed)
 
 
-def _policy_and_key(args):
-    """The universe, parsed policy and private key that `compile` and `audit` share."""
-    universe = _universe_arg(args.universe)
-    expr = policy.parse(args.policy, universe)
-    return universe, expr, files.load(args.key, expect_kind="ns-private")
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -94,7 +87,9 @@ def cmd_compile(args) -> int:
     # a monotone split has no size cap and no slots to pack
     if args.mode == "monotone" and (args.max_size is not None or args.pack):
         raise SchemaError("--max-size and --pack apply to sequence mode only")
-    universe, expr, priv = _policy_and_key(args)
+    universe = _universe_arg(args.universe)
+    expr = policy.parse(args.policy, universe)
+    priv = files.load(args.key, expect_kind="ns-private")
 
     if args.mode == "monotone":
         split = sharesplit.bl_split(expr, range(priv.n))
@@ -167,43 +162,53 @@ def cmd_verify(args) -> int:
     return 0 if verdict.accepted else 1
 
 
-def _load_share_dir(directory: str, holders: tuple[str, ...]) -> dict[str, nscrypt.Share]:
-    """Each holder's one share file in `directory`; share files of other holders are ignored."""
-    shares, paths = {}, {}
+def _load_share_dir(directory: str, holders: tuple[str, ...]
+                    ) -> tuple[protocol.Deployment, dict[str, nscrypt.Share]]:
+    """`directory`'s one deployment file and each holder's one share file; others' are ignored."""
+    deployment, shares, paths = None, {}, {}  # paths[None]: the deployment's file
     for path in sorted(Path(directory).glob("*.json")):
         obj = files.load(path)
-        if isinstance(obj, nscrypt.Share) and obj.holder in holders:
+        if isinstance(obj, protocol.Deployment):
+            if deployment is not None:
+                raise SchemaError(f"{directory}: two deployment files, "
+                                  f"{paths[None]} and {path}")
+            deployment, paths[None] = obj, path
+        elif isinstance(obj, nscrypt.Share) and obj.holder in holders:
             if obj.holder in shares:
                 raise SchemaError(f"{directory}: holder {obj.holder} has two share files, "
                                   f"{paths[obj.holder]} and {path}")
             shares[obj.holder], paths[obj.holder] = obj, path
+    if deployment is None:
+        raise SchemaError(f"{directory}: no deployment file")
     missing = [h for h in holders if h not in shares]
     if missing:
         raise SchemaError(f"{directory}: no share file for holder(s) {', '.join(missing)}")
-    return {h: shares[h] for h in holders}
+    return deployment, {h: shares[h] for h in holders}
 
 
 def cmd_audit(args) -> int:
-    holders, expr, priv = _policy_and_key(args)
-    shares = _load_share_dir(args.shares, holders)
-
-    sequence = any(isinstance(s, nscrypt.ShareSequence) for s in shares.values())
-    if not sequence and args.max_size is not None:  # as in `compile`
+    holders = _universe_arg(args.universe)
+    expr = policy.parse(args.policy, holders)
+    deployment, shares = _load_share_dir(args.shares, holders)
+    if deployment.mode == "monotone" and args.max_size is not None:  # as in `compile`
         raise SchemaError("--max-size applies to sequence mode only; these shares are monotone")
-    mode = "sequence" if sequence else "monotone"
+    slot_count = len(shares[holders[0]].slots)
+    if slot_count != deployment.slot_count:
+        raise SchemaError(f"{args.shares}: the deployment has {deployment.slot_count} "
+                          f"slot(s), the shares {slot_count}")
     null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
 
     report = protocol.audit(
-        priv, shares, expected, trials=args.trials, rng=_seeded_rng(args.seed),
-        mode=mode, merge=args.merge, null_policy=null_policy, force_m=args.force_m)
+        deployment, shares, expected, trials=args.trials, rng=_seeded_rng(args.seed),
+        mode=deployment.mode, merge=deployment.merge, null_policy=null_policy, force_m=args.force_m)
     frequencies = sorted(report.frequencies().items(),
                          key=lambda kv: (len(kv[0]), _format_group(kv[0], holders)))
 
     if args.json:
         doc = {
             "trials": report.trials,
-            "mode": mode,
+            "mode": deployment.mode,
             "merge": report.merge,
             "null": null_policy,
             "all_exact": report.all_exact,
@@ -217,7 +222,7 @@ def cmd_audit(args) -> int:
         rows = [[_format_group(g, holders), "yes" if g in report.expected else "no",
                  f"{freq:.2f}"] for g, freq in frequencies]
         _print_table(["subset", "authorized", "accept rate"], rows)
-        print(f"{report.trials} trial(s), mode={mode}, merge={report.merge}, "
+        print(f"{report.trials} trial(s), mode={deployment.mode}, merge={report.merge}, "
               f"null={null_policy}")
         print("result: exact" if report.all_exact else
               f"result: MISMATCH (false accepts: "
@@ -230,7 +235,7 @@ def _demo_run(system: fixtures.DemoSystem):
     """A fixture's session on its own message: the ciphertext, every holder's response, the audit."""
     challenge, _state = protocol.make_challenge(
         system.pub, mode=system.mode, merge=system.merge,
-        slot_count=len(system.plan.slots) if system.plan else 1,
+        slot_count=len(system.shares[system.universe[0]].slots),
         rng=random.Random(0), force_m=system.message)
     responses = {h: protocol.token_respond(system.shares[h], challenge) for h in system.universe}
     report = protocol.audit(
@@ -365,16 +370,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Group authentication via split knapsack private keys.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the flags `compile` and `audit` share; `_policy_and_key` reads the first four
+    # the flags `compile` and `audit` share
     shared = argparse.ArgumentParser(add_help=False)
     shared.add_argument("--policy", required=True, help="policy expression text")
     shared.add_argument("--universe", required=True, help="comma-separated holder names")
     shared.add_argument("--max-size", type=int, default=None,
                         help="largest allowed group, at least 1")
-    shared.add_argument("--key", required=True, help="private key file")
-    shared.add_argument("--merge", choices=protocol.MERGES, default=None,
-                        help="or (monotone), sum (sequence default) or xor; xor cancels "
-                             "holders' equal answers, even with --null random (README Caveats)")
 
     p = sub.add_parser("keygen", help="generate a key pair")
     p.add_argument("--n", type=int, required=True, help="number of system primes")
@@ -390,7 +391,11 @@ def build_parser() -> argparse.ArgumentParser:
         "compile", parents=[shared], help="compile a policy into share files",
         description="Compile a policy into one share file per holder and deployment.json. "
                     "--max-size and --pack apply to sequence mode only; monotone refuses them.")
+    p.add_argument("--key", required=True, help="private key file")
     p.add_argument("--mode", choices=protocol.MODES, required=True)
+    p.add_argument("--merge", choices=protocol.MERGES, default=None,
+                   help="or (monotone), sum (sequence default) or xor; xor cancels "
+                        "holders' equal answers, even with --null random (README Caveats)")
     p.add_argument("--pack", action="store_true",
                    help="pack several groups per slot (sequence mode): fewer slots, more false "
                         "accepts. Airplane policy, cap 3, n=12, null 1, sum merge, all 4,095 "
@@ -427,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", parents=[shared],
                        help="brute-force every subset against the policy")
     p.add_argument("--shares", required=True,
-                   help="directory with a share file for every universe holder")
+                   help="directory with one deployment file and a share file per universe holder")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--seed", type=_hex,
                    help="hex seed for messages and random nulls (default: the OS generator)")

@@ -25,7 +25,6 @@ from .nscrypt import (
     NsPrivateKey,
     NsPublicKey,
     Share,
-    ShareSequence,
     encrypt,
     partial_decrypt,  # noqa: F401  (uncalled here; perfbench/spans.py wraps this name)
     public_key_of,
@@ -388,7 +387,7 @@ def _groups(universe: tuple[str, ...]) -> Callable[[int], frozenset[str]]:
 
 
 def audit(
-    priv: NsPrivateKey,
+    key: NsPublicKey | NsPrivateKey,
     shares: dict[str, Share],
     expected: frozenset[frozenset[str]],
     trials: int = 1,
@@ -408,8 +407,8 @@ def audit(
     acceptance frequencies. `trials` must be an int of at least 1, since a
     report with no trials would read as exact. `merge` defaults as in
     `make_challenge`, and the report records the one used. Messages are
-    encrypted under `public_key_of(priv)`, which derives the public key once
-    per key object, so repeated calls on one `priv` pay for it once.
+    encrypted under `key`, a public key (a `Deployment`'s mode and merge go
+    unread) or a private key, whose public key is derived once per object.
 
     A call is one set-up and then one trial per message. The set-up checks
     the universe, the session shape, and every share as `token_respond`
@@ -457,7 +456,8 @@ def audit(
         raise ValueError("trials must be an int")
     if trials < 1:
         raise ValueError("an audit needs at least one trial")
-    universe, merge, trial = _audit_setup(priv, shares, mode, merge, null_policy)
+    pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
+    universe, merge, trial = _audit_setup(pub, shares, mode, merge, null_policy)
     rng = rng if rng is not None else random.SystemRandom()
     group = _groups(universe)
     report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
@@ -467,7 +467,7 @@ def audit(
 
 
 def _audit_setup(
-    priv: NsPrivateKey, shares: dict[str, Share], mode: str, merge: str | None,
+    pub: NsPublicKey, shares: dict[str, Share], mode: str, merge: str | None,
     null_policy: str,
 ) -> tuple[tuple[str, ...], str, Callable[[random.Random, int | None], list[int]]]:
     """An audit's set-up: its universe, its merge and its per-message trial.
@@ -477,12 +477,7 @@ def _audit_setup(
     """
     universe = check_universe(tuple(shares))
     merge = merge if merge is not None else _default_merge(mode)
-    pub = public_key_of(priv)
-    slot_count = 1
-    for share in shares.values():
-        if isinstance(share, ShareSequence):
-            slot_count = len(share.slots)
-            break
+    slot_count = len(shares[universe[0]].slots)
 
     # refuse a bad session shape before any share, as the first challenge would
     _check_session(mode, merge, slot_count)

@@ -326,7 +326,7 @@ class TestCliExitCodes:
 
     @pytest.mark.parametrize("command,flag", [
         ("challenge", "--deployment"), ("respond", "--share"), ("verify", "--state"),
-        ("compile", "--key"), ("audit", "--key")])
+        ("compile", "--key"), ("audit", "--shares")])
     def test_missing_input_file_is_2(self, pipeline, capsys, command, flag):
         root = pipeline
         args = {
@@ -337,8 +337,7 @@ class TestCliExitCodes:
             "verify": ["--state", "--responses", str(root / "r.json")],
             "compile": ["--policy", "A and B", "--universe", "A,B", "--mode", "sequence",
                         "--key", "-o", str(root / "out")],
-            "audit": ["--policy", "A and B", "--universe", "A,B",
-                      "--shares", str(root / "shares"), "--key"],
+            "audit": ["--policy", "A and B", "--universe", "A,B", "--shares"],
         }[command]
         missing = root / "absent.json"
         at = args.index(flag) + 1
@@ -581,6 +580,37 @@ class TestPipeline:
         doc = json.loads(capsys.readouterr().out)
         assert code == 0 and doc["accepted"] is True
 
+    @pytest.mark.parametrize("holders", ["AC", "CD"], ids=["accepted", "rejected"])
+    def test_verify_output_file_is_the_json_verdict(self, pipeline, capsys, holders):
+        root = pipeline
+        _challenge_session(root)
+        for holder in holders:
+            assert run_cli(["respond", "--share", str(root / f"shares/share_{holder}.json"),
+                            "--challenge", str(root / "challenge.json"),
+                            "-o", str(root / f"r_{holder}.json")]) == 0
+        args = ["verify", "--state", str(root / "state.json"),
+                "--responses", *(str(root / f"r_{h}.json") for h in holders)]
+        capsys.readouterr()
+        json_code = run_cli([*args, "--json"])
+        printed = json.loads(capsys.readouterr().out)
+        assert run_cli([*args, "-o", str(root / "verdict.json")]) == json_code
+        written = json.loads((root / "verdict.json").read_text())
+        assert written == printed and written["kind"] == "verdict"
+        assert json_code == (0 if holders == "AC" else 1)
+
+    def test_respond_refuses_non_share_file(self, pipeline, capsys):
+        root = pipeline
+        _challenge_session(root)
+        capsys.readouterr()
+        deployment = root / "shares/deployment.json"
+        assert run_cli(["respond", "--share", str(deployment),
+                        "--challenge", str(root / "challenge.json"),
+                        "-o", str(root / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {deployment}: not a share file\n"
+        assert not (root / "r.json").exists()
+
     def test_challenge_deterministic_under_seed(self, pipeline):
         root = pipeline
         blobs = []
@@ -615,7 +645,7 @@ class TestPipeline:
         args = {
             "respond": ["--share", str(root / f"shares/share_{holder}.json"),
                         "--challenge", str(root / "challenge.json"), "-o", str(root / "r.json")],
-            "audit": ["--key", str(root / "keys/priv.json"), "--shares", str(root / "shares"),
+            "audit": ["--shares", str(root / "shares"),
                       "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
                       "--max-size", "3", "--trials", "20", "--json"],
         }[command]
@@ -633,8 +663,7 @@ class TestPipeline:
     @pytest.mark.parametrize("null", ["one", "random"])
     def test_audit_json_names_settings(self, pipeline, capsys, null):
         root = pipeline
-        run_cli(["audit", "--key", str(root / "keys/priv.json"),
-                 "--shares", str(root / "shares"),
+        run_cli(["audit", "--shares", str(root / "shares"),
                  "--policy", fixtures.AIRPLANE_POLICY,
                  "--universe", "A,B,C,D,E", "--max-size", "3",
                  "--force-m", "2919", "--null", null, "--seed", "1", "--json"])
@@ -644,8 +673,7 @@ class TestPipeline:
 
     def test_audit_command_exact(self, pipeline, capsys):
         root = pipeline
-        code = run_cli(["audit", "--key", str(root / "keys/priv.json"),
-                        "--shares", str(root / "shares"),
+        code = run_cli(["audit", "--shares", str(root / "shares"),
                         "--policy", fixtures.AIRPLANE_POLICY,
                         "--universe", "A,B,C,D,E", "--max-size", "3",
                         "--force-m", "2919", "--json"])
@@ -658,8 +686,7 @@ class TestPipeline:
     @pytest.mark.parametrize("null", ["one", "random"])
     def test_audit_text_names_settings(self, pipeline, capsys, null):
         root = pipeline
-        run_cli(["audit", "--key", str(root / "keys/priv.json"),
-                 "--shares", str(root / "shares"),
+        run_cli(["audit", "--shares", str(root / "shares"),
                  "--policy", fixtures.AIRPLANE_POLICY,
                  "--universe", "A,B,C,D,E", "--max-size", "3",
                  "--force-m", "2919", "--null", null, "--seed", "1"])
@@ -670,8 +697,8 @@ class TestPipeline:
     def test_audit_refuses_holder_without_share(self, pipeline, capsys):
         root = pipeline
         (root / "shares/share_E.json").unlink()
-        args = ["audit", "--key", str(root / "keys/priv.json"),
-                "--shares", str(root / "shares"), "--max-size", "3", "--force-m", "2919"]
+        args = ["audit", "--shares", str(root / "shares"), "--max-size", "3",
+                "--force-m", "2919"]
         capsys.readouterr()
         assert run_cli([*args, "--policy", fixtures.AIRPLANE_POLICY,
                         "--universe", "A,B,C,D,E"]) == 2
@@ -683,6 +710,37 @@ class TestPipeline:
                         "--universe", "A,B,C,D"]) == 0
         assert "result: exact" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("case", [
+        "key flag", "merge flag", "no deployment", "two deployments", "slot count"])
+    def test_audit_refuses_without_one_matching_deployment(self, pipeline, capsys, case):
+        # the key, mode and merge come from the one deployment file in --shares
+        root = pipeline
+        shares = root / "shares"
+        deployment = shares / "deployment.json"
+        flags = {"key flag": ["--key", str(root / "keys/priv.json")],
+                 "merge flag": ["--merge", "xor"]}.get(case, [])
+        if case == "no deployment":
+            deployment.unlink()
+        elif case == "two deployments":
+            (shares / "zz_deployment.json").write_bytes(deployment.read_bytes())
+        elif case == "slot count":
+            doc = json.loads(deployment.read_text())
+            deployment.write_text(json.dumps(dict(doc, slot_count=doc["slot_count"] - 1)))
+        capsys.readouterr()
+        assert run_cli(["audit", "--shares", str(shares), *flags,
+                        "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                        "--max-size", "3", "--force-m", "2919"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith({
+            "key flag": f"error: unrecognized arguments: --key {root / 'keys/priv.json'}\n",
+            "merge flag": "error: unrecognized arguments: --merge xor\n",
+            "no deployment": f"error: {shares}: no deployment file\n",
+            "two deployments": f"error: {shares}: two deployment files, "
+                               f"{deployment} and {shares / 'zz_deployment.json'}\n",
+            "slot count": f"error: {shares}: the deployment has 4 slot(s), the shares 5\n",
+        }[case])
+
     def test_bad_seed_is_one_usage_error(self, pipeline, capsys):
         root = pipeline
         commands = {
@@ -691,7 +749,7 @@ class TestPipeline:
                           "-o", str(root / "c.json"), "--state", str(root / "s.json")],
             "respond": ["--share", str(root / "shares/share_A.json"),
                         "--challenge", str(root / "c.json"), "-o", str(root / "r.json")],
-            "audit": ["--key", str(root / "keys/priv.json"), "--shares", str(root / "shares"),
+            "audit": ["--shares", str(root / "shares"),
                       "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E"],
         }
         for command, rest in commands.items():
@@ -705,8 +763,7 @@ class TestPipeline:
         # checked against an empty family, all 16 groups were false accepts
         root = pipeline
         capsys.readouterr()
-        code = run_cli(["audit", "--key", str(root / "keys/priv.json"),
-                        "--shares", str(root / "shares"),
+        code = run_cli(["audit", "--shares", str(root / "shares"),
                         "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
                         "--max-size", max_size, "--force-m", "2919"])
         captured = capsys.readouterr()
@@ -716,8 +773,7 @@ class TestPipeline:
 
     def test_audit_without_trials_is_usage_error(self, pipeline, capsys):
         root = pipeline
-        code = run_cli(["audit", "--key", str(root / "keys/priv.json"),
-                        "--shares", str(root / "shares"),
+        code = run_cli(["audit", "--shares", str(root / "shares"),
                         "--policy", fixtures.AIRPLANE_POLICY,
                         "--universe", "A,B,C,D,E", "--max-size", "3", "--trials", "0"])
         captured = capsys.readouterr()
@@ -820,8 +876,7 @@ class TestMonotoneCliFlow:
                             "--mode", "monotone", "--key", str(tmp_path / "priv.json"),
                             "-o", str(out)]) == 0
         (shares / "zz_old_A.json").write_bytes((stale / "share_A.json").read_bytes())
-        args = ["audit", "--key", str(tmp_path / "priv.json"), "--shares", str(shares),
-                "--force-m", "255"]
+        args = ["audit", "--shares", str(shares), "--force-m", "255"]
         capsys.readouterr()
         assert run_cli([*args, "--policy", "(A and B) or C", "--universe", "A,B,C"]) == 2
         captured = capsys.readouterr()
@@ -837,10 +892,9 @@ class TestMonotoneCliFlow:
         # a monotone split has no size cap: the 4- and 5-holder groups were
         # listed as false accepts and the audit exited 1
         assert run_cli(["keygen", "--n", "12", "--seed", "5", "-o", str(tmp_path)]) == 0
-        deployment = ["--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
-                      "--key", str(tmp_path / "priv.json")]
+        deployment = ["--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E"]
         assert run_cli(["compile", *deployment, "--mode", "monotone",
-                        "-o", str(tmp_path / "shares")]) == 0
+                        "--key", str(tmp_path / "priv.json"), "-o", str(tmp_path / "shares")]) == 0
         capsys.readouterr()
         assert run_cli(["audit", *deployment, "--shares", str(tmp_path / "shares"),
                         "--max-size", "3", "--trials", "3", "--seed", "1"]) == 2
@@ -848,6 +902,41 @@ class TestMonotoneCliFlow:
         assert captured.out == ""
         assert captured.err == ("error: --max-size applies to sequence mode only; "
                                 "these shares are monotone\n")
+
+    def test_audit_refuses_key_shares_under_sequence_deployment(self, tmp_path, capsys):
+        assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
+        shares = tmp_path / "shares"
+        assert run_cli(["compile", "--policy", "(A and B) or C", "--universe", "A,B,C",
+                        "--mode", "monotone", "--key", str(tmp_path / "priv.json"),
+                        "-o", str(shares)]) == 0
+        doc = json.loads((shares / "deployment.json").read_text())
+        (shares / "deployment.json").write_text(json.dumps(dict(doc, mode="sequence",
+                                                                merge="sum")))
+        capsys.readouterr()
+        assert run_cli(["audit", "--shares", str(shares), "--policy", "(A and B) or C",
+                        "--universe", "A,B,C", "--force-m", "255"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: a single key share answers monotone challenges\n"
+
+
+def test_audit_reads_merge_from_deployment(tmp_path, capsys):
+    # audit took its merge from its own flag, default sum, so this xor
+    # deployment, which admits six over-full groups, audited as exact
+    assert run_cli(["keygen", "--n", "12", "--seed", "5", "-o", str(tmp_path)]) == 0
+    shares = tmp_path / "shares"
+    deployment = ["--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                  "--max-size", "3"]
+    assert run_cli(["compile", *deployment, "--mode", "sequence", "--merge", "xor",
+                    "--key", str(tmp_path / "priv.json"), "-o", str(shares)]) == 0
+    capsys.readouterr()
+    assert run_cli(["audit", *deployment, "--shares", str(shares), "--trials", "20",
+                    "--seed", "1", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["mode"], doc["merge"], doc["all_exact"]) == ("sequence", "xor", False)
+    assert doc["false_accepts"] == sorted(
+        ["A,B,C,D", "A,B,C,E", "A,B,D,E", "A,C,D,E", "B,C,D,E", "A,B,C,D,E"])
+    assert doc["missed"] == []
 
 
 class TestFileAccessBoundaries:
@@ -890,6 +979,16 @@ class TestFileAccessBoundaries:
         run_cli(["verify", "--state", str(root / "state.json"),
                  "--responses", str(root / "r_A.json")])
         assert not any(p.endswith("priv.json") for p in opened)
+
+    def test_audit_never_reads_private_key(self, pipeline, monkeypatch):
+        root = pipeline
+        opened = self._record_opens(monkeypatch)
+        assert run_cli(["audit", "--shares", str(root / "shares"),
+                        "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                        "--max-size", "3", "--force-m", "2919"]) == 0
+        # the share directory is all it opens: its deployment file and share files
+        assert opened and all(Path(p).parent == root / "shares" for p in opened)
+        assert str(root / "shares/deployment.json") in opened
 
 
 def _readme_walkthrough():

@@ -446,6 +446,22 @@ class TestAudit:
             assert report.all_exact
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
+    @pytest.mark.parametrize("fixture", ["airplane", "small"])
+    def test_deployment_audits_as_private_key(self, request, fixture, null_policy):
+        # a verifier's public deployment reads the same as the private key it came from
+        system = request.getfixturevalue(fixture)
+        pub = system.pub
+        deployment = protocol.Deployment(pub.n, pub.p, pub.v, system.mode, system.merge,
+                                         len(system.shares[system.universe[0]].slots))
+        runs = []
+        for key in (system.priv, deployment):
+            rng = random.Random(9)
+            report = audit(key, system.shares, system.expected_family, trials=6, rng=rng,
+                           mode=system.mode, merge=system.merge, null_policy=null_policy)
+            runs.append((report.accepted_by_trial, report.merge, rng.getstate()))
+        assert runs[0] == runs[1]
+
 
 def reference_audit(shares, challenge, state):
     """The accepted subsets of one null-1 trial, responding afresh for every subset."""
