@@ -196,6 +196,10 @@ def cmd_audit(args) -> int:
     if slot_count != deployment.slot_count:
         raise SchemaError(f"{args.shares}: the deployment has {deployment.slot_count} "
                           f"slot(s), the shares {slot_count}")
+    # v[0] is the public value of the prime 2, so v[0]^s = 2 (mod p) under the shares' key
+    keys = {(share.p, share.s) for share in shares.values()}
+    if any(p != deployment.p or pow(deployment.v[0], s, p) != 2 for p, s in keys):
+        raise SchemaError(f"{args.shares}: the deployment's public key is not the shares' key")
     null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
 

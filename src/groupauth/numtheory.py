@@ -7,6 +7,7 @@ to call from multiple threads.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
@@ -35,7 +36,11 @@ class NotInvertible(GroupAuthError):
 # n <= 18 is below 2 * P_18 < psi_12.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_PSI_12 = 318665857834031151167461
+# psi_k, the least strong pseudoprime to the first k witnesses (OEIS A014233):
+# below psi_k those k decide primality exactly.
+_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+        3825123056546413051, 318665857834031151167461)
 
 # Above psi_12 this many random witnesses bound a false "prime" by 4**-40.
 _RANDOM_WITNESSES = 40
@@ -94,11 +99,11 @@ def is_probable_prime(n: int) -> bool:
 
     One gcd with the product of SMALL_PRIMES settles every n with a factor
     in that table; since gcd(P + k, P) = gcd(k, P), a scan above a prime
-    product P pays no `pow` for those candidates. Below psi_12 the fixed
-    witnesses 2..37 then decide primality with certainty. Above, 40 random
-    witnesses bound the false-positive rate by 4**-40; they are seeded from
-    n so results are reproducible, and drawn one at a time so a composite
-    stops at its first failing witness.
+    product P pays no `pow` for those candidates. Below psi_12 the first k
+    fixed witnesses, for the least k with n < psi_k, then decide primality
+    with certainty. Above, 40 random witnesses bound the false-positive rate
+    by 4**-40; they are seeded from n so results are reproducible, and drawn
+    one at a time so a composite stops at its first failing witness.
     """
     if n < 2:
         return False
@@ -111,8 +116,8 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         r += 1
 
-    if n < _PSI_12:
-        witnesses = _DETERMINISTIC_WITNESSES
+    if n < _PSI[-1]:
+        witnesses = _DETERMINISTIC_WITNESSES[:bisect.bisect_right(_PSI, n) + 1]
     else:
         rng = random.Random(n)
         witnesses = (rng.randrange(2, n - 1) for _ in range(_RANDOM_WITNESSES))

@@ -28,7 +28,7 @@ construction makes the equivalence unconditional.
 from __future__ import annotations
 
 import itertools
-import math
+import operator
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
@@ -344,29 +344,35 @@ def slots_baseline(
     return SlotPlan(universe=universe, n=n, slots=slots)
 
 
-def _grow_classes(
-    seed: frozenset[str],
-    remaining: set[frozenset[str]],
-    universe: tuple[str, ...],
-) -> list[list[str]]:
-    """Greedily extend singleton classes while every transversal stays inside
-    the remaining family.
+def _transversals(classes: list[list[int]]) -> list[int]:
+    """The masks of the groups made of one holder (bit position) per class."""
+    picks = [0]
+    for cls in classes:
+        picks = [pick | 1 << j for pick in picks for j in cls]
+    return picks
 
+
+def _grow_seed(
+    seed: list[int],
+    remaining: set[int],
+    holders: list[int],
+) -> list[list[int]]:
+    """Greedily extend a seed's singleton classes while every transversal stays
+    inside the remaining family.
+
+    Groups are subset masks and holders bit positions. `seed` lists the seed
+    group's members ascending, and `holders` the candidates in universe order.
     One pass suffices: classes only grow, so the transversals a holder would
     add to a class only grow too, and a holder refused once stays refused.
     """
-    pos = {name: i for i, name in enumerate(universe)}
-    classes = [[m] for m in sorted(seed, key=pos.__getitem__)]
+    classes = [[j] for j in seed]
     used = set(seed)
     for ci in range(len(classes)):
-        for holder in universe:
-            if holder in used:
-                continue
-            others = [cls for i, cls in enumerate(classes) if i != ci]
-            if all(frozenset([holder, *pick]) in remaining
-                   for pick in itertools.product(*others)):
-                classes[ci].append(holder)
-                used.add(holder)
+        picks = _transversals(classes[:ci] + classes[ci + 1:])
+        for j in holders:
+            if j not in used and all(pick | 1 << j in remaining for pick in picks):
+                classes[ci].append(j)
+                used.add(j)
     return classes
 
 
@@ -383,17 +389,47 @@ def slots_packed(
     requested family and never drops one. Of equal covers, the first seed in
     canonical order wins. Slot count is best-effort, not minimal, and never
     exceeds the baseline plan's.
+
+    Groups are subset masks, bit j for universe[j]. Two rules spare growths
+    without changing the plan:
+
+    * Reuse. A seed's grown classes are kept, and reused in a later round
+      while every group they authenticate is still unplaced. That is exact: a
+      growth decides once per (class, holder), and a holder joins when every
+      group it would add is unplaced. Each group checked for a join is one of
+      the grown classes' transversals, so while none of those is placed every
+      join still holds; and a refusal still holds because the unplaced groups
+      only shrink.
+    * Bound. k classes of distinct holders that occur in unplaced groups have
+      at most the balanced product of k sizes summing to the number of those
+      holders. A seed of k members whose bound is at most the best cover so
+      far is not grown: it could only tie, and the first of equal covers wins.
     """
-    key = _canonical_group_key(universe)
-    remaining = set(family)
+    pos = {name: j for j, name in enumerate(universe)}
+    seeds = [sum(1 << pos[h] for h in group)
+             for group in sorted(family, key=_canonical_group_key(universe))]
+    remaining = set(seeds)
+    grown: dict[int, tuple[list[list[int]], set[int]]] = {}  # seed -> classes, their groups
     slots = []
     while remaining:
-        best = max((_grow_classes(seed, remaining, universe)
-                    for seed in sorted(remaining, key=key)),
-                   key=lambda classes: math.prod(map(len, classes)))
-        slot = _slot_for_classes(best, n)
-        slots.append(slot)
-        remaining -= authorized_groups(slot)
+        seeds = [seed for seed in seeds if seed in remaining]
+        live = reduce(operator.or_, remaining)
+        holders = [j for j in range(len(universe)) if live >> j & 1]
+        best, best_cover = None, 0
+        for seed in seeds:
+            if seed not in grown:
+                k = seed.bit_count()
+                q, r = divmod(len(holders), k)
+                if (q + 1) ** r * q ** (k - r) <= best_cover:
+                    continue
+                classes = _grow_seed([j for j in holders if seed >> j & 1], remaining, holders)
+                grown[seed] = classes, set(_transversals(classes))
+            if len(grown[seed][1]) > best_cover:
+                best, best_cover = seed, len(grown[seed][1])
+        classes, placed = grown[best]
+        slots.append(_slot_for_classes([[universe[j] for j in cls] for cls in classes], n))
+        remaining -= placed
+        grown = {seed: entry for seed, entry in grown.items() if entry[1].isdisjoint(placed)}
     return SlotPlan(universe=universe, n=n, slots=slots)
 
 

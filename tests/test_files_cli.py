@@ -1,4 +1,5 @@
 import builtins
+import itertools
 import json
 import math
 import os
@@ -937,6 +938,46 @@ def test_audit_reads_merge_from_deployment(tmp_path, capsys):
     assert doc["false_accepts"] == sorted(
         ["A,B,C,D", "A,B,C,E", "A,B,D,E", "A,C,D,E", "B,C,D,E", "A,B,C,D,E"])
     assert doc["missed"] == []
+
+
+def test_packed_compile_of_a_4_of_14_threshold(tmp_path, capsys):
+    # the CLI reads an OR of the 1,001 four-holder ANDs over H0..H13 and packs it
+    universe = [f"H{i}" for i in range(14)]
+    threshold = " or ".join(" and ".join(c) for c in itertools.combinations(universe, 4))
+    assert run_cli(["keygen", "--n", "12", "--seed", "1", "-o", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert run_cli(["compile", "--policy", threshold, "--universe", ",".join(universe),
+                    "--max-size", "4", "--mode", "sequence", "--pack",
+                    "--key", str(tmp_path / "priv.json"), "-o", str(tmp_path / "shares")]) == 0
+    assert "1001 authorized groups compiled into 66 slots" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seeds", [("5", "6"), ("6", "5"), (None, None)],
+                         ids=["seed 5 beside 6", "seed 6 beside 5", "unseeded pair"])
+def test_audit_refuses_another_keys_deployment(tmp_path, capsys, seeds):
+    # seed 5's deployment beside seed 6's shares audited as all 16 groups
+    # missed, and the swap the other way failed on a ciphertext out of range.
+    # Two unseeded keys share p, the least prime above the prime product, so
+    # only the public values tell them apart.
+    deployment = ["--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                  "--max-size", "3"]
+    dirs = []
+    for i, seed in enumerate(seeds):
+        keys, shares = tmp_path / f"keys{i}", tmp_path / f"shares{i}"
+        assert run_cli(["keygen", "--n", "12", *(["--seed", seed] if seed else []),
+                        "-o", str(keys)]) == 0
+        assert run_cli(["compile", *deployment, "--mode", "sequence",
+                        "--key", str(keys / "priv.json"), "-o", str(shares)]) == 0
+        dirs.append(shares)
+    docs = [json.loads((d / "deployment.json").read_text()) for d in dirs]
+    assert (docs[0]["p"] == docs[1]["p"]) == (seeds == (None, None))
+    (dirs[1] / "deployment.json").write_bytes((dirs[0] / "deployment.json").read_bytes())
+    capsys.readouterr()
+    assert run_cli(["audit", *deployment, "--shares", str(dirs[1]), "--trials", "3",
+                    "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {dirs[1]}: the deployment's public key is not the shares' key\n"
 
 
 class TestFileAccessBoundaries:

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from groupauth import numtheory
 from groupauth.numtheory import (
+    SMALL_PRIME_RANK,
     SMALL_PRIMES,
     NotInvertible,
     _DETERMINISTIC_WITNESSES,
+    _PSI,
     _miller_rabin_round,
     first_n_primes,
     is_probable_prime,
@@ -142,6 +144,55 @@ class TestExactBound:
             assert is_probable_prime(n) == oracle, n
 
 
+SMALL_PRODUCT = math.prod(SMALL_PRIMES)
+
+
+def twelve_witness_rule(n):
+    """All 12 fixed witnesses for every n past the table's gcd, the oracle for
+    `is_probable_prime`'s first k of them below psi_k."""
+    if n < 2 or math.gcd(n, SMALL_PRODUCT) != 1:
+        return n in SMALL_PRIME_RANK
+    return all(miller_rabin_passes(n, _DETERMINISTIC_WITNESSES))
+
+
+def counted_rounds(monkeypatch):
+    calls = []
+    real = numtheory._miller_rabin_round
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(numtheory, "_miller_rabin_round", counted)
+    return calls
+
+
+class TestWitnessCount:
+    """Below psi_k the first k fixed witnesses run, and no more."""
+
+    def test_psi_table(self):
+        assert len(_PSI) == len(_DETERMINISTIC_WITNESSES) and _PSI[-1] == PSI_12
+        assert list(_PSI) == sorted(_PSI)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_each_psi_refused(self, k):
+        # psi_k fools the first k witnesses; a later one, or above psi_12 the
+        # random ones, must catch it
+        psi = _PSI[k - 1]
+        assert all(miller_rabin_passes(psi, _DETERMINISTIC_WITNESSES[:k]))
+        assert not is_probable_prime(psi)
+
+    def test_matches_twelve_witness_rule_below_million(self):
+        assert [n for n in range(1_000_000)
+                if is_probable_prime(n) != twelve_witness_rule(n)] == []
+
+    def test_12_prime_modulus_takes_7_rounds(self, monkeypatch):
+        calls = counted_rounds(monkeypatch)
+        assert _PSI[5] < 7420738134871 < _PSI[6]
+        assert is_probable_prime(7420738134871)
+        assert [w for *_, w in calls] == list(_DETERMINISTIC_WITNESSES[:7])
+
+
 class TestNextPrimeAbove:
     def test_small(self):
         assert next_prime_above(2) == 3
@@ -175,14 +226,7 @@ class TestNextPrimeAbove:
     def test_16_prime_product_takes_12_rounds(self, monkeypatch):
         # the candidates sharing a table prime with P_16 cost no round, and
         # P_16 + 59 < psi_12 is confirmed by the 12 fixed witnesses alone
-        calls = []
-        real = numtheory._miller_rabin_round
-
-        def counted(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(numtheory, "_miller_rabin_round", counted)
+        calls = counted_rounds(monkeypatch)
         product = math.prod(SMALL_PRIMES[:16])
         assert next_prime_above(product) == product + 59
         assert len(calls) <= 12

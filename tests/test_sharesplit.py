@@ -6,6 +6,7 @@ import random
 import pytest
 
 from groupauth import files
+from groupauth.errors import GroupAuthError
 from groupauth.nscrypt import KeyShare, Share, keygen, residue_bits, system_primes
 from groupauth.policy import (And, Or, Var, authorized_family, evaluate, group_of, parse,
                              truth_table, variables)
@@ -23,8 +24,8 @@ from groupauth.sharesplit import (
     slots_baseline,
     slots_packed,
 )
-from groupauth.sharesplit import (_grow_classes, _maximal_unsat, _plain_descent,
-                                  _split_is_exact)
+from groupauth.sharesplit import (_canonical_group_key, _grow_seed, _maximal_unsat,
+                                  _plain_descent, _slot_for_classes, _split_is_exact)
 from conftest import TEN, TEN_POLICY, random_family, random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -268,7 +269,7 @@ def test_maximal_unsat_closed_forms():
 
 
 def reference_grow_classes(seed, remaining, universe):
-    """Sweeps until nothing changes, the oracle for one-pass `_grow_classes`."""
+    """Sweeps until nothing changes, the oracle for one-pass `_grow_seed`."""
     pos = {name: i for i, name in enumerate(universe)}
     classes = [[m] for m in sorted(seed, key=pos.__getitem__)]
     used = set(seed)
@@ -296,9 +297,28 @@ def test_grow_classes_matches_reference():
     for _ in range(150):
         universe = tuple("ABCDEFG")[: rng.randint(2, 7)]
         family = set(random_family(rng, universe, rng.choice([0.3, 0.6, 0.9])))
+        masks = {sum(1 << universe.index(h) for h in group) for group in family}
         for seed in family:
-            assert _grow_classes(seed, family, universe) == \
+            members = sorted(universe.index(h) for h in seed)
+            grown = _grow_seed(members, masks, list(range(len(universe))))
+            assert [[universe[j] for j in cls] for cls in grown] == \
                 reference_grow_classes(seed, family, universe)
+
+
+def reference_slots_packed(family, n, universe):
+    """Every remaining seed regrown from scratch each round, the oracle for
+    `slots_packed`'s reused growths and bound."""
+    key = _canonical_group_key(universe)
+    remaining = set(family)
+    slots = []
+    while remaining:
+        best = max((reference_grow_classes(seed, remaining, universe)
+                    for seed in sorted(remaining, key=key)),
+                   key=lambda classes: math.prod(map(len, classes)))
+        slot = _slot_for_classes(best, n)
+        slots.append(slot)
+        remaining -= authorized_groups(slot)
+    return SlotPlan(universe=universe, n=n, slots=slots)
 
 
 # Compile outputs pinned by SHA-256, holder order and part order included:
@@ -373,6 +393,56 @@ def test_random_plans_pinned():
         plans += [slots_packed(family, n, universe), slots_baseline(family, n, universe)]
     assert plan_digest(plans) == (
         "d5f5691d48ed168cc1d61929455ed518a2a9909ba1e4fde8c2c810bcbf2ef91f")
+
+
+def threshold_family(k, m):
+    """Every k-holder group of the universe H0..H(m-1): a k-of-m threshold capped at k."""
+    universe = tuple(f"H{i}" for i in range(m))
+    return frozenset(map(frozenset, itertools.combinations(universe, k))), universe
+
+
+def planned(planner, family, n, universe):
+    """A plan's layout digest, or the type and message of the planner's refusal."""
+    try:
+        return plan_digest([planner(family, n, universe)])
+    except GroupAuthError as exc:
+        return type(exc), str(exc)
+
+
+def test_packed_plans_match_reference_on_random_families():
+    rng = random.Random(4600)
+    refused = 0
+    for _ in range(250):
+        universe = tuple("ABCDEFGH")[: rng.randint(1, 8)]
+        family = random_family(rng, universe, rng.choice([0.2, 0.5, 0.8]))
+        if not family:
+            continue
+        n = rng.choice([2, 3, 8, 16])
+        outcome = planned(slots_packed, family, n, universe)
+        assert outcome == planned(reference_slots_packed, family, n, universe)
+        refused += isinstance(outcome, tuple)
+    assert refused > 30
+
+
+@pytest.mark.parametrize("k, m", [(3, 8), (4, 8), (3, 12)])
+def test_packed_threshold_plans_match_reference(k, m):
+    family, universe = threshold_family(k, m)
+    for n in (2, 16):
+        assert planned(slots_packed, family, n, universe) == \
+            planned(reference_slots_packed, family, n, universe)
+
+
+def test_packed_audit10_plan_matches_reference():
+    family = authorized_family(parse(TEN_POLICY, TEN), TEN, 4)
+    assert planned(slots_packed, family, 16, TEN) == \
+        planned(reference_slots_packed, family, 16, TEN)
+
+
+def test_4_of_14_plan_pinned():
+    family, universe = threshold_family(4, 14)
+    plan = slots_packed(family, 12, universe)
+    assert len(family) == 1001 and len(plan.slots) == 66
+    assert plan.authorized_family() == family
 
 
 class TestSlotAssignment:
