@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands cover the whole pipeline: generate keys, compile a policy into
+Subcommands cover the whole pipeline: generate a key, compile a policy into
 share files, open a challenge session, answer it from a share file, verify
 responses, audit a deployment by brute force, and run the built-in demos.
 
@@ -69,17 +69,12 @@ def _seeded_rng(seed: int | None) -> random.Random | None:
 
 
 def cmd_keygen(args) -> int:
-    if (args.force_p is None) != (args.force_s is None):
-        raise SchemaError("--force-p and --force-s must be given together")
     strategy = "seeded-random" if args.seed is not None else "deterministic-least-prime"
-    pub, priv = nscrypt.keygen(
-        args.n, strategy=strategy, seed=args.seed,
-        force_p=args.force_p, force_s=args.force_s)
+    _, priv = nscrypt.keygen(args.n, strategy=strategy, seed=args.seed)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
-    files.save(pub, out / "pub.json")
     files.save(priv, out / "priv.json")
-    print(f"wrote {out / 'pub.json'} and {out / 'priv.json'} (n={pub.n}, p={pub.p})")
+    print(f"wrote {out / 'priv.json'} (n={priv.n}, p={priv.p})")
     return 0
 
 
@@ -381,13 +376,11 @@ def build_parser() -> argparse.ArgumentParser:
     shared.add_argument("--max-size", type=int, default=None,
                         help="largest allowed group, at least 1")
 
-    p = sub.add_parser("keygen", help="generate a key pair")
+    p = sub.add_parser("keygen", help="generate a private key")
     p.add_argument("--n", type=int, required=True, help="number of system primes")
     p.add_argument("--seed", type=_hex,
                    help="hex seed for seeded-random generation; for tests only: the key "
                         "comes from a Mersenne Twister and is only as secret as the seed")
-    p.add_argument("--force-p", type=int, help="pin the prime modulus")
-    p.add_argument("--force-s", type=int, help="pin the secret exponent")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_keygen)
 

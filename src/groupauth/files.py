@@ -8,9 +8,10 @@ identical inputs produce byte-identical files.
 `_SCHEMAS` is the one definition of each kind: its class, and its fields in
 the order they are checked, each with a JSON name, an attribute and a codec.
 `to_document` and `from_document` both read it, so a kind is written and
-parsed the same way by construction. Kinds: ns-public, deployment,
-ns-private, share-monotone, share-sequence, challenge, verifier-state,
-response, verdict.
+parsed the same way by construction. Kinds: deployment, ns-private,
+share-monotone, share-sequence, challenge, verifier-state, response,
+verdict. A public key is written only as part of a deployment: a bare
+`NsPublicKey` has no kind of its own.
 
 `dumps` writes exactly the bytes of `json.dumps(doc, sort_keys=True,
 indent=2)` plus a newline, but does not call it or build `doc`: with
@@ -39,7 +40,7 @@ from pathlib import Path
 
 from . import numtheory
 from .errors import SchemaError
-from .nscrypt import MAX_MODULUS, KeyShare, NsPrivateKey, NsPublicKey, ShareSequence
+from .nscrypt import MAX_MODULUS, KeyShare, NsPrivateKey, ShareSequence
 from .protocol import Challenge, Deployment, ResponseVector, Verdict, VerifierState
 
 __all__ = [
@@ -172,7 +173,6 @@ _SESSION = (("session_id", "session_id", _STR), ("mode", "mode", _STR),
             ("merge", "merge", _STR), ("slot_count", "slot_count", _INT))
 
 _SCHEMAS = {
-    "ns-public": (NsPublicKey, _PUBLIC),
     "deployment": (Deployment, _PUBLIC + _SESSION[1:]),
     "ns-private": (NsPrivateKey, (
         ("n", "n", _INT), ("p", "p", _PRIME), ("s", "s", _BIG), ("primes", "primes", _BIGS))),
@@ -273,5 +273,5 @@ def load(path: str | Path, expect_kind: str | None = None):
             field="kind")
     try:
         return from_document(doc)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: {exc}", field=None) from None
+    except (SchemaError, ValueError, TypeError) as exc:  # each named with its file
+        raise SchemaError(f"{path}: {exc}", field=getattr(exc, "field", None)) from None

@@ -32,10 +32,11 @@ import operator
 from dataclasses import dataclass, field
 from functools import partial, reduce
 
+from . import policy
 from .errors import GroupAuthError
 from .nscrypt import KeyShare, NsPrivateKey, ShareSequence
-from .policy import (And, Or, PolicyExpr, Var, _fold, check_universe, evaluate, group_of,
-                     is_monotone, variables)
+from .policy import (And, Or, PolicyExpr, Var, _fold, check_universe, group_of, is_monotone,
+                     variables)
 
 __all__ = [
     "NonMonotoneError",
@@ -166,8 +167,9 @@ def _guided_descent(
             if group is None:
                 target = sizes.index(min(sizes))
             else:
+                # through the module, so perfbench's wrapper of policy.evaluate counts it
                 false_children = [i for i, c in enumerate(node.children)
-                                  if not evaluate(c, group)]
+                                  if not policy.evaluate(c, group)]
                 assert false_children, "reserved index reached a satisfied AND"
                 target = min(false_children, key=sizes.__getitem__)
             buckets[target].append(x)

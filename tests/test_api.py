@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import groupauth
+from groupauth import policy, sharesplit
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(groupauth.__path__))
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -67,15 +68,34 @@ def test_runtime_does_not_import_the_compiler(name):
             f"{name}.py imports sharesplit")
 
 
-def test_traced_names_exist():
-    # perfbench/spans.py wraps these attributes by name; a missing one
-    # breaks `perfbench/run.py --trace 1`
+def _spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_names_exist():
+    # perfbench/spans.py wraps these attributes by name; a missing one
+    # breaks `perfbench/run.py --trace 1`
+    spans = _spans()
     for module_name, attr, _stem, _kind in spans.HOOKS:
         module = importlib.import_module(f"groupauth.{module_name}")
         assert callable(getattr(module, attr, None)), f"groupauth.{module_name}.{attr}"
+
+
+def test_traced_split_counts_evaluate():
+    # the guided descent called the `evaluate` that sharesplit imported, so
+    # the tracer's wrapper of policy.evaluate saw none of its calls
+    spans = _spans()
+    modules = {name: importlib.import_module(f"groupauth.{name}")
+               for name in {module_name for module_name, *_ in spans.HOOKS}}
+    # session-mono12's policy in perfbench/run.py, whose split takes the guided descent
+    expr = policy.parse("(A and (B or C)) or ((B or C) and (D or E) and (F or G or H))",
+                        tuple("ABCDEFGH"))
+    with spans.Tracer(modules) as tracer:
+        sharesplit.bl_split(expr, range(12))
+    assert tracer.calls["policy.evaluate"] > 0
 
 
 def test_benchmark_selftest_passes():

@@ -16,22 +16,40 @@ from groupauth import files, fixtures, nscrypt, numtheory
 from groupauth.cli import run_cli
 from groupauth.errors import SchemaError
 from groupauth.nscrypt import keygen
-from groupauth.protocol import ResponseVector, Verdict, make_challenge, verify
+from groupauth.protocol import Deployment, ResponseVector, Verdict, make_challenge, verify
 
 LONG = "9" * 5000  # more digits than Python's default int_max_str_digits
 
 
-class TestSchemas:
-    def test_key_roundtrip(self, tmp_path):
-        pub, priv = keygen(12, force_p=fixtures.AIRPLANE_P, force_s=fixtures.AIRPLANE_S)
-        files.save(pub, tmp_path / "pub.json")
-        files.save(priv, tmp_path / "priv.json")
-        assert files.load(tmp_path / "pub.json", expect_kind="ns-public") == pub
-        assert files.load(tmp_path / "priv.json", expect_kind="ns-private") == priv
+def _deployment(system):
+    """A demo system's deployment: its public key and session shape, as `compile` writes it."""
+    pub = system.pub
+    return Deployment(pub.n, pub.p, pub.v, system.mode, system.merge,
+                      len(system.shares[system.universe[0]].slots))
 
-    def test_integers_are_decimal_strings(self, tmp_path):
-        pub, _ = keygen(12, force_p=fixtures.AIRPLANE_P, force_s=fixtures.AIRPLANE_S)
-        doc = json.loads(files.dumps(pub))
+
+class TestSchemas:
+    def test_key_roundtrip(self, tmp_path, airplane):
+        deployment = _deployment(airplane)
+        files.save(deployment, tmp_path / "deployment.json")
+        files.save(airplane.priv, tmp_path / "priv.json")
+        assert files.load(tmp_path / "deployment.json", expect_kind="deployment") == deployment
+        assert files.load(tmp_path / "priv.json", expect_kind="ns-private") == airplane.priv
+
+    def test_public_key_has_no_kind_of_its_own(self, tmp_path, airplane):
+        # a public key is written and read only inside a deployment file
+        with pytest.raises(TypeError, match="no schema for NsPublicKey"):
+            files.dumps(airplane.pub)
+        doc = dict(files.to_document(_deployment(airplane)), kind="ns-public")
+        path = tmp_path / "pub.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(SchemaError) as err:
+            files.load(path)
+        assert str(err.value) == f"{path}: unknown file kind 'ns-public'"
+        assert err.value.field == "kind"
+
+    def test_integers_are_decimal_strings(self, airplane):
+        doc = json.loads(files.dumps(_deployment(airplane)))
         assert doc["p"] == "7420738134871"
         assert all(isinstance(x, str) and x.isdigit() for x in doc["v"])
 
@@ -66,7 +84,8 @@ class TestSchemas:
 
     def test_bad_field_named(self, tmp_path):
         path = tmp_path / "x.json"
-        path.write_text('{"kind": "ns-public", "n": 2, "p": 123, "v": ["1", "2"]}')
+        path.write_text('{"kind": "deployment", "n": 2, "p": 123, "v": ["1", "2"], '
+                        '"mode": "monotone", "merge": "or", "slot_count": 1}')
         with pytest.raises(SchemaError) as err:
             files.load(path)
         assert err.value.field == "p"
@@ -90,11 +109,11 @@ class TestSchemas:
 
     @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
     def test_only_ascii_digits(self, tmp_path, airplane, digit):
-        pub_doc = files.to_document(airplane.pub)
+        dep_doc = files.to_document(_deployment(airplane))
         seq_doc = files.to_document(airplane.shares["A"])
         docs = [
-            dict(pub_doc, p=digit),
-            dict(pub_doc, v=[digit] + pub_doc["v"][1:]),
+            dict(dep_doc, p=digit),
+            dict(dep_doc, v=[digit] + dep_doc["v"][1:]),
             dict(seq_doc, slots=[[digit]] + seq_doc["slots"][1:]),
         ]
         for doc in docs:
@@ -106,7 +125,7 @@ class TestSchemas:
                 files.load(path)
 
     @pytest.mark.parametrize("kind, field", [
-        ("ns-public", "n"), ("ns-private", "n"), ("share-sequence", "n"),
+        ("deployment", "n"), ("ns-private", "n"), ("share-sequence", "n"),
         ("challenge", "slot_count"), ("verifier-state", "slot_count"),
         ("verdict", "matching_slot"),
     ])
@@ -115,7 +134,7 @@ class TestSchemas:
             airplane.pub, mode="sequence", merge="sum", slot_count=1,
             rng=random.Random(0), force_m=2919)
         verdict = Verdict(session_id="x", accepted=True, matching_slot=1)
-        obj = {"ns-public": airplane.pub, "ns-private": airplane.priv,
+        obj = {"deployment": _deployment(airplane), "ns-private": airplane.priv,
                "share-sequence": airplane.shares["A"], "challenge": challenge,
                "verifier-state": state, "verdict": verdict}[kind]
         doc = dict(files.to_document(obj), **{field: True})
@@ -154,11 +173,12 @@ class TestSchemas:
             files.load(path, expect_kind="ns-private")
 
     @pytest.mark.parametrize("kind, field, value", [
-        ("ns-public", "p", LONG), ("ns-public", "v", [LONG]),
+        ("deployment", "p", LONG), ("deployment", "v", [LONG]),
         ("share-sequence", "slots", [[LONG]]),
     ], ids=["p", "v", "slots"])
     def test_overlong_integer_names_field(self, tmp_path, airplane, kind, field, value):
-        doc = files.to_document(airplane.pub if kind == "ns-public" else airplane.shares["A"])
+        doc = files.to_document(
+            _deployment(airplane) if kind == "deployment" else airplane.shares["A"])
         doc[field] = value
         with pytest.raises(SchemaError) as err:
             files.from_document(doc)
@@ -194,8 +214,8 @@ class TestSchemas:
         assert err.value.field == "p"
 
     def test_json_number_past_digit_limit(self, tmp_path):
-        path = tmp_path / "pub.json"
-        path.write_text('{"kind": "ns-public", "n": ' + LONG + "}")
+        path = tmp_path / "deployment.json"
+        path.write_text('{"kind": "deployment", "n": ' + LONG + "}")
         with pytest.raises(SchemaError):
             files.load(path)
 
@@ -203,27 +223,27 @@ class TestSchemas:
         # messages are read off at most 64 prime ranks; a 65th value used to
         # load and then silently reject authorized groups
         pub, _ = keygen(64)
-        doc = files.to_document(pub)
+        doc = files.to_document(Deployment(pub.n, pub.p, pub.v, "monotone", "or", 1))
         doc["n"], doc["v"] = 65, doc["v"] + ["2"]
         with pytest.raises(ValueError):
             files.from_document(doc)
-        path = tmp_path / "pub.json"
+        path = tmp_path / "deployment.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError):
-            files.load(path, expect_kind="ns-public")
+            files.load(path, expect_kind="deployment")
 
     def test_public_modulus_must_exceed_prime_product(self, tmp_path, small):
         # 9,973 is prime but below the 8-prime product 9,699,690: such a key
         # used to load, and its sessions rejected the authorized {A1, A2}
         p = 9973
-        doc = dict(files.to_document(small.pub), p=str(p),
+        doc = dict(files.to_document(_deployment(small)), p=str(p),
                    v=[str(v % p) for v in small.pub.v])
         with pytest.raises(ValueError, match="modulus must exceed the prime product"):
             files.from_document(doc)
-        path = tmp_path / "pub.json"
+        path = tmp_path / "deployment.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError, match="modulus must exceed the prime product"):
-            files.load(path, expect_kind="ns-public")
+            files.load(path, expect_kind="deployment")
 
     @pytest.mark.parametrize("accepted, slot", [(True, -7), (False, 3), (True, None)])
     def test_verdict_slot_matches_outcome(self, tmp_path, accepted, slot):
@@ -243,7 +263,7 @@ class TestSchemas:
             assert verdict.matching_slot == slot
             assert files.from_document(files.to_document(verdict)) == verdict
 
-    @pytest.mark.parametrize("kind", ["ns-private", "ns-public", "share-monotone",
+    @pytest.mark.parametrize("kind", ["ns-private", "deployment", "share-monotone",
                                       "share-sequence"])
     def test_composite_modulus_rejected(self, tmp_path, small, airplane, kind):
         # such a key used to load, and decrypt(encrypt(1)) then raised; such a
@@ -252,7 +272,7 @@ class TestSchemas:
         priv = system.priv
         p = next(c for c in range(priv.p + 2, priv.p + 10_000, 2)
                  if math.gcd(priv.s, c - 1) == 1 and any(c % q == 0 for q in range(3, 100, 2)))
-        obj = {"ns-private": priv, "ns-public": system.pub,
+        obj = {"ns-private": priv, "deployment": _deployment(system),
                "share-monotone": small.shares["A1"], "share-sequence": airplane.shares["C"]}[kind]
         doc = dict(files.to_document(obj), p=str(p))
         with pytest.raises(SchemaError) as err:
@@ -277,9 +297,9 @@ class TestSchemas:
             files.load(path, expect_kind="share-sequence")
 
     def test_wrong_kind_rejected(self, tmp_path, airplane):
-        files.save(airplane.pub, tmp_path / "pub.json")
+        files.save(_deployment(airplane), tmp_path / "deployment.json")
         with pytest.raises(SchemaError):
-            files.load(tmp_path / "pub.json", expect_kind="ns-private")
+            files.load(tmp_path / "deployment.json", expect_kind="ns-private")
 
 
 class TestCliExitCodes:
@@ -350,20 +370,12 @@ class TestCliExitCodes:
 
 
 class TestKeygenCli:
-    def test_forced_key_matches_table(self, tmp_path):
-        code = run_cli(["keygen", "--n", "12",
-                        "--force-p", "7420738134871", "--force-s", "5642069",
-                        "-o", str(tmp_path)])
-        assert code == 0
-        doc = json.loads((tmp_path / "pub.json").read_text())
-        assert [int(x) for x in doc["v"]] == list(fixtures.AIRPLANE_V)
-
     def test_byte_identical_under_seed(self, tmp_path):
         for sub in ("one", "two"):
             code = run_cli(["keygen", "--n", "8", "--seed", "c0ffee",
                             "-o", str(tmp_path / sub)])
             assert code == 0
-        assert (tmp_path / "one/pub.json").read_bytes() == (tmp_path / "two/pub.json").read_bytes()
+            assert [p.name for p in (tmp_path / sub).iterdir()] == ["priv.json"]
         assert (tmp_path / "one/priv.json").read_bytes() == (tmp_path / "two/priv.json").read_bytes()
 
     def test_module_entry_point_writes_keys(self, tmp_path):
@@ -376,12 +388,19 @@ class TestKeygenCli:
             env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
         assert run_cli(["keygen", "--n", "12", "--seed", "5eed", "-o", str(tmp_path / "ref")]) == 0
-        for name in ("pub.json", "priv.json"):
-            assert (tmp_path / "keys" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+        for sub in ("keys", "ref"):
+            assert [p.name for p in (tmp_path / sub).iterdir()] == ["priv.json"]
+        assert (tmp_path / "keys/priv.json").read_bytes() == (tmp_path / "ref/priv.json").read_bytes()
 
-    def test_force_flags_must_pair(self, tmp_path):
-        assert run_cli(["keygen", "--n", "8", "--force-p", "9700247",
-                        "-o", str(tmp_path)]) == 2
+    def test_force_flags_gone(self, tmp_path, capsys):
+        # the modulus and secret are pinned through the library's keygen only
+        for flag in ("--force-p", "--force-s"):
+            assert run_cli(["keygen", "--n", "8", flag, "9700247", "-o", str(tmp_path / "k")]) == 2
+            assert f"unrecognized arguments: {flag} 9700247" in capsys.readouterr().err
+        assert not (tmp_path / "k").exists()
+        assert run_cli(["keygen", "--help"]) == 0
+        assert capsys.readouterr().out.startswith(
+            "usage: groupauth keygen [-h] --n N [--seed SEED] -o OUTPUT\n")
 
 
 class TestRefusedRunsLeaveNoDirectory:
@@ -389,15 +408,6 @@ class TestRefusedRunsLeaveNoDirectory:
         out = tmp_path / "kd" / "keys"
         assert run_cli(["keygen", "--n", "65", "-o", str(out)]) == 2
         assert "n must be in [2, 64]" in capsys.readouterr().err
-        assert not (tmp_path / "kd").exists()
-
-    def test_keygen_force_s_not_invertible(self, tmp_path, capsys):
-        # p - 1 is even, so an even s shares a factor with it
-        out = tmp_path / "kd" / "keys"
-        assert run_cli(["keygen", "--n", "12", "--force-p", str(fixtures.AIRPLANE_P),
-                        "--force-s", "4", "-o", str(out)]) == 2
-        assert capsys.readouterr().err == (
-            "error: secret exponent must be invertible mod p-1\n")
         assert not (tmp_path / "kd").exists()
 
     def test_compile_monotone_not(self, tmp_path, capsys):
@@ -523,13 +533,12 @@ class TestRefusedRunsLeaveNoDirectory:
 
 
 @pytest.fixture
-def pipeline(tmp_path):
-    """keygen + compile the five-holder demo policy, sequence mode, packed."""
+def pipeline(tmp_path, airplane):
+    """The airplane key and its policy compiled under it: sequence mode, packed."""
     keys = tmp_path / "keys"
     shares = tmp_path / "shares"
-    assert run_cli(["keygen", "--n", "12",
-                    "--force-p", "7420738134871", "--force-s", "5642069",
-                    "-o", str(keys)]) == 0
+    keys.mkdir()
+    files.save(airplane.priv, keys / "priv.json")
     assert run_cli([
         "compile", "--policy", fixtures.AIRPLANE_POLICY,
         "--universe", "A,B,C,D,E", "--max-size", "3",
@@ -610,6 +619,44 @@ class TestPipeline:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {deployment}: not a share file\n"
+        assert not (root / "r.json").exists()
+
+    @staticmethod
+    def _break_a_file(shares, case):
+        """Write one file that breaks its schema into `shares`; its path and the error."""
+        if case == "stray file":
+            path, doc, message = shares / "notes.json", {"name": "x"}, "unknown file kind None"
+        elif case == "old pub.json":  # as keygen once wrote it beside priv.json
+            doc = json.loads((shares / "deployment.json").read_text())
+            path, message = shares / "pub.json", "unknown file kind 'ns-public'"
+            doc = {"kind": "ns-public", "n": doc["n"], "p": doc["p"], "v": doc["v"]}
+        else:
+            path, message = shares / "share_C.json", "field 'p' must be a prime"
+            doc = dict(json.loads(path.read_text()), p="12")
+        path.write_text(json.dumps(doc))
+        return path, message
+
+    @pytest.mark.parametrize("case", ["stray file", "old pub.json", "share p"])
+    def test_audit_names_the_file_that_breaks_its_schema(self, pipeline, capsys, case):
+        # the error named no file: "error: unknown file kind None"
+        shares = pipeline / "shares"
+        path, message = self._break_a_file(shares, case)
+        capsys.readouterr()
+        assert run_cli(["audit", "--shares", str(shares), "--policy", fixtures.AIRPLANE_POLICY,
+                        "--universe", "A,B,C,D,E", "--max-size", "3", "--force-m", "2919"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: {message}\n"
+
+    @pytest.mark.parametrize("case", ["old pub.json", "share p"])
+    def test_respond_names_the_file_that_breaks_its_schema(self, pipeline, capsys, case):
+        root = pipeline
+        _challenge_session(root)
+        path, message = self._break_a_file(root / "shares", case)
+        capsys.readouterr()
+        assert run_cli(["respond", "--share", str(path), "--challenge", str(root / "challenge.json"),
+                        "-o", str(root / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
         assert not (root / "r.json").exists()
 
     def test_challenge_deterministic_under_seed(self, pipeline):
@@ -838,12 +885,11 @@ class TestPipeline:
 
 
 class TestMonotoneCliFlow:
-    def test_monotone_compile_and_verify(self, tmp_path):
+    def test_monotone_compile_and_verify(self, tmp_path, small):
         keys = tmp_path / "keys"
         shares = tmp_path / "shares"
-        assert run_cli(["keygen", "--n", "8",
-                        "--force-p", "9700247", "--force-s", "5642069",
-                        "-o", str(keys)]) == 0
+        keys.mkdir()
+        files.save(small.priv, keys / "priv.json")
         assert run_cli(["compile", "--policy", "(A1 and A2) or (A1 and A3)",
                         "--universe", "A1,A2,A3", "--mode", "monotone",
                         "--key", str(keys / "priv.json"), "-o", str(shares)]) == 0
@@ -1006,7 +1052,7 @@ class TestFileAccessBoundaries:
         root = pipeline
         opened = self._record_opens(monkeypatch)
         _challenge_session(root)
-        # no priv.json, pub.json or share file: what it writes is all else it opens
+        # no priv.json or share file: what it writes is all else it opens
         reads = [p for p in opened if Path(p).name not in ("challenge.json", "state.json")]
         assert reads == [str(root / "shares/deployment.json")]
 

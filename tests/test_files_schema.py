@@ -22,7 +22,6 @@ def one_per_kind(small, airplane):
     a1, a2 = (protocol.token_respond(small.shares[h], challenge) for h in ("A1", "A2"))
     verdict = protocol.verify(state, [protocol.merge_monotone([a1, a2])])
     return {
-        "ns-public": small.pub,
         "deployment": protocol.Deployment(small.pub.n, small.pub.p, small.pub.v,
                                           "monotone", "or", 1),
         "ns-private": small.priv,
@@ -36,23 +35,6 @@ def one_per_kind(small, airplane):
 
 
 GOLDEN = {
-    "ns-public": """\
-{
-  "kind": "ns-public",
-  "n": 8,
-  "p": "9700247",
-  "v": [
-    "8567078",
-    "5509479",
-    "2006538",
-    "4340987",
-    "8643477",
-    "6404090",
-    "1424105",
-    "7671241"
-  ]
-}
-""",
     "deployment": """\
 {
   "kind": "deployment",
@@ -275,7 +257,6 @@ def sessions(draw, cls, values):
 
 
 OBJECTS = {
-    "ns-public": public_keys(),
     "deployment": deployments(),
     "ns-private": private_keys(),
     "share-monotone": st.builds(KeyShare, holder=TEXT, s=BIG, p=BIG,
