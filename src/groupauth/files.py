@@ -94,8 +94,9 @@ def _read_int(raw, field):
 
 
 def _read_prime(raw, field):
+    # a default key's p is a table prime and loads with no primality test
     value = _read_int(raw, field)
-    if not numtheory.is_probable_prime(value):
+    if not numtheory.is_key_prime(value):
         raise SchemaError(f"field {field!r} must be a prime", field=field)
     return value
 

@@ -117,7 +117,9 @@ AIRPLANE_ERRATA = {
 SMALL_UNIVERSE = ("A1", "A2", "A3")
 SMALL_POLICY = "(A1 and A2) or (A1 and A3)"
 SMALL_N = 8
-SMALL_P = 9700247  # prime above the product of the first 8 primes, matching the vectors
+# a prime above the product of the first 8 primes, matching the vectors; not
+# the least (that is P_8 + 23), so a key over it pays a primality test
+SMALL_P = 9700247
 SMALL_S = 5642069
 
 SMALL_MESSAGE = 202

@@ -206,15 +206,19 @@ def keygen(
 ) -> tuple[NsPublicKey, NsPrivateKey]:
     """Generate a key pair over the first n primes.
 
-    deterministic-least-prime picks the least prime above the prime product
-    for p; seeded-random draws a random prime in (product, 2*product). The
-    secret exponent is drawn until it is invertible mod p-1, and the public
-    values are v_i = primes_i^(s^-1 mod (p-1)) mod p, so v_i^s = primes_i
-    (mod p). With no seed, s (and p under seeded-random) comes from the
-    operating system's generator, so every unseeded key is a fresh secret.
-    A seed makes the key reproducible, for tests only. `force_p` / `force_s`
-    pin those values exactly, which is how the built-in demo systems are
-    reproduced bit for bit.
+    deterministic-least-prime takes for p the least prime above the prime
+    product, read from `numtheory.PRIME_PRODUCT_GAPS`, a table the tests
+    check, so it searches for no prime and tests none; seeded-random draws a
+    random prime in (product, 2*product), and pays a primality test per
+    candidate. The secret exponent is drawn until it is invertible mod p-1,
+    and the public values are v_i = primes_i^(s^-1 mod (p-1)) mod p, so
+    v_i^s = primes_i (mod p): under the default strategy a key costs only
+    that inverse and its n `pow`s. With no seed, s (and p under
+    seeded-random) comes from the operating system's generator, so every
+    unseeded key is a fresh secret. A seed makes the key reproducible, for
+    tests only. `force_p` / `force_s` pin those values exactly, which is how
+    the built-in demo systems are reproduced bit for bit; a forced p outside
+    the table is tested like a seeded-random one.
     """
     primes = system_primes(n)
     if strategy not in KEYGEN_STRATEGIES:
@@ -236,10 +240,10 @@ def keygen(
         if p >= MAX_MODULUS:
             raise ValueError("forced p must be below twice the product of the "
                              f"{numtheory.MAX_N} system primes")
-        if not numtheory.is_probable_prime(p):
+        if not numtheory.is_key_prime(p):
             raise ValueError("forced p is not prime")
     elif strategy == "deterministic-least-prime":
-        p = numtheory.next_prime_above(product)
+        p = product + numtheory.PRIME_PRODUCT_GAPS[n - 2]
     else:
         while True:
             p = rng.randrange(product + 1, 2 * product)

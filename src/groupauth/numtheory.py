@@ -3,6 +3,16 @@
 Everything here works on plain Python ints, which are exact at any size, so
 there is no overflow anywhere in the stack. All functions are pure and safe
 to call from multiple threads.
+
+A key's default modulus is the least prime above P_n, the product of the
+first n primes, which is a pure function of n. `PRIME_PRODUCT_GAPS` holds
+those primes as gaps p - P_n, and a tier-1 test recomputes every entry with
+`next_prime_above`, so `nscrypt.keygen` reads p instead of searching for it.
+`is_key_prime` is the one membership test: a table prime needs no
+primality test, while any other p (a seeded-random key's, or a forced one)
+still goes through `is_probable_prime`, about 16 ms at n = 64.
+`is_probable_prime` itself never reads the table, so the table test does
+not check the table against itself.
 """
 
 from __future__ import annotations
@@ -18,11 +28,14 @@ __all__ = [
     "mod_inv",
     "is_probable_prime",
     "next_prime_above",
+    "is_key_prime",
     "first_n_primes",
     "prime_index",
     "MAX_N",
     "SMALL_PRIMES",
     "SMALL_PRIME_RANK",
+    "PRIME_PRODUCT_GAPS",
+    "TABLE_PRIMES",
 ]
 
 
@@ -93,6 +106,20 @@ SMALL_PRIMES: tuple[int, ...] = tuple(first_n_primes(MAX_N))
 SMALL_PRIME_RANK: dict[int, int] = {q: i for i, q in enumerate(SMALL_PRIMES)}
 _SMALL_PRODUCT = math.prod(SMALL_PRIMES)
 
+# p - P_n for the least prime p above P_n, at n = 2..MAX_N (entry n - 2);
+# test_prime_product_gaps_pinned recomputes each entry with next_prime_above.
+PRIME_PRODUCT_GAPS: tuple[int, ...] = (
+    1, 1, 1, 1, 17, 19, 23, 37, 61, 1, 61, 71, 47, 107, 59, 61, 109, 89,
+    103, 79, 151, 197, 101, 103, 233, 223, 127, 223, 191, 163, 229, 643,
+    239, 157, 167, 439, 239, 199, 191, 199, 383, 233, 751, 313, 773, 607,
+    313, 383, 293, 443, 331, 283, 277, 271, 401, 307, 331, 379, 491, 331,
+    311, 397, 331)
+
+# The primes P_n + gap themselves: prime by the table test, so no file or
+# forced key modulus among them is tested again.
+TABLE_PRIMES: frozenset[int] = frozenset(
+    math.prod(SMALL_PRIMES[:n]) + gap for n, gap in enumerate(PRIME_PRODUCT_GAPS, start=2))
+
 
 def is_probable_prime(n: int) -> bool:
     """Primality test: exact below psi_12, Miller-Rabin above.
@@ -137,6 +164,15 @@ def next_prime_above(x: int) -> int:
     while not is_probable_prime(candidate):
         candidate += 2
     return candidate
+
+
+def is_key_prime(p: int) -> bool:
+    """Whether a key modulus p is prime.
+
+    A p in TABLE_PRIMES is, without a test; any other p goes through
+    is_probable_prime.
+    """
+    return p in TABLE_PRIMES or is_probable_prime(p)
 
 
 def prime_index(q: int) -> int:

@@ -1,11 +1,13 @@
 import dataclasses
 import hashlib
+import json
 import math
 import random
 
 import pytest
 
-from groupauth import files, fixtures, numtheory
+from groupauth import files, fixtures, numtheory, sharesplit
+from groupauth.errors import SchemaError
 from groupauth.nscrypt import (
     KEYGEN_STRATEGIES,
     KeyShare,
@@ -102,6 +104,64 @@ class TestKeygen:
         too_big = numtheory.next_prime_above(2 * math.prod(numtheory.SMALL_PRIMES))
         with pytest.raises(ValueError):
             keygen(12, force_p=too_big)
+
+
+def counted_primality_tests(monkeypatch):
+    """The list each is_probable_prime or next_prime_above call appends its argument to."""
+    calls = []
+    for name in ("is_probable_prime", "next_prime_above"):
+        real = getattr(numtheory, name)
+
+        def counted(x, real=real):
+            calls.append(x)
+            return real(x)
+
+        monkeypatch.setattr(numtheory, name, counted)
+    return calls
+
+
+class TestPrimalityCost:
+    """A table p is read, never searched for or tested; any other p is tested once."""
+
+    def test_default_keys_and_their_files_test_no_prime(self, tmp_path, monkeypatch):
+        calls = counted_primality_tests(monkeypatch)
+        for n in range(2, numtheory.MAX_N + 1):
+            _, priv = keygen(n, seed=n)
+            assert calls == [], n
+            share = sharesplit.issue_monotone({"A": frozenset(range(n))}, priv)["A"]
+            for obj in (priv, share):
+                files.save(obj, tmp_path / "file.json")
+                assert files.load(tmp_path / "file.json") == obj
+            assert calls == [], n
+
+    def test_forced_p_outside_table_tested_once(self, monkeypatch):
+        # SMALL_P - P_8 is 557; the least prime above P_8 is P_8 + 23
+        product = math.prod(numtheory.SMALL_PRIMES[:8])
+        assert fixtures.SMALL_P - product == 557 and numtheory.PRIME_PRODUCT_GAPS[8 - 2] == 23
+        calls = counted_primality_tests(monkeypatch)
+        keygen(8, force_p=fixtures.SMALL_P, force_s=fixtures.SMALL_S)
+        assert calls == [fixtures.SMALL_P]
+
+    def test_seeded_random_key_file_tested_once_on_load(self, tmp_path, monkeypatch):
+        _, priv = keygen(64, "seeded-random", seed=1)
+        assert priv.p not in numtheory.TABLE_PRIMES
+        files.save(priv, tmp_path / "priv.json")
+        calls = counted_primality_tests(monkeypatch)
+        assert files.load(tmp_path / "priv.json") == priv
+        assert calls == [priv.p]
+
+    @pytest.mark.parametrize("n", [8, 12, 64])
+    def test_table_prime_plus_two_refused(self, tmp_path, n):
+        _, priv = keygen(n, seed=1)
+        assert priv.p in numtheory.TABLE_PRIMES
+        assert not numtheory.is_probable_prime(priv.p + 2)
+        with pytest.raises(ValueError, match="forced p is not prime"):
+            keygen(n, force_p=priv.p + 2)
+        path = tmp_path / "priv.json"
+        path.write_text(json.dumps(dict(files.to_document(priv), p=str(priv.p + 2))))
+        with pytest.raises(SchemaError) as err:
+            files.load(path)
+        assert err.value.field == "p"
 
 
 class TestSystemPrimes:

@@ -7,8 +7,11 @@ from hypothesis import strategies as st
 
 from groupauth import numtheory
 from groupauth.numtheory import (
+    MAX_N,
+    PRIME_PRODUCT_GAPS,
     SMALL_PRIME_RANK,
     SMALL_PRIMES,
+    TABLE_PRIMES,
     NotInvertible,
     _DETERMINISTIC_WITNESSES,
     _PSI,
@@ -212,16 +215,16 @@ class TestNextPrimeAbove:
         assert next_prime_above(7420738134810) == 7420738134871
 
     def test_prime_product_gaps_pinned(self):
-        # next_prime_above(P_n) - P_n for n = 2..64, as the trial-division
-        # and 2^64-bound test found them
-        gaps = [1, 1, 1, 1, 17, 19, 23, 37, 61, 1, 61, 71, 47, 107, 59, 61, 109, 89,
-                103, 79, 151, 197, 101, 103, 233, 223, 127, 223, 191, 163, 229, 643,
-                239, 157, 167, 439, 239, 199, 191, 199, 383, 233, 751, 313, 773, 607,
-                313, 383, 293, 443, 331, 283, 277, 271, 401, 307, 331, 379, 491, 331,
-                311, 397, 331]
-        for n, gap in zip(range(2, 65), gaps, strict=True):
+        # the library's one table of next_prime_above(P_n) - P_n, n = 2..64:
+        # keygen reads p from it and files load its primes untested, so every
+        # entry is recomputed here
+        least = set()
+        for n, gap in zip(range(2, MAX_N + 1), PRIME_PRODUCT_GAPS, strict=True):
             product = math.prod(SMALL_PRIMES[:n])
-            assert next_prime_above(product) - product == gap, n
+            p = next_prime_above(product)
+            assert p - product == gap, n
+            least.add(p)
+        assert TABLE_PRIMES == least
 
     def test_16_prime_product_takes_12_rounds(self, monkeypatch):
         # the candidates sharing a table prime with P_16 cost no round, and
