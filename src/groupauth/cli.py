@@ -69,8 +69,7 @@ def _seeded_rng(seed: int | None) -> random.Random | None:
 
 
 def cmd_keygen(args) -> int:
-    strategy = "seeded-random" if args.seed is not None else "deterministic-least-prime"
-    _, priv = nscrypt.keygen(args.n, strategy=strategy, seed=args.seed)
+    _, priv = nscrypt.keygen(args.n, seed=args.seed)
     out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     files.save(priv, out / "priv.json")
@@ -191,9 +190,8 @@ def cmd_audit(args) -> int:
     if slot_count != deployment.slot_count:
         raise SchemaError(f"{args.shares}: the deployment has {deployment.slot_count} "
                           f"slot(s), the shares {slot_count}")
-    # v[0] is the public value of the prime 2, so v[0]^s = 2 (mod p) under the shares' key
     keys = {(share.p, share.s) for share in shares.values()}
-    if any(p != deployment.p or pow(deployment.v[0], s, p) != 2 for p, s in keys):
+    if not all(nscrypt.binds(deployment, p, s) for p, s in keys):
         raise SchemaError(f"{args.shares}: the deployment's public key is not the shares' key")
     null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
@@ -379,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("keygen", help="generate a private key")
     p.add_argument("--n", type=int, required=True, help="number of system primes")
     p.add_argument("--seed", type=_hex,
-                   help="hex seed for seeded-random generation; for tests only: the key "
-                        "comes from a Mersenne Twister and is only as secret as the seed")
+                   help="hex seed of the secret exponent, for tests only: s comes from a "
+                        "Mersenne Twister and is only as secret as the seed (p is the "
+                        "least prime above the prime product either way)")
     p.add_argument("-o", "--output", required=True, help="output directory")
     p.set_defaults(func=cmd_keygen)
 

@@ -3,7 +3,8 @@
 Every file is UTF-8 JSON with a "kind" field naming its schema, and every
 big integer is a decimal string so files survive any JSON parser without
 64-bit truncation. Serialization is key-sorted and newline-terminated, so
-identical inputs produce byte-identical files.
+identical inputs produce byte-identical files. Text holding a surrogate code
+point is refused both ways, since JSON cannot carry it unchanged.
 
 `_SCHEMAS` is the one definition of each kind: its class, and its fields in
 the order they are checked, each with a JSON name, an attribute and a codec.
@@ -35,6 +36,7 @@ subclass of a schema class is written as that kind.
 from __future__ import annotations
 
 import json
+import re
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
@@ -156,8 +158,24 @@ def _slots_text(slots) -> str:
         ["null" if s is None else _inner_bigs_text(sorted(s)) for s in slots]) + "\n  ]"
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")  # JSON reads a high and low pair back as one
+
+
+def _checked_text(value: str) -> str:
+    if not value.isascii() and _SURROGATE.search(value):
+        raise ValueError(f"text {value!r} holds a surrogate code point")
+    return value
+
+
+def _read_text(raw, field):
+    if type(raw) is str and (raw.isascii() or not _SURROGATE.search(raw)):
+        return raw
+    raise SchemaError(f"field {field!r} must be str without surrogate code points", field=field)
+
+
 _INT = _exact(int, int.__repr__)
-_STR = _exact(str, encode_basestring_ascii)
+_STR = (_checked_text, _read_text,
+        lambda value: encode_basestring_ascii(value if value.isascii() else _checked_text(value)))
 _BOOL = _exact(bool, {True: "true", False: "false"}.__getitem__)
 _BIG = (lambda value: str(int(value)), _read_int, _big_text)
 _PRIME = (_BIG[0], _read_prime, _big_text)
@@ -257,8 +275,9 @@ def dumps(obj) -> str:
 
 
 def save(obj, path: str | Path) -> None:
+    text = dumps(obj)  # before the open, so a refused object leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps(obj))
+        fh.write(text)
 
 
 def load(path: str | Path, expect_kind: str | None = None):

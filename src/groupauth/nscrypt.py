@@ -33,10 +33,10 @@ __all__ = [
     "KeyShare",
     "ShareSequence",
     "MalformedCiphertext",
-    "KEYGEN_STRATEGIES",
     "system_primes",
     "keygen",
     "public_key_of",
+    "binds",
     "encrypt",
     "decrypt",
     "partial_decrypt",
@@ -47,11 +47,8 @@ __all__ = [
 Plaintext = int
 Ciphertext = int
 
-KEYGEN_STRATEGIES = ("deterministic-least-prime", "seeded-random")
-
-# Above any modulus keygen draws (seeded-random stays below twice the prime
-# product, and a forced p must stay below it), so a key's integers never have
-# more digits than this; `files` refuses any that do.
+# Above every key modulus (a table prime is below twice its prime product, and
+# a forced p must be below this): `files` refuses an integer of more digits.
 MAX_MODULUS = 2 * math.prod(numtheory.SMALL_PRIMES)
 
 
@@ -198,7 +195,6 @@ def _check_share_primes(primes: frozenset[int], n: int = numtheory.MAX_N) -> Non
 
 def keygen(
     n: int,
-    strategy: str = "deterministic-least-prime",
     seed: bytes | int | None = None,
     *,
     force_p: int | None = None,
@@ -206,49 +202,30 @@ def keygen(
 ) -> tuple[NsPublicKey, NsPrivateKey]:
     """Generate a key pair over the first n primes.
 
-    deterministic-least-prime takes for p the least prime above the prime
-    product, read from `numtheory.PRIME_PRODUCT_GAPS`, a table the tests
-    check, so it searches for no prime and tests none; seeded-random draws a
-    random prime in (product, 2*product), and pays a primality test per
-    candidate. The secret exponent is drawn until it is invertible mod p-1,
-    and the public values are v_i = primes_i^(s^-1 mod (p-1)) mod p, so
-    v_i^s = primes_i (mod p): under the default strategy a key costs only
-    that inverse and its n `pow`s. With no seed, s (and p under
-    seeded-random) comes from the operating system's generator, so every
-    unseeded key is a fresh secret. A seed makes the key reproducible, for
-    tests only. `force_p` / `force_s` pin those values exactly, which is how
-    the built-in demo systems are reproduced bit for bit; a forced p outside
-    the table is tested like a seeded-random one.
+    p is the least prime above the prime product, read from the checked
+    table `numtheory.PRIME_PRODUCT_GAPS`. s is drawn until it is invertible
+    mod p-1, and v_i = primes_i^(s^-1 mod (p-1)) mod p, so v_i^s = primes_i
+    (mod p). With no seed, s comes from the operating system's generator; a
+    seed seeds s alone, for reproducible test keys. `force_p` / `force_s` pin
+    those values, which is how the demo systems are reproduced.
     """
     primes = system_primes(n)
-    if strategy not in KEYGEN_STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if isinstance(seed, bytes):
-        seed = int.from_bytes(seed, "big") if seed else 0
     # No seed: the OS generator (the class `secrets` exports, taken from
     # `random`, since importing `secrets` loads hashlib and its libcrypto).
-    # A seeded key is as secret as its seed, and the Mersenne Twister is no
-    # cryptographic generator: seeds are for tests and reproducible demos.
+    # The Mersenne Twister is no cryptographic generator: s is as secret as the seed.
     rng = random.SystemRandom() if seed is None else random.Random(seed)
 
     product = math.prod(primes)
 
-    if force_p is not None:
-        p = force_p
-        if p <= product:
-            raise ValueError("forced p must exceed the prime product")
-        if p >= MAX_MODULUS:
-            raise ValueError("forced p must be below twice the product of the "
-                             f"{numtheory.MAX_N} system primes")
-        if not numtheory.is_key_prime(p):
-            raise ValueError("forced p is not prime")
-    elif strategy == "deterministic-least-prime":
+    if force_p is None:
         p = product + numtheory.PRIME_PRODUCT_GAPS[n - 2]
     else:
-        while True:
-            p = rng.randrange(product + 1, 2 * product)
-            if numtheory.is_probable_prime(p):
-                break
+        p = force_p
+        if not product < p < MAX_MODULUS:
+            raise ValueError("forced p must exceed the prime product and be below twice "
+                             f"the product of the {numtheory.MAX_N} system primes")
+        if not numtheory.is_key_prime(p):
+            raise ValueError("forced p is not prime")
 
     if force_s is not None:
         s = force_s  # NsPrivateKey refuses one not invertible mod p-1
@@ -265,6 +242,11 @@ def keygen(
 def public_key_of(priv: NsPrivateKey) -> NsPublicKey:
     """The public key bound to a private key: derived once per key object."""
     return priv._public_key
+
+
+def binds(pub: NsPublicKey, p: int, s: int) -> bool:
+    """True iff (p, s) is pub's private side: p = pub.p and v_i^s = q_i (mod p) for every i."""
+    return p == pub.p and all(pow(vi, s, p) == q for vi, q in zip(pub.v, system_primes(pub.n)))
 
 
 def encrypt(pub: NsPublicKey, m: Plaintext) -> Ciphertext:

@@ -4,13 +4,12 @@ Everything here works on plain Python ints, which are exact at any size, so
 there is no overflow anywhere in the stack. All functions are pure and safe
 to call from multiple threads.
 
-A key's default modulus is the least prime above P_n, the product of the
-first n primes, which is a pure function of n. `PRIME_PRODUCT_GAPS` holds
-those primes as gaps p - P_n, and a tier-1 test recomputes every entry with
-`next_prime_above`, so `nscrypt.keygen` reads p instead of searching for it.
-`is_key_prime` is the one membership test: a table prime needs no
-primality test, while any other p (a seeded-random key's, or a forced one)
-still goes through `is_probable_prime`, about 16 ms at n = 64.
+Unless forced, a key's modulus is the least prime above P_n, the product of
+the first n primes. `PRIME_PRODUCT_GAPS` holds those primes as gaps p - P_n,
+and a tier-1 test recomputes every entry with `next_prime_above`, so
+`nscrypt.keygen` reads p. `is_key_prime` is the one membership test: a table
+prime needs no primality test, while a forced or hand-made p still goes
+through `is_probable_prime`, about 16 ms at n = 64.
 `is_probable_prime` itself never reads the table, so the table test does
 not check the table against itself.
 """

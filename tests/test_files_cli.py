@@ -378,6 +378,24 @@ class TestKeygenCli:
             assert [p.name for p in (tmp_path / sub).iterdir()] == ["priv.json"]
         assert (tmp_path / "one/priv.json").read_bytes() == (tmp_path / "two/priv.json").read_bytes()
 
+    def test_seeded_key_is_the_librarys(self, tmp_path, monkeypatch):
+        # a seed seeds s alone: the CLI's --seed 5 drew another p than keygen(12, seed=5)
+        assert run_cli(["keygen", "--n", "12", "--seed", "5", "-o", str(tmp_path)]) == 0
+        _, priv = keygen(12, seed=5)
+        assert priv.p == fixtures.AIRPLANE_P == 7420738134871
+        assert (tmp_path / "priv.json").read_bytes() == files.dumps(priv).encode()
+        assert run_cli(["compile", "--policy", fixtures.AIRPLANE_POLICY,
+                        "--universe", "A,B,C,D,E", "--max-size", "3", "--mode", "sequence",
+                        "--pack", "--key", str(tmp_path / "priv.json"),
+                        "-o", str(tmp_path / "shares")]) == 0
+        calls = []
+        real = numtheory.is_probable_prime
+        monkeypatch.setattr(numtheory, "is_probable_prime",
+                            lambda x: calls.append(x) or real(x))
+        assert files.load(tmp_path / "priv.json") == priv
+        assert files.load(tmp_path / "shares/share_A.json").p == priv.p
+        assert calls == []
+
     def test_module_entry_point_writes_keys(self, tmp_path):
         src = str(Path(groupauth.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -998,26 +1016,39 @@ def test_packed_compile_of_a_4_of_14_threshold(tmp_path, capsys):
     assert "1001 authorized groups compiled into 66 slots" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize("seeds", [("5", "6"), ("6", "5"), (None, None)],
-                         ids=["seed 5 beside 6", "seed 6 beside 5", "unseeded pair"])
-def test_audit_refuses_another_keys_deployment(tmp_path, capsys, seeds):
-    # seed 5's deployment beside seed 6's shares audited as all 16 groups
-    # missed, and the swap the other way failed on a ciphertext out of range.
-    # Two unseeded keys share p, the least prime above the prime product, so
-    # only the public values tell them apart.
+@pytest.mark.parametrize("keys", [("5", "6"), ("6", "5"), (None, None), ("other p", "5"),
+                                  ("swapped", "5")],
+                         ids=["seed 5 beside 6", "seed 6 beside 5", "unseeded pair", "other p",
+                              "swapped values"])
+def test_audit_refuses_another_keys_deployment(tmp_path, capsys, keys):
+    # The first key's deployment beside the second key's shares. Every key of
+    # one n shares p, the least prime above the prime product, so only the
+    # public values tell two keys apart. A deployment under another p failed
+    # on a ciphertext out of range, and seed 5's beside seed 6's shares
+    # audited as all 16 groups missed. With v[1] and v[2] swapped, a check of
+    # v[0] alone passed it, and the audit printed MISMATCH and exited 1.
     deployment = ["--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
                   "--max-size", "3"]
     dirs = []
-    for i, seed in enumerate(seeds):
-        keys, shares = tmp_path / f"keys{i}", tmp_path / f"shares{i}"
-        assert run_cli(["keygen", "--n", "12", *(["--seed", seed] if seed else []),
-                        "-o", str(keys)]) == 0
+    for i, key in enumerate(keys):
+        keys_dir, shares = tmp_path / f"keys{i}", tmp_path / f"shares{i}"
+        if key == "other p":
+            keys_dir.mkdir()
+            other_p = numtheory.next_prime_above(fixtures.AIRPLANE_P)
+            files.save(keygen(12, seed=5, force_p=other_p)[1], keys_dir / "priv.json")
+        else:
+            seed = "5" if key == "swapped" else key
+            assert run_cli(["keygen", "--n", "12", *(["--seed", seed] if seed else []),
+                            "-o", str(keys_dir)]) == 0
         assert run_cli(["compile", *deployment, "--mode", "sequence",
-                        "--key", str(keys / "priv.json"), "-o", str(shares)]) == 0
+                        "--key", str(keys_dir / "priv.json"), "-o", str(shares)]) == 0
         dirs.append(shares)
-    docs = [json.loads((d / "deployment.json").read_text()) for d in dirs]
-    assert (docs[0]["p"] == docs[1]["p"]) == (seeds == (None, None))
-    (dirs[1] / "deployment.json").write_bytes((dirs[0] / "deployment.json").read_bytes())
+    doc = json.loads((dirs[0] / "deployment.json").read_text())
+    assert (doc["p"] == json.loads((dirs[1] / "deployment.json").read_text())["p"]) == (
+        keys[0] != "other p")
+    if keys[0] == "swapped":
+        doc["v"][1], doc["v"][2] = doc["v"][2], doc["v"][1]
+    (dirs[1] / "deployment.json").write_text(json.dumps(doc))
     capsys.readouterr()
     assert run_cli(["audit", *deployment, "--shares", str(dirs[1]), "--trials", "3",
                     "--seed", "1"]) == 2

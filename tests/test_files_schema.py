@@ -1,11 +1,12 @@
 """File bytes and required fields of every kind in `groupauth.files`."""
 
+import dataclasses
 import json
 import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groupauth import files, protocol
@@ -205,10 +206,12 @@ def test_kind_must_be_a_known_string(doc):
     assert err.value.field == "kind"
 
 
-# Names and session ids with every code point, lone surrogates included, and
-# the characters JSON must escape.
-TEXT = st.text(st.one_of(st.characters(exclude_categories=()),
-                         st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\ud800\udfff\U0001f600')))
+# Names and session ids with every code point but the surrogates, which files
+# refuse (test_surrogate_text_refused_both_ways), and the characters JSON must
+# escape.
+TEXT = st.text(st.one_of(st.characters(exclude_categories=("Cs",)),
+                         st.sampled_from('"\\/\x00\x1f\x7f\x80\u2028\U0001f600')))
+SURROGATE_TEXT = st.tuples(TEXT, st.characters(categories=("Cs",)), TEXT).map("".join)
 BIG = st.integers(0, 10**126 - 1)  # every file integer has at most 126 digits
 N = st.integers(2, 64)
 SESSIONS = st.one_of(
@@ -292,8 +295,8 @@ EDGE_SHAPES = {
     "response-8": ResponseVector("s1", tuple(range(10**20, 10**20 + 8))),
     "rejected": Verdict("s1", False, None),
     "accepted": Verdict("s1", True, 3),
-    "escaped-session-id": ResponseVector('a"b\\c\u2028d\ud800e', (0,)),
-    "escaped-challenge": Challenge('"\\\u2028\udfff', "sequence", "xor", 7, (10**125,)),
+    "escaped-session-id": ResponseVector('a"b\\c\u2028d\U00010000e', (0,)),
+    "escaped-challenge": Challenge('"\\\u2028\U0010ffff', "sequence", "xor", 7, (10**125,)),
 }
 
 
@@ -307,12 +310,45 @@ def test_dumps_edge_shapes(shape):
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_message_roundtrip(kind, data):
-    # JSON reads the escapes of a high and a low surrogate as one code point,
-    # so text with such a pair cannot come back unchanged from any encoder;
-    # the property is that files loses nothing beyond JSON's own string round trip
     obj = data.draw(OBJECTS[kind])
-    assume(json.loads(json.dumps(obj.session_id)) == obj.session_id)
     assert files.from_document(json.loads(files.dumps(obj))) == obj
+
+
+# the free-text field of each kind that has one
+TEXT_FIELDS = {"share-monotone": "holder", "share-sequence": "holder",
+               "challenge": "session_id", "verifier-state": "session_id",
+               "response": "session_id", "verdict": "session_id"}
+
+
+@pytest.mark.parametrize("kind", sorted(TEXT_FIELDS))
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_surrogate_text_refused_both_ways(kind, data):
+    # JSON reads the escapes of a high and a low surrogate as one code point,
+    # so such text would not come back as written
+    obj, field, text = data.draw(OBJECTS[kind]), TEXT_FIELDS[kind], data.draw(SURROGATE_TEXT)
+    with pytest.raises(SchemaError) as err:
+        files.from_document(dict(files.to_document(obj), **{field: text}))
+    assert err.value.field == field
+    bad = dataclasses.replace(obj, **{field: text})
+    for write in (files.dumps, files.to_document):
+        with pytest.raises(ValueError, match="surrogate code point"):
+            write(bad)
+
+
+def test_surrogate_pair_is_not_one_code_point(tmp_path):
+    # a session id of a high and a low surrogate came back as the one code point U+10000
+    path = tmp_path / "response.json"
+    with pytest.raises(ValueError, match="surrogate code point"):
+        files.save(ResponseVector(chr(0xD800) + chr(0xDC00), (5,)), path)
+    assert not path.exists()
+    files.save(ResponseVector("\U00010000", (5,)), path)
+    assert '"\\ud800\\udc00"' in path.read_text()  # its escapes, as JSON writes them
+    assert files.load(path) == ResponseVector("\U00010000", (5,))
+    path.write_text(path.read_text().replace("\\udc00", ""))  # a lone high surrogate
+    with pytest.raises(SchemaError, match="without surrogate code points") as err:
+        files.load(path)
+    assert err.value.field == "session_id" and str(path) in str(err.value)
 
 
 def test_deployment_names_no_holder_and_no_policy(small, airplane):

@@ -6,14 +6,14 @@ import random
 
 import pytest
 
-from groupauth import files, fixtures, numtheory, sharesplit
+from groupauth import files, fixtures, nscrypt, numtheory, sharesplit
 from groupauth.errors import SchemaError
 from groupauth.nscrypt import (
-    KEYGEN_STRATEGIES,
     KeyShare,
     MalformedCiphertext,
     NsPrivateKey,
     NsPublicKey,
+    binds,
     decrypt,
     encrypt,
     keygen,
@@ -49,17 +49,45 @@ class TestKeygen:
             for vi, q in zip(pub.v, priv.primes):
                 assert pow(vi, priv.s, priv.p) == q
 
-    def test_seeded_determinism(self):
-        a = keygen(8, strategy="seeded-random", seed=b"fixed seed")
-        b = keygen(8, strategy="seeded-random", seed=b"fixed seed")
-        assert a == b
-        c = keygen(8, strategy="seeded-random", seed=b"other seed")
-        assert c != a
+    def test_binds_every_public_value(self, demo12, monkeypatch):
+        pub, priv = demo12
+        assert binds(pub, priv.p, priv.s)
+        swapped = list(pub.v)
+        swapped[1], swapped[2] = swapped[2], swapped[1]
+        assert not binds(NsPublicKey(pub.n, pub.p, tuple(swapped)), priv.p, priv.s)
+        for i in range(pub.n):  # any one public value off
+            v = list(pub.v)
+            v[i] = v[i] % (pub.p - 1) + 1
+            assert not binds(NsPublicKey(pub.n, pub.p, tuple(v)), priv.p, priv.s), i
+        assert not binds(pub, priv.p, keygen(12, seed=5)[1].s)  # same p, another s
+        assert not binds(pub, numtheory.next_prime_above(priv.p), priv.s)
+        # the check stops at the first value that fails
+        calls = []
+        monkeypatch.setattr(nscrypt, "pow", lambda *a: calls.append(a) or pow(*a), raising=False)
+        assert not binds(NsPublicKey(pub.n, pub.p, tuple(swapped)), priv.p, priv.s)
+        assert len(calls) == 2
 
-    @pytest.mark.parametrize("strategy", KEYGEN_STRATEGIES)
-    def test_unseeded_keys_are_secret(self, strategy):
-        # no seed means the OS generator: two keys share no s
-        (_, a), (_, b) = keygen(12, strategy), keygen(12, strategy)
+    def test_seeded_determinism(self):
+        a = keygen(8, seed=b"fixed seed")
+        b = keygen(8, seed=b"fixed seed")
+        assert a == b
+        c = keygen(8, seed=b"other seed")
+        assert c != a
+        # one modulus rule for every key: a seed changes s, never p
+        assert a[1].p == c[1].p == keygen(8)[1].p and a[1].s != c[1].s
+
+    # The ids are the two former keygen strategies' names: p the least prime
+    # (read from the table), or a p outside the table as "seeded-random" drew
+    # one; here a forced prime above the table's.
+    @pytest.mark.parametrize("table_p", [
+        pytest.param(True, id="deterministic-least-prime"),
+        pytest.param(False, id="seeded-random"),
+    ])
+    def test_unseeded_keys_are_secret(self, table_p):
+        # no seed means the OS generator: two keys share no s, whatever the p
+        p = None if table_p else numtheory.next_prime_above(keygen(12, seed=1)[1].p)
+        (_, a), (_, b) = keygen(12, force_p=p), keygen(12, force_p=p)
+        assert a.p == b.p and (a.p in numtheory.TABLE_PRIMES) == table_p
         assert a.s != b.s
 
     def test_deterministic_modulus_is_least_prime(self):
@@ -67,27 +95,21 @@ class TestKeygen:
         product = math.prod(priv.primes)
         assert priv.p == numtheory.next_prime_above(product) == 9699713
 
-    def test_seeded_modulus_in_window(self):
-        _, priv = keygen(8, strategy="seeded-random", seed=123)
-        product = math.prod(priv.primes)
-        assert product < priv.p < 2 * product
-        assert numtheory.is_probable_prime(priv.p)
-
     def test_key_files_pinned(self):
-        # every key file at n = 2..64 under both strategies, hashed in order:
-        # the primality test may get faster, never pick another p or s
+        # every key file at n = 2..64, hashed in order: the keygen may get
+        # faster, never pick another p or s
         digest = hashlib.sha256()
         for n in range(2, 65):
-            for strategy in KEYGEN_STRATEGIES:
-                _, priv = keygen(n, strategy, seed=n)
-                digest.update(files.dumps(priv).encode())
+            _, priv = keygen(n, seed=n)
+            digest.update(files.dumps(priv).encode())
         assert digest.hexdigest() == (
-            "b4f1d74c5c632bda953c579e75c753dff4d25afa2ac7fa848aaea06657f9b451")
+            "2673f6899e0280aa5f852b7b63889a8ef94ac088e4ce25e0bcdd2f2a83fcac8e")
 
     def test_gcd_constraint(self):
-        for seed in range(5):
-            _, priv = keygen(10, strategy="seeded-random", seed=seed)
-            assert math.gcd(priv.s, priv.p - 1) == 1
+        for n in (4, 10, 16):
+            for seed in range(5):
+                _, priv = keygen(n, seed=seed)
+                assert math.gcd(priv.s, priv.p - 1) == 1
 
     def test_bounds(self):
         with pytest.raises(ValueError):
@@ -142,8 +164,9 @@ class TestPrimalityCost:
         keygen(8, force_p=fixtures.SMALL_P, force_s=fixtures.SMALL_S)
         assert calls == [fixtures.SMALL_P]
 
-    def test_seeded_random_key_file_tested_once_on_load(self, tmp_path, monkeypatch):
-        _, priv = keygen(64, "seeded-random", seed=1)
+    def test_forced_p_key_file_tested_once_on_load(self, tmp_path, monkeypatch):
+        table_p = keygen(64, seed=1)[1].p
+        _, priv = keygen(64, seed=1, force_p=numtheory.next_prime_above(table_p))
         assert priv.p not in numtheory.TABLE_PRIMES
         files.save(priv, tmp_path / "priv.json")
         calls = counted_primality_tests(monkeypatch)
