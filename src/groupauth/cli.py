@@ -27,9 +27,12 @@ _NULL_POLICIES = {"one": "one", "random": "random-nonzero"}
 
 def _hex(text: str) -> int:
     try:
-        return int(text, 16)
+        value = int(text, 16)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be hex, got {text!r}") from None
+    if value < 0:  # `random.Random` seeds -x as x
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text!r}")
+    return value
 
 
 def _universe_arg(text: str) -> tuple[str, ...]:

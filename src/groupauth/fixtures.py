@@ -4,7 +4,9 @@ Two desk-scale systems ship with the package:
 
 * ``airplane``: five holders A..E, two of them managers, with the policy
   "(A and B) or ((A or B) and (C or D or E))" capped at groups of three.
-  It runs over the 12-prime system and a hand-packed 7-slot plan.
+  It runs over the 12-prime system and a hand-packed 7-slot plan, each
+  slot given as its holder-to-part assignment alone: like every plan, a
+  slot's parts are balanced contiguous runs of the prime indices.
 
 * ``small``: three holders where A1 pairs with A2 or with A3, run in
   monotone mode over the 8-prime system.
@@ -69,22 +71,16 @@ AIRPLANE_MESSAGE = 2919
 AIRPLANE_CIPHERTEXT = 5802616398374
 AIRPLANE_CIPHERTEXT_TABULATED = 1073741824
 
-# 7-slot plan: per slot, (parts as prime-index tuples, holder -> part index)
-_AIRPLANE_PLAN_ROWS: list[tuple[tuple[tuple[int, ...], ...], dict[str, int]]] = [
-    ((tuple(range(0, 6)), tuple(range(6, 12))),
-     {"A": 0, "B": 0, "C": 1, "D": 1, "E": 1}),
-    ((tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12))),
-     {"A": 0, "B": 1, "C": 2, "D": 2, "E": 2}),
-    ((tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12))),
-     {"A": 0, "C": 1, "D": 2, "E": 2}),
-    ((tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12))),
-     {"B": 0, "C": 1, "D": 2, "E": 2}),
-    ((tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12))),
-     {"A": 0, "D": 1, "E": 2}),
-    ((tuple(range(0, 4)), tuple(range(4, 8)), tuple(range(8, 12))),
-     {"B": 0, "D": 1, "E": 2}),
-    ((tuple(range(0, 6)), tuple(range(6, 12))),
-     {"A": 0, "B": 1}),
+# 7-slot plan: per slot, holder -> part index; a k-part slot splits the 12
+# indices into balanced runs, 0-5 / 6-11 for two parts, 0-3 / 4-7 / 8-11 for three
+_AIRPLANE_PLAN_ROWS: list[dict[str, int]] = [
+    {"A": 0, "B": 0, "C": 1, "D": 1, "E": 1},
+    {"A": 0, "B": 1, "C": 2, "D": 2, "E": 2},
+    {"A": 0, "C": 1, "D": 2, "E": 2},
+    {"B": 0, "C": 1, "D": 2, "E": 2},
+    {"A": 0, "D": 1, "E": 2},
+    {"B": 0, "D": 1, "E": 2},
+    {"A": 0, "B": 1},
 ]
 
 # Expected per-holder response sequences for message 2919 under null=1.
@@ -156,13 +152,7 @@ def airplane_system() -> DemoSystem:
     plan = sharesplit.SlotPlan(
         universe=AIRPLANE_UNIVERSE,
         n=AIRPLANE_N,
-        slots=[
-            sharesplit.SlotAssignment(
-                parts=tuple(frozenset(part) for part in parts),
-                member_part=dict(members),
-            )
-            for parts, members in _AIRPLANE_PLAN_ROWS
-        ],
+        slots=[sharesplit.SlotAssignment(dict(members)) for members in _AIRPLANE_PLAN_ROWS],
     )
     shares = sharesplit.issue_sequence(plan, priv)
     return DemoSystem(

@@ -209,6 +209,8 @@ def keygen(
     seed seeds s alone, for reproducible test keys. `force_p` / `force_s` pin
     those values, which is how the demo systems are reproduced.
     """
+    if isinstance(seed, int) and seed < 0:
+        raise ValueError("a seed must be non-negative: random.Random seeds -x as x")
     primes = system_primes(n)
     # No seed: the OS generator (the class `secrets` exports, taken from
     # `random`, since importing `secrets` loads hashlib and its libcrypto).

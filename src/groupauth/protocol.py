@@ -95,6 +95,21 @@ class Deployment(NsPublicKey):
         _check_session(self.mode, self.merge, self.slot_count)
 
 
+def _session_merge(key: NsPublicKey, mode: str, merge: str | None, slot_count: int) -> str:
+    """A session's merge, defaulted from its mode, once its shape is checked.
+
+    A `Deployment` key also refuses a mode, merge or slot count other than its own.
+    """
+    merge = merge if merge is not None else _default_merge(mode)
+    if isinstance(key, Deployment) and \
+            (mode, merge, slot_count) != (key.mode, key.merge, key.slot_count):
+        raise ValueError(
+            f"the deployment runs {key.mode}/{key.merge} sessions of {key.slot_count} "
+            f"slot(s), not {mode}/{merge} of {slot_count}")
+    _check_session(mode, merge, slot_count)
+    return merge
+
+
 @dataclass(frozen=True)
 class Challenge:
     """What the verifier sends to every token: one ciphertext, no identities."""
@@ -176,10 +191,10 @@ def make_challenge(
     the Mersenne Twister is linear, so its state leaks through the session
     ids, and a verifier that reuses one would let an observer predict m.
     `force_m` pins the message, mirroring the keygen overrides, so fixed
-    known-answer sessions can be reproduced.
+    known-answer sessions can be reproduced. A `Deployment` as `pub` refuses
+    a mode, merge or slot count other than its own.
     """
-    merge = merge if merge is not None else _default_merge(mode)
-    _check_session(mode, merge, slot_count)  # before anything is drawn
+    merge = _session_merge(pub, mode, merge, slot_count)  # before anything is drawn
     rng = rng if rng is not None else random.SystemRandom()
     m, session_id, c = _draw(pub, rng, force_m)
     return (Challenge(session_id, mode, merge, slot_count, (c,)),
@@ -407,8 +422,9 @@ def audit(
     acceptance frequencies. `trials` must be an int of at least 1, since a
     report with no trials would read as exact. `merge` defaults as in
     `make_challenge`, and the report records the one used. Messages are
-    encrypted under `key`, a public key (a `Deployment`'s mode and merge go
-    unread) or a private key, whose public key is derived once per object.
+    encrypted under `key`, a public key or a private key, whose public key
+    is derived once per object. A `Deployment` key refuses a mode, merge or
+    slot count (the shares') other than its own.
 
     A call is one set-up and then one trial per message. The set-up checks
     the universe, the session shape, and every share as `token_respond`
@@ -476,11 +492,9 @@ def _audit_setup(
     masks of the subsets that accept it, ascending.
     """
     universe = check_universe(tuple(shares))
-    merge = merge if merge is not None else _default_merge(mode)
     slot_count = len(shares[universe[0]].slots)
-
     # refuse a bad session shape before any share, as the first challenge would
-    _check_session(mode, merge, slot_count)
+    merge = _session_merge(pub, mode, merge, slot_count)
     ranks: dict[tuple[int, int], int] = {}  # key (p, s) -> its read's prime count k
     answerers = []  # per holder: its key, its slot masks, its null width
     for h in universe:

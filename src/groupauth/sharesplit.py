@@ -10,8 +10,9 @@ Two compilation targets:
   happens for precisely the policy-satisfying groups.
 
 * An arbitrary family of groups (possibly non-monotone, e.g. capped in
-  size) becomes a `SlotPlan`: an ordered list of slots, each one an index
-  partition plus a holder-to-part assignment. A slot authenticates exactly
+  size) becomes a `SlotPlan`: an ordered list of slots, each one a
+  holder-to-part assignment whose k parts take the k balanced contiguous
+  runs of the prime indices. A slot authenticates exactly
   the groups made of one assigned holder per part and nobody else, so the
   plan's slots jointly authenticate exactly the requested family.
 
@@ -100,7 +101,12 @@ def _keep_maximal(masks: set[int]) -> list[int]:
 # index partitioning
 
 
-def _balanced_parts(items: list[int], k: int) -> list[list[int]]:
+def _balanced_parts(items: list[int] | range, k: int) -> list[list[int]] | list[range]:
+    """`items` cut into k contiguous runs whose sizes differ by at most 1, the larger first.
+
+    The one index layout of the package: an AND node's split of its indices
+    among its children, and every sequence slot's split of range(n) into parts.
+    """
     if len(items) < k:
         raise InsufficientPrimes(
             f"cannot split {len(items)} indices into {k} non-empty parts")
@@ -243,43 +249,33 @@ def bl_split(
 
 @dataclass
 class SlotAssignment:
-    """One sequence slot: an ordered index partition plus holder assignments.
+    """One sequence slot: the holders assigned to each of its k parts.
 
-    The slot authenticates the groups formed by picking exactly one
-    assigned holder from every part (the transversal rule); any group with
-    an unassigned member present, or two members in one part, or a part
-    unrepresented, is rejected by the merge arithmetic.
+    `member_part` maps each assigned holder to its part, numbered 0..k-1,
+    each part with at least one holder. The slot's prime indices split into
+    k balanced contiguous runs, `_balanced_parts(range(n), k)`, part i
+    taking run i. The slot authenticates the groups formed by picking
+    exactly one assigned holder from every part (the transversal rule); any
+    group with an unassigned member present, or two members in one part, or
+    a part unrepresented, is rejected by the merge arithmetic.
     """
 
-    parts: tuple[frozenset[int], ...]
     member_part: dict[str, int]
 
     def __post_init__(self):
-        if not self.parts:
-            raise ValueError("a slot needs at least one part")
-        seen: set[int] = set()
-        for part in self.parts:
-            if not part:
-                raise ValueError("slot parts must be non-empty")
-            if part & seen:
-                raise ValueError("slot parts must be disjoint")
-            seen |= part
-        k = len(self.parts)
-        assigned = set(self.member_part.values())
-        if not all(0 <= i < k for i in assigned):
-            raise ValueError("part index out of range")
-        if assigned != set(range(k)):
-            raise ValueError("every part needs at least one assigned holder")
+        parts = set(self.member_part.values())
+        if not parts or parts != set(range(len(parts))):
+            raise ValueError("slot parts must be numbered 0..k-1, each with a holder")
 
     @property
-    def indices(self) -> frozenset[int]:
-        return frozenset().union(*self.parts)
+    def k(self) -> int:
+        """The slot's number of parts."""
+        return len(set(self.member_part.values()))
 
 
 def authorized_groups(slot: SlotAssignment) -> frozenset[frozenset[str]]:
     """All groups this slot authenticates, per the transversal rule."""
-    k = len(slot.parts)
-    classes: list[list[str]] = [[] for _ in range(k)]
+    classes: list[list[str]] = [[] for _ in range(slot.k)]
     for holder, i in slot.member_part.items():
         classes[i].append(holder)
     return frozenset(
@@ -296,10 +292,10 @@ class SlotPlan:
     slots: list[SlotAssignment] = field(default_factory=list)
 
     def __post_init__(self):
-        every = frozenset(range(self.n))
         for slot in self.slots:
-            if slot.indices != every:
-                raise ValueError("slot parts must cover all prime indices")
+            if slot.k > self.n:
+                raise GroupLargerThanPrimeCount(
+                    f"group of {slot.k} members exceeds {self.n} prime indices")
             if not set(slot.member_part) <= set(self.universe):
                 raise ValueError("slot assigns a holder outside the universe")
 
@@ -319,16 +315,8 @@ def _canonical_group_key(universe: tuple[str, ...]):
     return key
 
 
-def _slot_for_classes(
-    classes: list[list[str]],
-    n: int,
-) -> SlotAssignment:
-    if len(classes) > n:
-        raise GroupLargerThanPrimeCount(
-            f"group of {len(classes)} members exceeds {n} prime indices")
-    parts = [frozenset(p) for p in _balanced_parts(list(range(n)), len(classes))]
-    member_part = {h: i for i, cls in enumerate(classes) for h in cls}
-    return SlotAssignment(parts=tuple(parts), member_part=member_part)
+def _slot_for_classes(classes: list[list[str]]) -> SlotAssignment:
+    return SlotAssignment({h: i for i, cls in enumerate(classes) for h in cls})
 
 
 def slots_baseline(
@@ -342,7 +330,7 @@ def slots_baseline(
     slots = []
     for group in sorted(family, key=key):
         members = sorted(group, key=pos.__getitem__)
-        slots.append(_slot_for_classes([[m] for m in members], n))
+        slots.append(_slot_for_classes([[m] for m in members]))
     return SlotPlan(universe=universe, n=n, slots=slots)
 
 
@@ -429,7 +417,7 @@ def slots_packed(
             if len(grown[seed][1]) > best_cover:
                 best, best_cover = seed, len(grown[seed][1])
         classes, placed = grown[best]
-        slots.append(_slot_for_classes([[universe[j] for j in cls] for cls in classes], n))
+        slots.append(_slot_for_classes([[universe[j] for j in cls] for cls in classes]))
         remaining -= placed
         grown = {seed: entry for seed, entry in grown.items() if entry[1].isdisjoint(placed)}
     return SlotPlan(universe=universe, n=n, slots=slots)
@@ -464,15 +452,13 @@ def issue_sequence(
     """Resolve a slot plan into per-holder share sequences (prime values)."""
     if plan.n != priv.n:
         raise ValueError("plan and key disagree on prime count")
-    sequences = {}
-    for holder in plan.universe:
-        entries: list[frozenset[int] | None] = []
-        for slot in plan.slots:
+    columns: dict[str, list[frozenset[int] | None]] = {h: [] for h in plan.universe}
+    for slot in plan.slots:
+        parts = [frozenset(priv.primes[i] for i in run)
+                 for run in _balanced_parts(range(plan.n), slot.k)]
+        for holder, entries in columns.items():
             part = slot.member_part.get(holder)
-            if part is None:
-                entries.append(None)
-            else:
-                entries.append(frozenset(priv.primes[i] for i in slot.parts[part]))
-        sequences[holder] = ShareSequence(
-            holder=holder, s=priv.s, p=priv.p, n=priv.n, slots=tuple(entries))
-    return sequences
+            entries.append(None if part is None else parts[part])
+    return {holder: ShareSequence(holder=holder, s=priv.s, p=priv.p, n=priv.n,
+                                  slots=tuple(entries))
+            for holder, entries in columns.items()}

@@ -37,6 +37,16 @@ def test_root_reexports_are_declared():
                 assert alias.name in declared, f"groupauth.{node.module}.{alias.name}"
 
 
+def test_readme_library_use_runs(capsys):
+    # each print in README's "Library use" block shows its output in a trailing comment
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Library use", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})
+    shown = [line.rsplit("# ", 1)[1] for line in block.splitlines() if line.startswith("print(")]
+    assert len(shown) == 2
+    assert capsys.readouterr().out.splitlines() == shown
+
+
 def test_library_imports_only_the_standard_library():
     # the package declares no dependencies, so every absolute import is stdlib
     for path in sorted(Path(groupauth.__file__).parent.glob("*.py")):

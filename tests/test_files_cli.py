@@ -824,6 +824,28 @@ class TestPipeline:
             assert f"groupauth {command}: error: argument --seed: must be hex, got 'zz'" in (
                 capsys.readouterr().err)
 
+    def test_negative_seed_is_one_usage_error(self, pipeline, capsys):
+        # random.Random seeds -x as x, so a negative seed would replay another's stream
+        root = pipeline
+        assert run_cli(["challenge", "--deployment", str(root / "shares/deployment.json"),
+                        "-o", str(root / "c0.json"), "--state", str(root / "s0.json")]) == 0
+        before = sorted(root.rglob("*"))
+        commands = {
+            "keygen": ["--n", "8", "-o", str(root / "k")],
+            "challenge": ["--deployment", str(root / "shares/deployment.json"),
+                          "-o", str(root / "c.json"), "--state", str(root / "s.json")],
+            "respond": ["--share", str(root / "shares/share_A.json"),
+                        "--challenge", str(root / "c0.json"), "-o", str(root / "r.json")],
+            "audit": ["--shares", str(root / "shares"),
+                      "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E"],
+        }
+        for command, rest in commands.items():
+            capsys.readouterr()
+            assert run_cli([command, *rest, "--seed", "-5"]) == 2
+            assert (f"groupauth {command}: error: argument --seed: must be non-negative, "
+                    "got '-5'") in capsys.readouterr().err
+        assert sorted(root.rglob("*")) == before
+
     @pytest.mark.parametrize("max_size", ["0", "-1"])
     def test_audit_max_size_below_one(self, pipeline, capsys, max_size):
         # checked against an empty family, all 16 groups were false accepts

@@ -67,6 +67,12 @@ class TestKeygen:
         assert not binds(NsPublicKey(pub.n, pub.p, tuple(swapped)), priv.p, priv.s)
         assert len(calls) == 2
 
+    def test_negative_seed_refused(self):
+        # random.Random seeds -x as x, so -5 would silently give seed 5's key
+        with pytest.raises(ValueError, match="non-negative"):
+            keygen(12, seed=-5)
+        assert keygen(12, seed=0) != keygen(12, seed=5)
+
     def test_seeded_determinism(self):
         a = keygen(8, seed=b"fixed seed")
         b = keygen(8, seed=b"fixed seed")

@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import functools
 import hashlib
 import inspect
 import itertools
@@ -25,8 +26,8 @@ from groupauth.protocol import (
     token_respond,
     verify,
 )
-from groupauth.sharesplit import (ShareSequence, issue_monotone, issue_sequence,
-                                  slots_baseline, slots_packed)
+from groupauth.sharesplit import (ShareSequence, _balanced_parts, issue_monotone,
+                                  issue_sequence, slots_baseline, slots_packed)
 from conftest import TEN, TEN_POLICY, random_family
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -461,6 +462,35 @@ class TestAudit:
                            mode=system.mode, merge=system.merge, null_policy=null_policy)
             runs.append((report.accepted_by_trial, report.merge, rng.getstate()))
         assert runs[0] == runs[1]
+
+    def test_deployment_refuses_another_session_shape(self, airplane):
+        # the airplane shares deployed under xor accept six off-family groups
+        # (ABCD, ABCE, ABDE, ACDE, BCDE, ABCDE): a sum audit must not pass for them
+        pub, slots = airplane.pub, len(airplane.shares["A"].slots)
+        xor = protocol.Deployment(pub.n, pub.p, pub.v, "sequence", "xor", slots)
+        for mode, merge in (("sequence", None), ("sequence", "sum"), ("monotone", "or")):
+            with pytest.raises(ValueError, match="the deployment runs sequence/xor"):
+                audit(xor, airplane.shares, airplane.expected_family,
+                      mode=mode, merge=merge, force_m=fixtures.AIRPLANE_MESSAGE)
+        report = audit(xor, airplane.shares, airplane.expected_family, mode="sequence",
+                       merge="xor", force_m=fixtures.AIRPLANE_MESSAGE)
+        assert report.false_accepts() == frozenset(
+            frozenset(g) for g in ["ABCD", "ABCE", "ABDE", "ACDE", "BCDE", "ABCDE"])
+        shorter = dataclasses.replace(xor, slot_count=slots - 1)
+        with pytest.raises(ValueError, match="sessions of 6 slot"):
+            audit(shorter, airplane.shares, airplane.expected_family,
+                  mode="sequence", merge="xor")
+
+    def test_deployment_challenge_takes_its_shape(self, airplane):
+        pub = airplane.pub
+        xor = protocol.Deployment(pub.n, pub.p, pub.v, "sequence", "xor", 7)
+        for shape in ({}, {"mode": "sequence"}, {"mode": "sequence", "slot_count": 7},
+                      {"mode": "sequence", "merge": "xor", "slot_count": 6}):
+            with pytest.raises(ValueError, match="the deployment runs sequence/xor"):
+                make_challenge(xor, **shape)
+        challenge, state = make_challenge(xor, mode="sequence", merge="xor", slot_count=7)
+        assert (challenge.mode, challenge.merge, challenge.slot_count) == ("sequence", "xor", 7)
+        assert (state.mode, state.merge, state.slot_count) == ("sequence", "xor", 7)
 
 
 def reference_audit(shares, challenge, state):
@@ -909,6 +939,12 @@ class TestCompleteness:
             token_respond(airplane.shares["A"], challenge)
 
 
+@functools.cache
+def layout(n, k):
+    """A k-part slot's index runs over n primes, as `issue_sequence` lays them out."""
+    return _balanced_parts(range(n), k)
+
+
 def simulate_sum_accept(plan, group, m):
     """Arithmetic-only oracle for sum-merge/null=1 acceptance of `group`.
 
@@ -923,7 +959,7 @@ def simulate_sum_accept(plan, group, m):
             if part is None:
                 total += 1
             else:
-                total += sum(1 << i for i in slot.parts[part] if (m >> i) & 1)
+                total += sum(1 << i for i in layout(plan.n, slot.k)[part] if (m >> i) & 1)
         if total == m:
             return True
     return False
@@ -937,7 +973,7 @@ def exhaustive_false_accept_counts(plan, unauthorized, n=12):
     for m in range(1, 1 << n):
         every_part_big = all(
             sum(1 << i for i in part if (m >> i) & 1) >= 4
-            for slot in plan.slots for part in slot.parts
+            for slot in plan.slots for part in layout(plan.n, slot.k)
         )
         for group in unauthorized:
             if simulate_sum_accept(plan, group, m):

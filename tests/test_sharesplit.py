@@ -24,8 +24,9 @@ from groupauth.sharesplit import (
     slots_baseline,
     slots_packed,
 )
-from groupauth.sharesplit import (_canonical_group_key, _grow_seed, _maximal_unsat,
-                                  _plain_descent, _slot_for_classes, _split_is_exact)
+from groupauth.sharesplit import (_balanced_parts, _canonical_group_key, _grow_seed,
+                                  _maximal_unsat, _plain_descent, _slot_for_classes,
+                                  _split_is_exact)
 from conftest import TEN, TEN_POLICY, random_family, random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -315,7 +316,7 @@ def reference_slots_packed(family, n, universe):
         best = max((reference_grow_classes(seed, remaining, universe)
                     for seed in sorted(remaining, key=key)),
                    key=lambda classes: math.prod(map(len, classes)))
-        slot = _slot_for_classes(best, n)
+        slot = _slot_for_classes(best)
         slots.append(slot)
         remaining -= authorized_groups(slot)
     return SlotPlan(universe=universe, n=n, slots=slots)
@@ -341,7 +342,8 @@ def plan_digest(plans):
     digest = hashlib.sha256()
     for plan in plans:
         digest.update(repr((plan.universe, plan.n, [
-            ([sorted(part) for part in slot.parts], list(slot.member_part.items()))
+            ([sorted(part) for part in _balanced_parts(range(plan.n), slot.k)],
+             list(slot.member_part.items()))
             for slot in plan.slots])).encode())
     return digest.hexdigest()
 
@@ -447,34 +449,40 @@ def test_4_of_14_plan_pinned():
 
 class TestSlotAssignment:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            SlotAssignment(parts=(), member_part={})
-        with pytest.raises(ValueError):
-            SlotAssignment(parts=(frozenset(),), member_part={"A": 0})
-        with pytest.raises(ValueError):
-            SlotAssignment(parts=(frozenset({0}), frozenset({0})),
-                           member_part={"A": 0, "B": 1})
-        with pytest.raises(ValueError):
-            SlotAssignment(parts=(frozenset({0}), frozenset({1})),
-                           member_part={"A": 0})  # part 1 unassigned
+        for member_part in ({}, {"A": 0, "B": 2}, {"A": 1}, {"A": -1, "B": 0}):
+            with pytest.raises(ValueError):
+                SlotAssignment(member_part)
+        assert SlotAssignment({"A": 0, "B": 1, "C": 1}).k == 2
 
     def test_transversal_groups_two_parts(self):
-        slot = SlotAssignment(
-            parts=(frozenset(range(6)), frozenset(range(6, 12))),
-            member_part={"A": 0, "B": 0, "C": 1, "D": 1, "E": 1})
+        slot = SlotAssignment({"A": 0, "B": 0, "C": 1, "D": 1, "E": 1})
         assert authorized_groups(slot) == frozenset(
             frozenset(g) for g in ["AC", "AD", "AE", "BC", "BD", "BE"])
 
     def test_transversal_groups_unassigned_member(self):
-        slot = SlotAssignment(
-            parts=(frozenset(range(4)), frozenset(range(4, 8)), frozenset(range(8, 12))),
-            member_part={"A": 0, "C": 1, "D": 2, "E": 2})
+        slot = SlotAssignment({"A": 0, "C": 1, "D": 2, "E": 2})
         assert authorized_groups(slot) == frozenset(
             frozenset(g) for g in ["ACD", "ACE"])
 
     def test_single_part(self):
-        slot = SlotAssignment(parts=(frozenset(range(12)),), member_part={"A": 0})
+        slot = SlotAssignment({"A": 0})
         assert authorized_groups(slot) == frozenset({frozenset({"A"})})
+
+
+def test_balanced_parts_layout():
+    """Every slot's layout: k contiguous, non-empty runs covering range(n),
+    sizes within 1 of each other, the larger runs first."""
+    for n in range(1, 65):
+        for k in range(1, n + 1):
+            runs = _balanced_parts(range(n), k)
+            assert len(runs) == k
+            assert [i for run in runs for i in run] == list(range(n))
+            sizes = [len(run) for run in runs]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1
+            assert sizes == sorted(sizes, reverse=True)
+    assert _balanced_parts(range(12), 3) == [range(0, 4), range(4, 8), range(8, 12)]
+    with pytest.raises(InsufficientPrimes):
+        _balanced_parts(range(2), 3)
 
 
 class TestBaselinePlans:
@@ -483,12 +491,11 @@ class TestBaselinePlans:
         assert len(plan.slots) == 1
         slot = plan.slots[0]
         assert slot.member_part == {"A": 0, "B": 1}
-        assert slot.parts == (frozenset(range(6)), frozenset(range(6, 12)))
 
     def test_singleton_group(self):
         plan = slots_baseline(frozenset({frozenset({"A"})}), 12, ABCDE)
         assert len(plan.slots) == 1
-        assert plan.slots[0].parts == (frozenset(range(12)),)
+        assert plan.slots[0].member_part == {"A": 0}
 
     def test_airplane_family_exact(self, airplane):
         plan = slots_baseline(airplane.expected_family, 12, ABCDE)
@@ -563,17 +570,6 @@ class TestPackedPlans:
         assert slots_baseline(airplane.expected_family, 12, ABCDE) == \
             slots_baseline(airplane.expected_family, 12, ABCDE)
 
-    def test_parts_partition_indices(self, airplane):
-        for plan in (airplane.plan,
-                     slots_packed(airplane.expected_family, 12, ABCDE)):
-            for slot in plan.slots:
-                union = set()
-                for part in slot.parts:
-                    assert part
-                    assert not (part & union)
-                    union |= part
-                assert union == set(range(12))
-
 
 class TestIssuance:
     def test_monotone_shares(self, small):
@@ -617,13 +613,15 @@ class TestIssuance:
 
 
 class TestPlanValidation:
-    def test_slot_must_cover_all_indices(self):
-        slot = SlotAssignment(parts=(frozenset({0, 1}),), member_part={"A": 0})
-        with pytest.raises(ValueError):
-            SlotPlan(universe=("A",), n=4, slots=[slot])
+    def test_more_parts_than_indices(self):
+        slot = SlotAssignment({"A": 0, "B": 1, "C": 2})
+        with pytest.raises(GroupLargerThanPrimeCount,
+                           match=r"^group of 3 members exceeds 2 prime indices$"):
+            SlotPlan(universe=("A", "B", "C"), n=2, slots=[slot])
+        assert SlotPlan(universe=("A", "B", "C"), n=3, slots=[slot]).slots == [slot]
 
     def test_slot_holder_outside_universe(self):
-        slot = SlotAssignment(parts=(frozenset(range(4)),), member_part={"Z": 0})
+        slot = SlotAssignment({"Z": 0})
         with pytest.raises(ValueError):
             SlotPlan(universe=("A",), n=4, slots=[slot])
 
