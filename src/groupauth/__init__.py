@@ -55,6 +55,7 @@ from .protocol import (
     Challenge,
     Deployment,
     ResponseVector,
+    UnboundShare,
     Verdict,
     VerifierState,
     audit,

@@ -193,15 +193,16 @@ def cmd_audit(args) -> int:
     if slot_count != deployment.slot_count:
         raise SchemaError(f"{args.shares}: the deployment has {deployment.slot_count} "
                           f"slot(s), the shares {slot_count}")
-    keys = {(share.p, share.s) for share in shares.values()}
-    if not all(nscrypt.binds(deployment, p, s) for p, s in keys):
-        raise SchemaError(f"{args.shares}: the deployment's public key is not the shares' key")
     null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
 
-    report = protocol.audit(
-        deployment, shares, expected, trials=args.trials, rng=_seeded_rng(args.seed),
-        mode=deployment.mode, merge=deployment.merge, null_policy=null_policy, force_m=args.force_m)
+    try:
+        report = protocol.audit(
+            deployment, shares, expected, trials=args.trials, rng=_seeded_rng(args.seed),
+            mode=deployment.mode, merge=deployment.merge, null_policy=null_policy,
+            force_m=args.force_m)
+    except protocol.UnboundShare as exc:
+        raise SchemaError(f"{args.shares}: {exc}") from None
     frequencies = sorted(report.frequencies().items(),
                          key=lambda kv: (len(kv[0]), _format_group(kv[0], holders)))
 

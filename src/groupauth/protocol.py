@@ -25,12 +25,12 @@ from .nscrypt import (
     NsPrivateKey,
     NsPublicKey,
     Share,
+    binds,
     encrypt,
     partial_decrypt,  # noqa: F401  (uncalled here; perfbench/spans.py wraps this name)
     public_key_of,
     residue_bits,
 )
-from .numtheory import SMALL_PRIME_RANK, SMALL_PRIMES
 from .policy import check_universe, group_of, subset_matches
 
 __all__ = [
@@ -43,6 +43,7 @@ __all__ = [
     "ResponseVector",
     "Verdict",
     "AuditReport",
+    "UnboundShare",
     "make_challenge",
     "token_respond",
     "merge_monotone",
@@ -346,6 +347,10 @@ def verify(state: VerifierState, merged: list[int]) -> Verdict:
     return Verdict(state.session_id, matching is not None, matching)
 
 
+class UnboundShare(ValueError):
+    """An audited share whose key (p, s) the audit key does not bind."""
+
+
 @dataclass
 class AuditReport:
     """Brute-force sweep of every subset against the expected family."""
@@ -428,36 +433,39 @@ def audit(
 
     A call is one set-up and then one trial per message. The set-up checks
     the universe, the session shape, and every share as `token_respond`
-    would, with the same messages, and builds the per-key read table and
-    the merge op. A trial does only per-message work: it draws m and the
-    session id from `rng` as `make_challenge` does, but builds no
-    `Challenge` or `VerifierState`, then reads, answers and folds.
+    would, with the same messages, then that `key` binds every share's key
+    (p, s), and builds the merge op. It raises `UnboundShare`, naming the
+    first holder, for a share the key does not bind. A private key binds a
+    share of its own (p, s) at no cost; any other share key, and each one
+    under a public key or `Deployment`, is checked by `nscrypt.binds`, n
+    `pow`s, once per distinct key per call. A trial does only per-message
+    work: it draws m, the session id and the ciphertext from `rng` as
+    `make_challenge` does, but builds no `Challenge` or `VerifierState`,
+    then answers and folds.
 
-    The residue c^s mod p depends only on the key and the ciphertext, so a
-    trial reads once per key `(p, s)`, not once per holder: one `pow`, and
-    one `residue_bits` over the first k system primes, where k is one past
-    the highest prime rank that any holder of that key reads. That prefix
-    holds every prime of the key's shares, so `bits & mask` is each
-    holder's exact answer, for key shares and share sequences alike. The
-    answers equal `token_respond`'s values, and nulls are drawn from `rng`
-    in the same holder and slot order. No response objects are built: the
-    answers go straight to `policy.subset_matches` as its columns. The
-    ciphertext range check runs once per key and trial. With `rng` None,
-    messages and nulls come from the operating system's generator.
+    A bound key reads m itself. keygen sets v_i = q_i^(s^-1 mod p-1), so
+    c^s = prod q_i^(m_i) (mod p), and that product is below p, so the
+    residue is the product and a token's `residue_bits` over its primes is
+    `m & mask` for each slot it holds, for key shares and share sequences
+    alike. A trial therefore answers `m & mask` per held slot, with no
+    `pow` and no bit read. The answers equal `token_respond`'s values, and
+    nulls are drawn from `rng` in the same holder and slot order. No
+    response objects are built: the answers go straight to
+    `policy.subset_matches` as its columns. With `rng` None, messages and
+    nulls come from the operating system's generator.
 
     The merges of all 2^h subsets of h holders are never listed. Per slot,
     `subset_matches` packs every subset's merged value into one field of a
     single int, w = max(h·max value, m).bit_length() bits wide so no sum
     overflows, folds each holder in with one big-int `combine`, and finds
     the subsets equal to m with one zero-field test; the field layout's
-    constants are built once per (h, w). So a trial costs one `pow` and one
-    bit read per key, one list of answers per holder, a few big-int
-    operations per holder and slot, one pass over the packed digits, and a
-    bounded memo lookup per accepted subset. Measured in-process with
-    Python 3.11 on a 2-vCPU Intel Xeon VM, an `audit(trials=1)` call takes
-    about 0.05 ms on the 5-holder, 5-slot `audit5` deployment, of which the
-    `pow` is about 0.02 ms, and about 0.36 ms on the 10-holder, 26-slot
-    `audit10` one.
+    constants are built once per (h, w). So a trial costs one encryption,
+    one list of answers per holder, a few big-int operations per holder
+    and slot, one pass over the packed digits, and a bounded memo lookup
+    per accepted subset. Measured in-process with Python 3.11 on a 2-vCPU
+    Intel Xeon VM, an `audit(trials=1)` call takes about 0.028 ms on the
+    5-holder, 5-slot `audit5` deployment and about 0.30 ms on the
+    10-holder, 26-slot `audit10` one.
 
     Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with
@@ -472,8 +480,7 @@ def audit(
         raise ValueError("trials must be an int")
     if trials < 1:
         raise ValueError("an audit needs at least one trial")
-    pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
-    universe, merge, trial = _audit_setup(pub, shares, mode, merge, null_policy)
+    universe, merge, trial = _audit_setup(key, shares, mode, merge, null_policy)
     rng = rng if rng is not None else random.SystemRandom()
     group = _groups(universe)
     report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
@@ -483,34 +490,37 @@ def audit(
 
 
 def _audit_setup(
-    pub: NsPublicKey, shares: dict[str, Share], mode: str, merge: str | None,
+    key: NsPublicKey | NsPrivateKey, shares: dict[str, Share], mode: str, merge: str | None,
     null_policy: str,
 ) -> tuple[tuple[str, ...], str, Callable[[random.Random, int | None], list[int]]]:
     """An audit's set-up: its universe, its merge and its per-message trial.
 
     `trial(rng, force_m)` draws one message through `_draw` and returns the
-    masks of the subsets that accept it, ascending.
+    masks of the subsets that accept it, ascending. Raises UnboundShare,
+    naming the first such holder, for a share whose key (p, s) `key` does not
+    bind.
     """
+    pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
     universe = check_universe(tuple(shares))
     slot_count = len(shares[universe[0]].slots)
     # refuse a bad session shape before any share, as the first challenge would
     merge = _session_merge(pub, mode, merge, slot_count)
-    ranks: dict[tuple[int, int], int] = {}  # key (p, s) -> its read's prime count k
-    answerers = []  # per holder: its key, its slot masks, its null width
+    # the share keys (p, s) known bound: a private key binds its own
+    bound = {(key.p, key.s)} if isinstance(key, NsPrivateKey) else set()
+    answerers = []  # per holder: its slot masks, its null width
     for h in universe:
         share = shares[h]
         n = _answerable(share, mode, slot_count, null_policy)
-        primes, masks = share.reading
-        key = share.p, share.s
-        ranks[key] = max(ranks.get(key, 0), SMALL_PRIME_RANK[primes[-1]] + 1 if primes else 0)
-        answerers.append((key, masks, n))
-    reads = [(key, SMALL_PRIMES[:k]) for key, k in ranks.items()]  # per key: its prime prefix
+        if (share.p, share.s) not in bound:
+            if not binds(pub, share.p, share.s):
+                raise UnboundShare(f"the audit key does not bind holder {h}'s share")
+            bound.add((share.p, share.s))
+        answerers.append((share.reading[1], n))
     combine = _MERGE_OPS[merge]
 
     def trial(rng: random.Random, force_m: int | None) -> list[int]:
-        m, _, c = _draw(pub, rng, force_m)  # the session id is drawn, as in a session
-        bits = {key: _read(*key, primes, c) for key, primes in reads}
-        answers = [_answer(bits[key], masks, null_policy, n, rng) for key, masks, n in answerers]
+        m, _, _ = _draw(pub, rng, force_m)  # the session id and ciphertext, as in a session
+        answers = [_answer(m, masks, null_policy, n, rng) for masks, n in answerers]
         return subset_matches(list(zip(*answers)), combine, m)
 
     return universe, merge, trial

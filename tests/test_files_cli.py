@@ -1076,7 +1076,7 @@ def test_audit_refuses_another_keys_deployment(tmp_path, capsys, keys):
                     "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {dirs[1]}: the deployment's public key is not the shares' key\n"
+    assert captured.err == f"error: {dirs[1]}: the audit key does not bind holder A's share\n"
 
 
 class TestFileAccessBoundaries:

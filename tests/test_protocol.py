@@ -7,12 +7,14 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from groupauth import files, fixtures, numtheory, protocol
 from groupauth.errors import GroupAuthError, SchemaError
-from groupauth.nscrypt import (KeyShare, NsPrivateKey, keygen, partial_decrypt, public_key_of,
-                               residue_bits)
-from groupauth.policy import authorized_family, parse
+from groupauth.nscrypt import (KeyShare, NsPrivateKey, binds, keygen, partial_decrypt,
+                               public_key_of, residue_bits)
+from groupauth.policy import authorized_family, group_of, parse
 from groupauth.protocol import (
     Challenge,
     ResponseVector,
@@ -452,11 +454,8 @@ class TestAudit:
     def test_deployment_audits_as_private_key(self, request, fixture, null_policy):
         # a verifier's public deployment reads the same as the private key it came from
         system = request.getfixturevalue(fixture)
-        pub = system.pub
-        deployment = protocol.Deployment(pub.n, pub.p, pub.v, system.mode, system.merge,
-                                         len(system.shares[system.universe[0]].slots))
         runs = []
-        for key in (system.priv, deployment):
+        for key in (system.priv, deployment_of(system)):
             rng = random.Random(9)
             report = audit(key, system.shares, system.expected_family, trials=6, rng=rng,
                            mode=system.mode, merge=system.merge, null_policy=null_policy)
@@ -623,8 +622,7 @@ def second_key(priv, same_p):
 
 
 # (p, s) of a second key under a prime of its own, per n: forced primes off
-# the table. test_audit_digest_pinned's mixed-key audits are pinned under the
-# n = 12 one.
+# the table, for the airplane (n = 12) and small (n = 8) systems.
 SECOND_KEYS = {12: (8244684522521, 6429826615309), 8: (16731677, 1976227)}
 
 
@@ -642,16 +640,32 @@ def mixed_small_shares(small, same_p):
     return {**small.shares, "A2": issue_monotone({"A2": ranks}, second)["A2"]}
 
 
+def mixed_refusal(holder):
+    """The refusal of an audit whose key does not bind `holder`'s share."""
+    return pytest.raises(protocol.UnboundShare,
+                         match=f"^the audit key does not bind holder {holder}'s share$")
+
+
+def deployment_of(system):
+    """The public deployment `compile` would write beside a demo system's shares."""
+    pub = system.pub
+    return protocol.Deployment(pub.n, pub.p, pub.v, system.mode, system.merge,
+                               len(system.shares[system.universe[0]].slots))
+
+
 @pytest.fixture(params=["same p", "other p"])
-def mixed_key_shares(request, airplane):
-    return mixed_shares(airplane, request.param == "same p")
+def second_key_shares(request, airplane):
+    """The airplane plan issued under a second key, of the same p or another: (key, shares)."""
+    second = second_key(airplane.priv, request.param == "same p")
+    return second, issue_sequence(airplane.plan, second)
 
 
-def airplane_audit(airplane, shares, null_policy="one", seed=0, trials=1, force_m=None):
-    """An audit of the airplane family; seed None passes no rng."""
-    return audit(airplane.priv, shares, airplane.expected_family, trials=trials,
-                 rng=None if seed is None else random.Random(seed), mode="sequence",
-                 merge="sum", null_policy=null_policy, force_m=force_m)
+def airplane_audit(airplane, shares, null_policy="one", seed=0, trials=1, force_m=None,
+                   key=None):
+    """An audit of the airplane family under `key`, else the airplane key; seed None: no rng."""
+    return audit(airplane.priv if key is None else key, shares, airplane.expected_family,
+                 trials=trials, rng=None if seed is None else random.Random(seed),
+                 mode="sequence", merge="sum", null_policy=null_policy, force_m=force_m)
 
 
 # accepted - expected per trial of `airplane_audit(..., "random-nonzero", seed=5,
@@ -667,18 +681,92 @@ RANDOM_NULL_FALSE_ACCEPTS_SEED_5 = {
 }
 
 
+@functools.cache
+def seeded_key(n):
+    return keygen(n, seed=n)[1]
+
+
+@st.composite
+def bound_audits(draw):
+    """A random family over up to 6 holders, issued under one key, and an audit's settings."""
+    universe = tuple("ABCDEF")[: draw(st.integers(1, 6))]
+    masks = draw(st.sets(st.integers(1, (1 << len(universe)) - 1), min_size=1))
+    family = frozenset(group_of(a, universe) for a in masks)
+    priv = seeded_key(draw(st.sampled_from((8, 12, 16))))
+    planner = draw(st.sampled_from((slots_packed, slots_baseline)))
+    shares = issue_sequence(planner(family, priv.n, universe), priv)
+    return (priv, shares, family, draw(st.sampled_from(("sum", "xor"))),
+            draw(st.sampled_from(protocol.NULL_POLICIES)), draw(st.integers(0, 2**32 - 1)))
+
+
 class TestSharedResidue:
-    """audit raises each ciphertext to s once per distinct share (p, s)."""
+    """audit checks once that the key binds every share, then reads m itself.
 
-    def test_one_pow_per_trial(self, airplane, pow_calls):
-        airplane_audit(airplane, airplane.shares)
-        assert len(pow_calls) == 1
+    A bound key gives c^s mod p = the product of m's primes, so every token
+    reads m's bits over its own primes; `per_holder_audit` still pays each
+    token's `pow` and checks that reading token by token.
+    """
+
+    def test_one_pow_per_trial(self, airplane, small, pow_calls, read_calls):
+        # each token pays one pow and one read a trial, answering its own
+        # challenge; the audit reads m itself and pays neither
+        per_holder_audit(airplane.priv, airplane.shares, airplane.expected_family, 3,
+                         random.Random(0), mode="sequence", merge="sum", null_policy="one")
+        assert len(pow_calls) == len(read_calls) == len(airplane.shares) * 3
+        pow_calls.clear()
+        read_calls.clear()
         airplane_audit(airplane, airplane.shares, trials=3)
-        assert len(pow_calls) == 1 + 3
+        airplane_audit(airplane, airplane.shares, "random-nonzero", trials=3)
+        audit(small.priv, small.shares, small.expected_family, trials=2,
+              rng=random.Random(0), mode="monotone")
+        audit(deployment_of(small), small.shares, small.expected_family, trials=2,
+              rng=random.Random(0), mode="monotone")
+        assert pow_calls == [] and read_calls == []
 
-    def test_one_pow_per_key(self, airplane, mixed_key_shares, pow_calls):
-        airplane_audit(airplane, mixed_key_shares)
-        assert len(pow_calls) == 2
+    def test_binds_once_per_key(self, airplane, monkeypatch):
+        # C's key (p, s + p - 1) binds as the airplane key does, but is another
+        # pair: a private key binds only that one, a deployment both, once per call
+        calls = []
+        monkeypatch.setattr(protocol, "binds", lambda *a: calls.append(a[1:]) or binds(*a))
+        priv = airplane.priv
+        other = NsPrivateKey(priv.n, priv.p, priv.s + priv.p - 1, priv.primes)
+        shares = {**airplane.shares, "C": issue_sequence(airplane.plan, other)["C"]}
+        for key, keys in ((priv, [(other.p, other.s)]),
+                          (deployment_of(airplane), [(priv.p, priv.s), (other.p, other.s)])):
+            calls.clear()
+            report = airplane_audit(airplane, shares, trials=4, key=key)
+            assert calls == keys
+            reference = per_holder_audit(priv, shares, airplane.expected_family, 4,
+                                         random.Random(0), mode="sequence", merge="sum",
+                                         null_policy="one")
+            assert report.accepted_by_trial == reference.accepted_by_trial
+
+    def test_one_read_per_key(self, airplane, second_key_shares, monkeypatch, read_calls):
+        # the shares under one second key: its deployment checks that key once
+        # a call, whatever the trials, its private key not at all, and no
+        # trial reads a residue
+        key, shares = second_key_shares
+        calls = []
+        monkeypatch.setattr(protocol, "binds", lambda *a: calls.append(a[1:]) or binds(*a))
+        deployment = protocol.Deployment(key.n, key.p, public_key_of(key).v, "sequence", "sum",
+                                         len(airplane.plan.slots))
+        for audit_key, keys in ((key, []), (deployment, [(key.p, key.s)])):
+            for null_policy in protocol.NULL_POLICIES:
+                calls.clear()
+                airplane_audit(airplane, shares, null_policy, trials=3, key=audit_key)
+                assert calls == keys
+        assert read_calls == []
+
+    @pytest.mark.parametrize("same_p", [True, False], ids=["same p", "other p"])
+    def test_sequence_under_two_keys(self, airplane, same_p, monkeypatch):
+        # the airplane shares with C's under a second key: refused by the
+        # set-up, before a message is drawn
+        monkeypatch.setattr(protocol, "encrypt", None)
+        shares = mixed_shares(airplane, same_p)
+        for key in (airplane.priv, deployment_of(airplane)):
+            for null_policy in protocol.NULL_POLICIES:
+                with mixed_refusal("C"):
+                    airplane_audit(airplane, shares, null_policy, key=key)
 
     def test_per_holder_reference_pays_per_holder(self, airplane, pow_calls):
         per_holder_audit(airplane.priv, airplane.shares, airplane.expected_family, 1,
@@ -698,20 +786,13 @@ class TestSharedResidue:
         token_respond(small.shares["A1"], mono)
         assert len(pow_calls) == len(airplane.shares) + 1
 
-    def test_one_read_per_key(self, airplane, mixed_key_shares, read_calls):
-        # a sequence key's bits are read once a trial, over all n primes
-        airplane_audit(airplane, airplane.shares, trials=3)
-        assert read_calls == [airplane.priv.primes] * 3
-        read_calls.clear()
-        airplane_audit(airplane, mixed_key_shares, "random-nonzero", trials=3)
-        assert read_calls == [airplane.priv.primes] * 2 * 3
-
     def test_key_shares_read_once_each(self, small, pow_calls, read_calls):
-        audit(small.priv, small.shares, small.expected_family, trials=2,
-              rng=random.Random(0), mode="monotone")
-        assert len(pow_calls) == 2
-        # one key: one read a trial, over the prefix that holds A2's and A3's 19
-        assert read_calls == [small.priv.primes] * 2
+        # a key share's token reads once, over its own primes
+        mono, _ = make_challenge(small.pub, rng=random.Random(0), force_m=small.message)
+        for share in small.shares.values():
+            token_respond(share, mono)
+        assert len(pow_calls) == len(small.shares)
+        assert read_calls == [share.reading[0] for share in small.shares.values()]
 
     def test_token_respond_reads_once(self, airplane, read_calls):
         challenge, _ = airplane_challenge(airplane)
@@ -725,34 +806,36 @@ class TestSharedResidue:
 
     @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
     def test_responses_are_token_responses(
-            self, airplane, mixed_key_shares, monkeypatch, null_policy):
+            self, airplane, second_key_shares, monkeypatch, null_policy):
         # the columns `audit` folds, read back per holder from the trial's draw
+        key, shares = second_key_shares
         seen = []
         matches, draw = protocol.subset_matches, protocol._draw
         monkeypatch.setattr(protocol, "_draw", lambda *a: seen.append(draw(*a)) or seen[-1])
         monkeypatch.setattr(protocol, "subset_matches",
                             lambda columns, *a: seen.append(columns) or matches(columns, *a))
-        airplane_audit(airplane, mixed_key_shares, null_policy, trials=4)
+        airplane_audit(airplane, shares, null_policy, trials=4, key=key)
         assert len(seen) == 2 * 4
         for (_, session_id, c), columns in zip(seen[::2], seen[1::2]):
             challenge = Challenge(session_id, "sequence", "sum", len(airplane.plan.slots), (c,))
             answers = list(zip(*columns))
             assert len(answers) == len(ABCDE)
             for h, answer in zip(ABCDE, answers):
-                share = mixed_key_shares[h]
+                share = shares[h]
                 own = token_respond(share, challenge, "one").values
                 # random nulls aside, each slot answers what the token would
                 for slot, got, want in zip(share.slots, answer, own, strict=True):
                     assert got == want or (slot is None and null_policy != "one"), h
 
     @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
-    def test_accepts_as_per_holder_residues(self, airplane, mixed_key_shares, null_policy):
-        for seed in range(5):
-            report = airplane_audit(airplane, mixed_key_shares, null_policy, seed, trials=20)
-            reference = per_holder_audit(
-                airplane.priv, mixed_key_shares, airplane.expected_family, 20,
-                random.Random(seed), mode="sequence", merge="sum", null_policy=null_policy)
-            assert report.accepted_by_trial == reference.accepted_by_trial, seed
+    def test_accepts_as_per_holder_residues(self, airplane, second_key_shares, null_policy):
+        for key, shares in ((airplane.priv, airplane.shares), second_key_shares):
+            for seed in range(5):
+                report = airplane_audit(airplane, shares, null_policy, seed, trials=20, key=key)
+                reference = per_holder_audit(
+                    key, shares, airplane.expected_family, 20,
+                    random.Random(seed), mode="sequence", merge="sum", null_policy=null_policy)
+                assert report.accepted_by_trial == reference.accepted_by_trial, seed
 
     def test_monotone_accepts_as_per_holder_residues(self, small):
         for seed in range(5):
@@ -763,22 +846,25 @@ class TestSharedResidue:
                 mode="monotone", merge="or", null_policy="one")
             assert report.accepted_by_trial == reference.accepted_by_trial, seed
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=bound_audits())
+    def test_random_families_accept_as_per_holder_residues(self, case):
+        priv, shares, family, merge, null_policy, seed = case
+        report = audit(priv, shares, family, trials=2, rng=random.Random(seed),
+                       mode="sequence", merge=merge, null_policy=null_policy)
+        reference = per_holder_audit(priv, shares, family, 2, random.Random(seed),
+                                     mode="sequence", merge=merge, null_policy=null_policy)
+        assert report.accepted_by_trial == reference.accepted_by_trial
+
     @pytest.mark.parametrize("same_p", [True, False], ids=["same p", "other p"])
-    def test_monotone_under_two_keys(self, small, same_p, pow_calls, read_calls):
+    def test_monotone_under_two_keys(self, small, same_p, monkeypatch):
+        # A2's key share under a second key: refused as in sequence mode
+        monkeypatch.setattr(protocol, "encrypt", None)
         shares = mixed_small_shares(small, same_p)
-        audit(small.priv, shares, small.expected_family, trials=3,
-              rng=random.Random(0), mode="monotone")
-        # A1 and A3 share one key and A2 holds the other: each key reads the
-        # prefix up to 19, the highest prime any of its holders reads
-        assert len(pow_calls) == 2 * 3
-        assert read_calls == [small.priv.primes] * 2 * 3
-        for seed in range(5):
-            report = audit(small.priv, shares, small.expected_family, trials=20,
-                           rng=random.Random(seed), mode="monotone")
-            reference = per_holder_audit(
-                small.priv, shares, small.expected_family, 20, random.Random(seed),
-                mode="monotone", merge="or", null_policy="one")
-            assert report.accepted_by_trial == reference.accepted_by_trial, seed
+        for key in (small.priv, deployment_of(small)):
+            with mixed_refusal("A2"):
+                audit(key, shares, small.expected_family, trials=3,
+                      rng=random.Random(0), mode="monotone")
 
     @pytest.mark.parametrize(
         "p", [fixtures.AIRPLANE_CIPHERTEXT, fixtures.AIRPLANE_CIPHERTEXT // 2])
@@ -788,7 +874,7 @@ class TestSharedResidue:
         challenge, _ = airplane_challenge(airplane)
         with pytest.raises(ValueError, match="^ciphertext out of range$"):
             token_respond(shares["C"], challenge)
-        with pytest.raises(ValueError, match="^ciphertext out of range$"):
+        with mixed_refusal("C"):
             airplane_audit(airplane, shares, force_m=fixtures.AIRPLANE_MESSAGE)
 
     def test_seeded_random_null_audit_pinned(self, airplane):
@@ -802,7 +888,9 @@ class TestSharedResidue:
 
 # `audit` results pinned by SHA-256 together with the state each audit leaves
 # its rng in: the audit may get faster, never accept other subsets or draw
-# other numbers. Taken before the per-key residue read went in.
+# other numbers. Taken before the per-key residue read went in; the audits of
+# shares under two keys, which the audit now refuses, were dropped from it
+# with the digest of the rest unchanged.
 
 def test_audit_digest_pinned(airplane, small):
     digest = hashlib.sha256()
@@ -829,14 +917,6 @@ def test_audit_digest_pinned(airplane, small):
                     pin(audit(priv, shares, family, trials=3, rng=trial_rng,
                               mode="sequence", merge=merge, null_policy=null_policy),
                         trial_rng)
-    for same_p in (True, False):
-        shares = mixed_shares(airplane, same_p)
-        for null_policy in protocol.NULL_POLICIES:
-            for merge in ("sum", "xor"):
-                trial_rng = random.Random(same_p)
-                pin(audit(airplane.priv, shares, airplane.expected_family, trials=10,
-                          rng=trial_rng, mode="sequence", merge=merge,
-                          null_policy=null_policy), trial_rng)
     for m in range(1, 1 << small.pub.n):
         trial_rng = random.Random(m)
         pin(audit(small.priv, small.shares, small.expected_family, rng=trial_rng,
@@ -846,7 +926,7 @@ def test_audit_digest_pinned(airplane, small):
         pin(audit(small.priv, small.shares, small.expected_family, trials=20,
                   rng=trial_rng, mode="monotone", null_policy=null_policy), trial_rng)
     assert digest.hexdigest() == (
-        "b6484a7fbadf3e8fb850dc666b6d3811e0bd5f4aa55fbcac972978a4445d4a64")
+        "1326c7aee19b470eb41bd6f82c5a2f76617f5043330ae21a87140f4d6718225f")
 
 
 class TestRefusals:
@@ -902,14 +982,15 @@ class TestRefusals:
                           null_policy="bogus"))
 
     def test_key_share_ciphertext_out_of_range(self, small):
+        # a token refuses the ciphertext; an audit refuses the share's key first
         mono, _ = make_challenge(small.pub, rng=random.Random(0), force_m=small.message)
         shares = dict(small.shares)
         shares["A2"] = dataclasses.replace(shares["A2"], p=mono.ciphertexts[0])
-        self.refused(
-            "ciphertext out of range",
-            lambda: token_respond(shares["A2"], mono),
-            lambda: audit(small.priv, shares, small.expected_family, mode="monotone",
-                          force_m=small.message))
+        with pytest.raises(ValueError, match="^ciphertext out of range$"):
+            token_respond(shares["A2"], mono)
+        with mixed_refusal("A2"):
+            audit(small.priv, shares, small.expected_family, mode="monotone",
+                  force_m=small.message)
 
 
 class TestCompleteness:
