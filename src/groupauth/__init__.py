@@ -9,11 +9,11 @@ Typical flow::
 
     from groupauth import nscrypt, policy, sharesplit, protocol
 
-    pub, priv = nscrypt.keygen(12)
+    _, priv = nscrypt.keygen(12)
     expr = policy.parse("(A and B) or (A and C)", ("A", "B", "C"))
-    shares = sharesplit.issue_monotone(sharesplit.bl_split(expr, range(12)), priv)
+    shares, deployment, _ = sharesplit.compile_policy(expr, ("A", "B", "C"), priv, "monotone")
 
-    challenge, state = protocol.make_challenge(pub)
+    challenge, state = protocol.make_challenge(deployment)
     responses = [protocol.token_respond(shares[h], challenge) for h in ("A", "C")]
     verdict = protocol.verify(state, [protocol.merge_monotone(responses)])
 """
@@ -74,6 +74,7 @@ from .sharesplit import (
     SlotPlan,
     authorized_groups,
     bl_split,
+    compile_policy,
     issue_monotone,
     issue_sequence,
     slots_baseline,

@@ -81,33 +81,13 @@ def cmd_keygen(args) -> int:
 
 
 def cmd_compile(args) -> int:
-    # a monotone split has no size cap and no slots to pack
-    if args.mode == "monotone" and (args.max_size is not None or args.pack):
-        raise SchemaError("--max-size and --pack apply to sequence mode only")
     universe = _universe_arg(args.universe)
     expr = policy.parse(args.policy, universe)
     priv = files.load(args.key, expect_kind="ns-private")
-
-    if args.mode == "monotone":
-        split = sharesplit.bl_split(expr, range(priv.n))
-        # a holder the policy does not name gets no share, and audit would then refuse
-        unnamed = [h for h in universe if h not in split]
-        if unnamed:
-            raise SchemaError("monotone mode issues no share to a holder the policy "
-                              f"does not name: {', '.join(unnamed)}")
-        shares = sharesplit.issue_monotone(split, priv)
-        summary = f"monotone split over {priv.n} primes"
-    else:
-        family = policy.authorized_family(expr, universe, args.max_size)
-        if not family:
-            raise GroupAuthError("policy authorizes no groups at this size cap")
-        build = sharesplit.slots_packed if args.pack else sharesplit.slots_baseline
-        plan = build(family, priv.n, universe)
-        shares = sharesplit.issue_sequence(plan, priv)
-        summary = f"{len(family)} authorized groups compiled into {len(plan.slots)} slots"
-    pub, merge = nscrypt.public_key_of(priv), args.merge or protocol._default_merge(args.mode)
-    deployment = protocol.Deployment(pub.n, pub.p, pub.v, args.mode, merge,
-                                     len(shares[universe[0]].slots))
+    shares, deployment, family = sharesplit.compile_policy(
+        expr, universe, priv, args.mode, merge=args.merge, max_size=args.max_size, pack=args.pack)
+    summary = (f"monotone split over {priv.n} primes" if family is None else
+               f"{len(family)} authorized groups compiled into {deployment.slot_count} slots")
 
     # created only once the shares exist, so a refused run leaves nothing behind
     out = Path(args.output)
@@ -187,12 +167,7 @@ def cmd_audit(args) -> int:
     holders = _universe_arg(args.universe)
     expr = policy.parse(args.policy, holders)
     deployment, shares = _load_share_dir(args.shares, holders)
-    if deployment.mode == "monotone" and args.max_size is not None:  # as in `compile`
-        raise SchemaError("--max-size applies to sequence mode only; these shares are monotone")
-    slot_count = len(shares[holders[0]].slots)
-    if slot_count != deployment.slot_count:
-        raise SchemaError(f"{args.shares}: the deployment has {deployment.slot_count} "
-                          f"slot(s), the shares {slot_count}")
+    sharesplit.check_sequence_only(deployment.mode, args.max_size)  # as in `compile`
     null_policy = _NULL_POLICIES[args.null]
     expected = policy.authorized_family(expr, holders, args.max_size)
 
@@ -234,14 +209,14 @@ def cmd_audit(args) -> int:
 
 def _demo_run(system: fixtures.DemoSystem):
     """A fixture's session on its own message: the ciphertext, every holder's response, the audit."""
+    deployment = system.deployment
     challenge, _state = protocol.make_challenge(
-        system.pub, mode=system.mode, merge=system.merge,
-        slot_count=len(system.shares[system.universe[0]].slots),
-        rng=random.Random(0), force_m=system.message)
+        deployment, mode=deployment.mode, merge=deployment.merge,
+        slot_count=deployment.slot_count, rng=random.Random(0), force_m=system.message)
     responses = {h: protocol.token_respond(system.shares[h], challenge) for h in system.universe}
     report = protocol.audit(
         system.priv, system.shares, system.expected_family,
-        mode=system.mode, merge=system.merge, force_m=system.message)
+        mode=deployment.mode, merge=deployment.merge, force_m=system.message)
     return challenge.ciphertexts[0], responses, report
 
 

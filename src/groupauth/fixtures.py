@@ -8,8 +8,8 @@ Two desk-scale systems ship with the package:
   slot given as its holder-to-part assignment alone: like every plan, a
   slot's parts are balanced contiguous runs of the prime indices.
 
-* ``small``: three holders where A1 pairs with A2 or with A3, run in
-  monotone mode over the 8-prime system.
+* ``small``: three holders where A1 pairs with A2 or with A3, compiled by
+  `sharesplit.compile_policy` in monotone mode over the 8-prime system.
 
 All numbers here are verified by the test suite against independent
 recomputation. Two entries in the source tabulation of the airplane
@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import nscrypt, policy, sharesplit
+from . import nscrypt, policy, protocol, sharesplit
 
 __all__ = [
     "DemoSystem",
@@ -136,8 +136,7 @@ class DemoSystem:
     priv: nscrypt.NsPrivateKey
     universe: tuple[str, ...]
     policy_text: str
-    mode: str
-    merge: str
+    deployment: protocol.Deployment
     expected_family: frozenset[frozenset[str]]
     shares: dict[str, nscrypt.Share]
     message: int
@@ -160,8 +159,7 @@ def airplane_system() -> DemoSystem:
         priv=priv,
         universe=AIRPLANE_UNIVERSE,
         policy_text=AIRPLANE_POLICY,
-        mode="sequence",
-        merge="sum",
+        deployment=protocol.Deployment(pub.n, pub.p, pub.v, "sequence", "sum", len(plan.slots)),
         expected_family=family,
         shares=dict(shares),
         message=AIRPLANE_MESSAGE,
@@ -174,15 +172,13 @@ def small_system() -> DemoSystem:
     pub, priv = nscrypt.keygen(SMALL_N, force_p=SMALL_P, force_s=SMALL_S)
     expr = policy.parse(SMALL_POLICY, SMALL_UNIVERSE)
     family = policy.authorized_family(expr, SMALL_UNIVERSE)
-    split = sharesplit.bl_split(expr, range(SMALL_N))
-    shares = sharesplit.issue_monotone(split, priv)
+    shares, deployment, _ = sharesplit.compile_policy(expr, SMALL_UNIVERSE, priv, "monotone")
     return DemoSystem(
         pub=pub,
         priv=priv,
         universe=SMALL_UNIVERSE,
         policy_text=SMALL_POLICY,
-        mode="monotone",
-        merge="or",
+        deployment=deployment,
         expected_family=family,
         shares=dict(shares),
         message=SMALL_MESSAGE,

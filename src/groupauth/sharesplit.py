@@ -35,9 +35,10 @@ from functools import partial, reduce
 
 from . import policy
 from .errors import GroupAuthError
-from .nscrypt import KeyShare, NsPrivateKey, ShareSequence
+from .nscrypt import KeyShare, NsPrivateKey, Share, ShareSequence, public_key_of
 from .policy import (And, Or, PolicyExpr, Var, _fold, check_universe, group_of, is_monotone,
                      variables)
+from .protocol import Deployment, _session_merge
 
 __all__ = [
     "NonMonotoneError",
@@ -52,6 +53,8 @@ __all__ = [
     "slots_packed",
     "issue_monotone",
     "issue_sequence",
+    "check_sequence_only",
+    "compile_policy",
 ]
 
 class NonMonotoneError(GroupAuthError):
@@ -424,7 +427,7 @@ def slots_packed(
 
 
 # ---------------------------------------------------------------------------
-# share issuance
+# share issuance, and the whole compile
 
 
 def issue_monotone(
@@ -462,3 +465,39 @@ def issue_sequence(
     return {holder: ShareSequence(holder=holder, s=priv.s, p=priv.p, n=priv.n,
                                   slots=tuple(entries))
             for holder, entries in columns.items()}
+
+
+def check_sequence_only(mode: str, max_size: int | None = None, pack: bool = False) -> None:
+    """Refuse a size cap or packing in monotone mode: its split has no groups to cap."""
+    if mode == "monotone" and (max_size is not None or pack):
+        what = "a size cap applies" if max_size is not None else "packing applies"
+        raise ValueError(f"{what} to sequence mode only")
+
+
+def compile_policy(expr: PolicyExpr, universe: tuple[str, ...], priv: NsPrivateKey, mode: str, *,
+                   merge: str | None = None, max_size: int | None = None, pack: bool = False,
+                   ) -> tuple[dict[str, Share], Deployment, frozenset[frozenset[str]] | None]:
+    """Each universe holder's share, in universe order, the `Deployment`, and the family
+    that `slots_packed` (if `pack`) or `slots_baseline` planned; None in monotone mode,
+    whose `bl_split` enumerates no subsets. Refuses what `check_sequence_only` and
+    `Deployment` refuse, a universe holder the monotone split gives no share
+    (ValueError), and an empty family (GroupAuthError)."""
+    check_sequence_only(mode, max_size, pack)
+    universe = check_universe(universe)
+    if mode == "monotone":
+        split = bl_split(expr, range(priv.n))
+        unnamed = [h for h in universe if h not in split]
+        if unnamed:
+            raise ValueError("monotone mode issues no share to a holder the policy "
+                             f"does not name: {', '.join(unnamed)}")
+        shares, family = issue_monotone(split, priv), None
+    else:
+        family = policy.authorized_family(expr, universe, max_size)
+        if not family:
+            raise GroupAuthError("policy authorizes no groups at this size cap")
+        plan = (slots_packed if pack else slots_baseline)(family, priv.n, universe)
+        shares = issue_sequence(plan, priv)
+    pub, slot_count = public_key_of(priv), len(shares[universe[0]].slots)
+    deployment = Deployment(pub.n, pub.p, pub.v, mode,
+                            _session_merge(pub, mode, merge, slot_count), slot_count)
+    return {h: shares[h] for h in universe}, deployment, family

@@ -21,16 +21,9 @@ from groupauth.protocol import Deployment, ResponseVector, Verdict, make_challen
 LONG = "9" * 5000  # more digits than Python's default int_max_str_digits
 
 
-def _deployment(system):
-    """A demo system's deployment: its public key and session shape, as `compile` writes it."""
-    pub = system.pub
-    return Deployment(pub.n, pub.p, pub.v, system.mode, system.merge,
-                      len(system.shares[system.universe[0]].slots))
-
-
 class TestSchemas:
     def test_key_roundtrip(self, tmp_path, airplane):
-        deployment = _deployment(airplane)
+        deployment = airplane.deployment
         files.save(deployment, tmp_path / "deployment.json")
         files.save(airplane.priv, tmp_path / "priv.json")
         assert files.load(tmp_path / "deployment.json", expect_kind="deployment") == deployment
@@ -40,7 +33,7 @@ class TestSchemas:
         # a public key is written and read only inside a deployment file
         with pytest.raises(TypeError, match="no schema for NsPublicKey"):
             files.dumps(airplane.pub)
-        doc = dict(files.to_document(_deployment(airplane)), kind="ns-public")
+        doc = dict(files.to_document(airplane.deployment), kind="ns-public")
         path = tmp_path / "pub.json"
         path.write_text(json.dumps(doc))
         with pytest.raises(SchemaError) as err:
@@ -49,7 +42,7 @@ class TestSchemas:
         assert err.value.field == "kind"
 
     def test_integers_are_decimal_strings(self, airplane):
-        doc = json.loads(files.dumps(_deployment(airplane)))
+        doc = json.loads(files.dumps(airplane.deployment))
         assert doc["p"] == "7420738134871"
         assert all(isinstance(x, str) and x.isdigit() for x in doc["v"])
 
@@ -109,7 +102,7 @@ class TestSchemas:
 
     @pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])  # Arabic-Indic three, superscript two
     def test_only_ascii_digits(self, tmp_path, airplane, digit):
-        dep_doc = files.to_document(_deployment(airplane))
+        dep_doc = files.to_document(airplane.deployment)
         seq_doc = files.to_document(airplane.shares["A"])
         docs = [
             dict(dep_doc, p=digit),
@@ -134,7 +127,7 @@ class TestSchemas:
             airplane.pub, mode="sequence", merge="sum", slot_count=1,
             rng=random.Random(0), force_m=2919)
         verdict = Verdict(session_id="x", accepted=True, matching_slot=1)
-        obj = {"deployment": _deployment(airplane), "ns-private": airplane.priv,
+        obj = {"deployment": airplane.deployment, "ns-private": airplane.priv,
                "share-sequence": airplane.shares["A"], "challenge": challenge,
                "verifier-state": state, "verdict": verdict}[kind]
         doc = dict(files.to_document(obj), **{field: True})
@@ -178,7 +171,7 @@ class TestSchemas:
     ], ids=["p", "v", "slots"])
     def test_overlong_integer_names_field(self, tmp_path, airplane, kind, field, value):
         doc = files.to_document(
-            _deployment(airplane) if kind == "deployment" else airplane.shares["A"])
+            airplane.deployment if kind == "deployment" else airplane.shares["A"])
         doc[field] = value
         with pytest.raises(SchemaError) as err:
             files.from_document(doc)
@@ -236,7 +229,7 @@ class TestSchemas:
         # 9,973 is prime but below the 8-prime product 9,699,690: such a key
         # used to load, and its sessions rejected the authorized {A1, A2}
         p = 9973
-        doc = dict(files.to_document(_deployment(small)), p=str(p),
+        doc = dict(files.to_document(small.deployment), p=str(p),
                    v=[str(v % p) for v in small.pub.v])
         with pytest.raises(ValueError, match="modulus must exceed the prime product"):
             files.from_document(doc)
@@ -272,7 +265,7 @@ class TestSchemas:
         priv = system.priv
         p = next(c for c in range(priv.p + 2, priv.p + 10_000, 2)
                  if math.gcd(priv.s, c - 1) == 1 and any(c % q == 0 for q in range(3, 100, 2)))
-        obj = {"ns-private": priv, "deployment": _deployment(system),
+        obj = {"ns-private": priv, "deployment": system.deployment,
                "share-monotone": small.shares["A1"], "share-sequence": airplane.shares["C"]}[kind]
         doc = dict(files.to_document(obj), p=str(p))
         with pytest.raises(SchemaError) as err:
@@ -297,7 +290,7 @@ class TestSchemas:
             files.load(path, expect_kind="share-sequence")
 
     def test_wrong_kind_rejected(self, tmp_path, airplane):
-        files.save(_deployment(airplane), tmp_path / "deployment.json")
+        files.save(airplane.deployment, tmp_path / "deployment.json")
         with pytest.raises(SchemaError):
             files.load(tmp_path / "deployment.json", expect_kind="ns-private")
 
@@ -438,9 +431,10 @@ class TestRefusedRunsLeaveNoDirectory:
         assert "monotone" in capsys.readouterr().err
         assert not (tmp_path / "sd").exists()
 
-    @pytest.mark.parametrize("flag", [["--max-size", "1"], ["--pack"]],
+    @pytest.mark.parametrize("flag, what", [(["--max-size", "1"], "a size cap applies"),
+                                            (["--pack"], "packing applies")],
                              ids=["max-size", "pack"])
-    def test_compile_monotone_sequence_flag(self, tmp_path, capsys, flag):
+    def test_compile_monotone_sequence_flag(self, tmp_path, capsys, flag, what):
         # a monotone split ignored both flags: with --max-size 1 it authorized pairs
         assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
         out = tmp_path / "sd" / "shares"
@@ -450,8 +444,7 @@ class TestRefusedRunsLeaveNoDirectory:
             "--universe", "A,B,C", *flag, "--mode", "monotone",
             "--key", str(tmp_path / "priv.json"), "-o", str(out)])
         assert code == 2
-        assert capsys.readouterr().err == (
-            "error: --max-size and --pack apply to sequence mode only\n")
+        assert capsys.readouterr().err == f"error: {what} to sequence mode only\n"
         assert not (tmp_path / "sd").exists()
 
     @pytest.mark.parametrize("universe, message", [
@@ -804,7 +797,8 @@ class TestPipeline:
             "no deployment": f"error: {shares}: no deployment file\n",
             "two deployments": f"error: {shares}: two deployment files, "
                                f"{deployment} and {shares / 'zz_deployment.json'}\n",
-            "slot count": f"error: {shares}: the deployment has 4 slot(s), the shares 5\n",
+            "slot count": "error: the deployment runs sequence/sum sessions of 4 slot(s), "
+                          "not sequence/sum of 5\n",
         }[case])
 
     def test_bad_seed_is_one_usage_error(self, pipeline, capsys):
@@ -987,8 +981,7 @@ class TestMonotoneCliFlow:
                         "--max-size", "3", "--trials", "3", "--seed", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == ("error: --max-size applies to sequence mode only; "
-                                "these shares are monotone\n")
+        assert captured.err == "error: a size cap applies to sequence mode only\n"
 
     def test_audit_refuses_key_shares_under_sequence_deployment(self, tmp_path, capsys):
         assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0

@@ -252,10 +252,10 @@ class TestMerges:
     def test_stale_response_refused(self, request, fixture):
         # same message, same share: only the session id tells the two answers apart
         system = request.getfixturevalue(fixture)
-        slot_count = len(system.plan.slots) if system.plan else 1
-        share = system.shares[system.universe[0]]
+        deployment, share = system.deployment, system.shares[system.universe[0]]
+        slot_count = deployment.slot_count
         (old_challenge, _), (new_challenge, state) = (
-            make_challenge(system.pub, mode=system.mode, merge=system.merge,
+            make_challenge(deployment, mode=deployment.mode, merge=deployment.merge,
                            slot_count=slot_count, rng=random.Random(seed),
                            force_m=system.message)
             for seed in (1, 2))
@@ -455,10 +455,11 @@ class TestAudit:
         # a verifier's public deployment reads the same as the private key it came from
         system = request.getfixturevalue(fixture)
         runs = []
-        for key in (system.priv, deployment_of(system)):
+        for key in (system.priv, system.deployment):
             rng = random.Random(9)
             report = audit(key, system.shares, system.expected_family, trials=6, rng=rng,
-                           mode=system.mode, merge=system.merge, null_policy=null_policy)
+                           mode=system.deployment.mode, merge=system.deployment.merge,
+                           null_policy=null_policy)
             runs.append((report.accepted_by_trial, report.merge, rng.getstate()))
         assert runs[0] == runs[1]
 
@@ -646,13 +647,6 @@ def mixed_refusal(holder):
                          match=f"^the audit key does not bind holder {holder}'s share$")
 
 
-def deployment_of(system):
-    """The public deployment `compile` would write beside a demo system's shares."""
-    pub = system.pub
-    return protocol.Deployment(pub.n, pub.p, pub.v, system.mode, system.merge,
-                               len(system.shares[system.universe[0]].slots))
-
-
 @pytest.fixture(params=["same p", "other p"])
 def second_key_shares(request, airplane):
     """The airplane plan issued under a second key, of the same p or another: (key, shares)."""
@@ -719,7 +713,7 @@ class TestSharedResidue:
         airplane_audit(airplane, airplane.shares, "random-nonzero", trials=3)
         audit(small.priv, small.shares, small.expected_family, trials=2,
               rng=random.Random(0), mode="monotone")
-        audit(deployment_of(small), small.shares, small.expected_family, trials=2,
+        audit(small.deployment, small.shares, small.expected_family, trials=2,
               rng=random.Random(0), mode="monotone")
         assert pow_calls == [] and read_calls == []
 
@@ -732,7 +726,7 @@ class TestSharedResidue:
         other = NsPrivateKey(priv.n, priv.p, priv.s + priv.p - 1, priv.primes)
         shares = {**airplane.shares, "C": issue_sequence(airplane.plan, other)["C"]}
         for key, keys in ((priv, [(other.p, other.s)]),
-                          (deployment_of(airplane), [(priv.p, priv.s), (other.p, other.s)])):
+                          (airplane.deployment, [(priv.p, priv.s), (other.p, other.s)])):
             calls.clear()
             report = airplane_audit(airplane, shares, trials=4, key=key)
             assert calls == keys
@@ -763,7 +757,7 @@ class TestSharedResidue:
         # set-up, before a message is drawn
         monkeypatch.setattr(protocol, "encrypt", None)
         shares = mixed_shares(airplane, same_p)
-        for key in (airplane.priv, deployment_of(airplane)):
+        for key in (airplane.priv, airplane.deployment):
             for null_policy in protocol.NULL_POLICIES:
                 with mixed_refusal("C"):
                     airplane_audit(airplane, shares, null_policy, key=key)
@@ -861,7 +855,7 @@ class TestSharedResidue:
         # A2's key share under a second key: refused as in sequence mode
         monkeypatch.setattr(protocol, "encrypt", None)
         shares = mixed_small_shares(small, same_p)
-        for key in (small.priv, deployment_of(small)):
+        for key in (small.priv, small.deployment):
             with mixed_refusal("A2"):
                 audit(key, shares, small.expected_family, trials=3,
                       rng=random.Random(0), mode="monotone")
