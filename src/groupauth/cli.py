@@ -102,8 +102,7 @@ def cmd_compile(args) -> int:
 def cmd_challenge(args) -> int:
     deployment = files.load(args.deployment, expect_kind="deployment")
     challenge, state = protocol.make_challenge(
-        deployment, mode=deployment.mode, merge=deployment.merge,
-        slot_count=deployment.slot_count, rng=_seeded_rng(args.seed), force_m=args.force_m)
+        deployment, rng=_seeded_rng(args.seed), force_m=args.force_m)
     files.save(challenge, args.output)
     files.save(state, args.state)
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
@@ -174,8 +173,7 @@ def cmd_audit(args) -> int:
     try:
         report = protocol.audit(
             deployment, shares, expected, trials=args.trials, rng=_seeded_rng(args.seed),
-            mode=deployment.mode, merge=deployment.merge, null_policy=null_policy,
-            force_m=args.force_m)
+            null_policy=null_policy, force_m=args.force_m)
     except protocol.UnboundShare as exc:
         raise SchemaError(f"{args.shares}: {exc}") from None
     frequencies = sorted(report.frequencies().items(),
@@ -209,14 +207,11 @@ def cmd_audit(args) -> int:
 
 def _demo_run(system: fixtures.DemoSystem):
     """A fixture's session on its own message: the ciphertext, every holder's response, the audit."""
-    deployment = system.deployment
     challenge, _state = protocol.make_challenge(
-        deployment, mode=deployment.mode, merge=deployment.merge,
-        slot_count=deployment.slot_count, rng=random.Random(0), force_m=system.message)
+        system.deployment, rng=random.Random(0), force_m=system.message)
     responses = {h: protocol.token_respond(system.shares[h], challenge) for h in system.universe}
     report = protocol.audit(
-        system.priv, system.shares, system.expected_family,
-        mode=deployment.mode, merge=deployment.merge, force_m=system.message)
+        system.deployment, system.shares, system.expected_family, force_m=system.message)
     return challenge.ciphertexts[0], responses, report
 
 

@@ -273,43 +273,46 @@ def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
 
 
 def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
-                 width: int) -> int:
+                 width: int, lanes: int = 1) -> int:
     """Every subset's fold of `values`, subset a in field a of one int.
 
-    Field a is the `width` bits from a·width up. The fold doubles once per
-    value: the subsets that hold position j are those without it, each
-    combined with value j, so the packed int grows by one shifted
+    Field a is the width·lanes bits from a·width·lanes up. The fold doubles
+    once per value: the subsets that hold position j are those without it,
+    each combined with value j, so the packed int grows by one shifted
     `combine(acc, v * ones)` per value, where `ones` holds a 1 in every
     field so far; `_fold_layout` gives each position's `ones` and shift.
     `combine` must act on each field alone: OR and XOR do, and so does a
-    sum when no field's total reaches 2^width.
+    sum when no field's total reaches 2^(width·lanes). A value that packs
+    `lanes` values of `width` bits folds each lane alone under the same
+    rule per lane.
     """
     acc = 0
-    for v, (ones, shift) in zip(values, _fold_layout(len(values), width)[0]):
+    for v, (ones, shift) in zip(values, _fold_layout(len(values), width, lanes)[0]):
         acc |= combine(acc, v * ones) << shift
     return acc
 
 
 @lru_cache(maxsize=8)
-def _fold_layout(h: int, width: int) -> tuple[tuple[tuple[int, int], ...], int, int, int]:
-    """The constants of folding h positions into fields of `width` bits.
+def _fold_layout(h: int, width: int, lanes: int = 1
+                 ) -> tuple[tuple[tuple[int, int], ...], int, int]:
+    """The constants of folding h positions into fields of `lanes` lanes of `width` bits.
 
     Returns the per-position steps of `_packed_fold`, position j's
     (ones, shift) with a 1 in each of the 2^j fields so far and
-    shift = width·2^j, then over all 2^h fields `ones`, with a 1 in every
-    field, `low`, the lower width − 1 bits of every field, and `high`, the
-    top bit of every field. They depend on h and the width alone, so they
-    are built once, not per fold. Bounded, since an entry holds about four
-    ints of width·2^h bits; an audit's widths cluster near n + log2(h).
+    shift = width·lanes·2^j, then over all 2^h·lanes lanes `ones`, with a
+    1 in every lane, and `high`, the top bit of every lane. They depend on
+    h, the width and the lane count alone, so they are built once, not per
+    fold. Bounded, since an entry holds about three ints of width·lanes·2^h
+    bits; an audit's widths cluster near n + log2(h).
     """
     steps = []
-    ones, shift = 1, width
+    ones, shift = 1, width * lanes
     for _ in range(h):
         steps.append((ones, shift))
         ones |= ones << shift
         shift <<= 1
-    high = ones << (width - 1)
-    return tuple(steps), ones, high - ones, high
+    ones *= ((1 << width * lanes) - 1) // ((1 << width) - 1)  # a 1 in every lane
+    return tuple(steps), ones, ones << (width - 1)
 
 
 def _fold_width(h: int, top: int, target: int = 0) -> int:
@@ -325,35 +328,58 @@ def subset_matches(
     columns: Sequence[Sequence[int]],
     combine: Callable[[int, int], int],
     target: int,
+    *,
+    width: int | None = None,
+    lanes: int = 1,
 ) -> list[int]:
-    """Every subset whose fold equals `target` in at least one column, ascending.
+    """Every subset whose fold equals `target` in at least one lane, ascending.
 
     Each column holds one value per position, h positions in all, and a
-    subset is a bit mask over them, folded by `_packed_fold`. All columns
-    share one field width, w = max(h·max value, target).bit_length(), so
-    no sum overflows its field and the target always fits.
+    subset is a bit mask over them, folded by `_packed_fold`. A value packs
+    `lanes` lanes of `width` bits, lane c at bit c·width, and each lane
+    folds alone: so field a of a column's fold holds subset a's fold of
+    lane c in lane index i = a·lanes + c. The caller fixes `width` so that
+    no lane's fold reaches 2^width, a sum of h values of below 2^n needing
+    (h·(2^n − 1)).bit_length() bits, and the target fits a lane. With one
+    lane the width may be left out: it is then
+    w = max(h·max value, target).bit_length() bits. A lane that every
+    value leaves 0 folds to 0 for every subset, so lanes > 1, where the
+    last column may pad spare lanes, need a target of at least 1.
 
     Per column the cost is a few big-int operations per position for the
-    fold and a few for the test, whatever 2^h is. Field a of
-    x = fold ^ target·ones is zero exactly when subset a folds to the
-    target, and with `low` the lower w − 1 bits of every field and `high`
-    its top bit, ~(((x & low) + low) | x | low) & high sets the top bit of
-    exactly the zero fields: the sum carries into a top bit from any set
-    low bit and never past it. The columns' hits are ORed, and one pass
-    over their binary digits lists the set ones, so the walk is linear in
-    the size of the packed int plus the number of matches.
+    fold and four for the test, whatever 2^h is. Lane i of
+    x = fold ^ target·ones is zero exactly when its subset folds to the
+    target in its lane. With `high` the top bit of every lane,
+    ((x | high) − ones) | x keeps a lane's top bit exactly when the lane is
+    non-zero: x | high is at least 1 in every lane, so the subtraction
+    borrows across no lane and clears the top bit only where the lower
+    bits were all 0, and then x's own top bit decides. The columns' tests
+    are ANDed, each field's lanes are ORed into its first, and one pass
+    over the binary digits lists the subsets with a zero lane, so the walk
+    is linear in the size of the packed int plus the number of matches.
     """
     if not columns:
         return []
     h = len(columns[0])
-    width = _fold_width(h, max(map(max, columns)) if h else 0, target)
-    _, ones, low, high = _fold_layout(h, width)
+    if width is None:
+        if lanes != 1:
+            raise ValueError("lane-packed columns need a width")
+        width = _fold_width(h, max(map(max, columns)) if h else 0, target)
+    elif target >> width:
+        raise ValueError(f"the target does not fit a lane of {width} bits")
+    elif lanes != 1 and target < 1:
+        raise ValueError("lane-packed columns need a target >= 1: a spare lane folds to 0")
+    _, ones, high = _fold_layout(h, width, lanes)
     aimed = target * ones
-    hits = 0
+    live = high  # the top bit of each lane no column has yet found zero
     for column in columns:
-        x = _packed_fold(column, combine, width) ^ aimed
-        hits |= ~(((x & low) + low) | x | low) & high
-    flags = format(hits >> (width - 1), "b")[::-width]  # character a is subset a's flag
+        x = _packed_fold(column, combine, width, lanes) ^ aimed
+        live &= ((x | high) - ones) | x
+    hits = live ^ high
+    flags = hits
+    for c in range(1, lanes):  # lane 0 of field a gathers the flags of a's other lanes
+        flags |= hits >> c * width
+    flags = format(flags >> (width - 1), "b")[::-width * lanes]  # character a is subset a's
     found = []
     a = flags.find("1")
     while a >= 0:

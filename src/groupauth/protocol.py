@@ -96,19 +96,29 @@ class Deployment(NsPublicKey):
         _check_session(self.mode, self.merge, self.slot_count)
 
 
-def _session_merge(key: NsPublicKey, mode: str, merge: str | None, slot_count: int) -> str:
-    """A session's merge, defaulted from its mode, once its shape is checked.
+def _session_shape(key: NsPublicKey, mode: str | None, merge: str | None,
+                   slot_count: int | None) -> tuple[str, str, int]:
+    """A session's mode, merge and slot count, once checked.
 
-    A `Deployment` key also refuses a mode, merge or slot count other than its own.
+    With no mode, a `Deployment` key gives its own, and its merge and slot
+    count where those are None too; any other key gives monotone mode. A
+    merge left None is then the mode's first, and a slot count 1. A
+    `Deployment` key refuses a mode, merge or slot count other than its own.
     """
+    deployed = isinstance(key, Deployment)
+    if mode is None:
+        mode = key.mode if deployed else "monotone"
+        if deployed:
+            merge = key.merge if merge is None else merge
+            slot_count = key.slot_count if slot_count is None else slot_count
     merge = merge if merge is not None else _default_merge(mode)
-    if isinstance(key, Deployment) and \
-            (mode, merge, slot_count) != (key.mode, key.merge, key.slot_count):
+    slot_count = 1 if slot_count is None else slot_count
+    if deployed and (mode, merge, slot_count) != (key.mode, key.merge, key.slot_count):
         raise ValueError(
             f"the deployment runs {key.mode}/{key.merge} sessions of {key.slot_count} "
             f"slot(s), not {mode}/{merge} of {slot_count}")
     _check_session(mode, merge, slot_count)
-    return merge
+    return mode, merge, slot_count
 
 
 @dataclass(frozen=True)
@@ -178,9 +188,9 @@ class Verdict:
 
 def make_challenge(
     pub: NsPublicKey,
-    mode: str = "monotone",
+    mode: str | None = None,
     merge: str | None = None,
-    slot_count: int = 1,
+    slot_count: int | None = None,
     rng: random.Random | None = None,
     force_m: int | None = None,
 ) -> tuple[Challenge, VerifierState]:
@@ -192,10 +202,12 @@ def make_challenge(
     the Mersenne Twister is linear, so its state leaks through the session
     ids, and a verifier that reuses one would let an observer predict m.
     `force_m` pins the message, mirroring the keygen overrides, so fixed
-    known-answer sessions can be reproduced. A `Deployment` as `pub` refuses
-    a mode, merge or slot count other than its own.
+    known-answer sessions can be reproduced. With no mode, a `Deployment` as
+    `pub` opens a session of its own shape, and any other key a monotone
+    session of one slot; a `Deployment` refuses a mode, merge or slot count
+    other than its own.
     """
-    merge = _session_merge(pub, mode, merge, slot_count)  # before anything is drawn
+    mode, merge, slot_count = _session_shape(pub, mode, merge, slot_count)  # before any draw
     rng = rng if rng is not None else random.SystemRandom()
     m, session_id, c = _draw(pub, rng, force_m)
     return (Challenge(session_id, mode, merge, slot_count, (c,)),
@@ -413,7 +425,7 @@ def audit(
     trials: int = 1,
     rng: random.Random | None = None,
     *,
-    mode: str,
+    mode: str | None = None,
     merge: str | None = None,
     null_policy: str = "one",
     force_m: int | None = None,
@@ -425,23 +437,25 @@ def audit(
     a subset is accepted exactly when `verify` would accept its merge. The
     report compares that against the expected family and tallies per-subset
     acceptance frequencies. `trials` must be an int of at least 1, since a
-    report with no trials would read as exact. `merge` defaults as in
-    `make_challenge`, and the report records the one used. Messages are
-    encrypted under `key`, a public key or a private key, whose public key
-    is derived once per object. A `Deployment` key refuses a mode, merge or
-    slot count (the shares') other than its own.
+    report with no trials would read as exact. Mode and merge default as in
+    `make_challenge`: with no mode, a `Deployment` key gives its own mode
+    and merge, and any other key monotone mode. The report records the
+    merge used. Messages are encrypted under `key`, a public key or a
+    private key, whose public key is derived once per object. A
+    `Deployment` key refuses a mode, merge or slot count (the shares')
+    other than its own.
 
     A call is one set-up and then one trial per message. The set-up checks
     the universe, the session shape, and every share as `token_respond`
     would, with the same messages, then that `key` binds every share's key
-    (p, s), and builds the merge op. It raises `UnboundShare`, naming the
-    first holder, for a share the key does not bind. A private key binds a
-    share of its own (p, s) at no cost; any other share key, and each one
-    under a public key or `Deployment`, is checked by `nscrypt.binds`, n
-    `pow`s, once per distinct key per call. A trial does only per-message
-    work: it draws m, the session id and the ciphertext from `rng` as
-    `make_challenge` does, but builds no `Challenge` or `VerifierState`,
-    then answers and folds.
+    (p, s), and builds the merge op and the lane layout below. It raises
+    `UnboundShare`, naming the first holder, for a share the key does not
+    bind. A private key binds a share of its own (p, s) at no cost; any
+    other share key, and each one under a public key or `Deployment`, is
+    checked by `nscrypt.binds`, n `pow`s, once per distinct key per call. A
+    trial does only per-message work: it draws m, the session id and the
+    ciphertext from `rng` as `make_challenge` does, but builds no
+    `Challenge` or `VerifierState`, then answers and folds.
 
     A bound key reads m itself. keygen sets v_i = q_i^(s^-1 mod p-1), so
     c^s = prod q_i^(m_i) (mod p), and that product is below p, so the
@@ -450,22 +464,31 @@ def audit(
     alike. A trial therefore answers `m & mask` per held slot, with no
     `pow` and no bit read. The answers equal `token_respond`'s values, and
     nulls are drawn from `rng` in the same holder and slot order. No
-    response objects are built: the answers go straight to
-    `policy.subset_matches` as its columns. With `rng` None, messages and
-    nulls come from the operating system's generator.
+    response objects are built. With `rng` None, messages and nulls come
+    from the operating system's generator.
 
-    The merges of all 2^h subsets of h holders are never listed. Per slot,
-    `subset_matches` packs every subset's merged value into one field of a
-    single int, w = max(h·max value, m).bit_length() bits wide so no sum
-    overflows, folds each holder in with one big-int `combine`, and finds
-    the subsets equal to m with one zero-field test; the field layout's
-    constants are built once per (h, w). So a trial costs one encryption,
-    one list of answers per holder, a few big-int operations per holder
-    and slot, one pass over the packed digits, and a bounded memo lookup
-    per accepted subset. Measured in-process with Python 3.11 on a 2-vCPU
-    Intel Xeon VM, an `audit(trials=1)` call takes about 0.028 ms on the
-    5-holder, 5-slot `audit5` deployment and about 0.30 ms on the
-    10-holder, 26-slot `audit10` one.
+    The merges of all 2^h subsets of h holders are never listed.
+    `policy.subset_matches` packs every subset's merged value into one
+    field of a single int, folds each holder in with one big-int `combine`,
+    and finds the subsets equal to m with one zero-lane test. A field holds
+    L lanes of w bits, one lane per slot, and subset a's slot c is lane
+    a·L + c. w is fixed in the set-up from the share layout, as
+    `_lane_rows` sets out, so that no merge outgrows a lane and m always
+    fits. The slots go into as few such ints as keep each within
+    `_LANE_BITS` (4,096 bits), L slots apiece: `audit5` (5 holders, 5
+    slots, w = 18) folds all its slots in one int of 2,880 bits, while
+    `audit10` (10 holders, 26 slots, 2^10 fields of 19 bits) folds one slot
+    per int, since a wider int makes each fold step's multiply dearer than
+    the folds it saves. The set-up takes each holder's lane-packed masks
+    (`held`) and null-1 slots (`fixed`) from `_lane_rows`, memoised per
+    share layout, and a trial answers a holder in one int with
+    `(m·unit & held) | fixed`, where `unit` has a 1 in every lane, ORing
+    in random nulls. So a trial costs one encryption, a few big-int
+    operations per holder and int, one pass over the packed digits, and a
+    bounded memo lookup per accepted subset. Measured in-process with
+    Python 3.11 on a shared 2-vCPU Intel Xeon VM, an `audit(trials=1)` call
+    takes about 0.017 ms on `audit5` (0.023 ms with one fold per slot) and
+    about 0.22 ms on `audit10` (0.26 ms).
 
     Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with
@@ -489,38 +512,104 @@ def audit(
     return report
 
 
+# the most bits one lane-packed int of an audit's fold spans: each fold step
+# multiplies a holder's answer, L lanes wide, by a ones pattern as wide as the
+# fields so far, so past this an int with more lanes costs more than the
+# separate folds it saves
+_LANE_BITS = 4096
+
+
+@lru_cache(maxsize=8)
+def _lane_rows(
+    masks: tuple[tuple[int | None, ...], ...], n: int, null_widths: tuple[int, ...] | None,
+) -> tuple[int, int, int, tuple[tuple[tuple[int, int], ...], ...],
+           tuple[tuple[int, int, tuple[tuple[int, int], ...]], ...]]:
+    """How an audit packs its holders' slot answers into lanes of one width.
+
+    `masks` holds each holder's slot masks (None: no share), `n` the bits
+    of a message, and `null_widths` each holder's null width for random
+    nulls, or None for null 1. Returns (width, lanes, unit, rows, draws).
+    The lane width w is the bit length of the largest slot's sum of every
+    holder's largest answer there (its mask, 1, or 2^(null width) − 1),
+    and at least n: no subset's merge, sum, OR or XOR, outgrows a lane,
+    and a message fits one. L, the lane count, is the most slots whose int
+    of 2^h fields, L·w bits each, stays within `_LANE_BITS` (at least 1),
+    then evened out over as few ints as that takes. Slot g·L + c sits in lane c of int g, and `unit` has a 1 in
+    each of L lanes. rows[g] holds each holder's (held, fixed) for int g:
+    its masks in the lanes where it holds a share and, for null 1, a 1 in
+    the others. draws lists, for each holder j with random nulls,
+    (j, 2^its null width, its null lanes as (int, shift) in slot order).
+    Built once per layout, not per audit call.
+    """
+    slots = len(masks[0])
+    tops = [0] * slots  # per slot: the sum of every holder's largest answer
+    for j, holder in enumerate(masks):
+        null_top = 1 if null_widths is None else (1 << null_widths[j]) - 1
+        for slot, mask in enumerate(holder):
+            tops[slot] += null_top if mask is None else mask
+    width = max(n, max(tops).bit_length())
+    per_int = max(1, min(slots, _LANE_BITS // (width << len(masks))))
+    ints = -(-slots // per_int)
+    lanes = -(-slots // ints)  # as few spare lanes as that many ints allow
+    rows = [[[0, 0] for _ in masks] for _ in range(ints)]
+    draws = []
+    for j, holder in enumerate(masks):
+        spots = []
+        for slot, mask in enumerate(holder):
+            g, shift = divmod(slot, lanes)
+            shift *= width
+            if mask is not None:
+                rows[g][j][0] |= mask << shift
+            elif null_widths is None:
+                rows[g][j][1] |= 1 << shift
+            else:
+                spots.append((g, shift))
+        if spots:
+            draws.append((j, 1 << null_widths[j], tuple(spots)))
+    unit = ((1 << width * lanes) - 1) // ((1 << width) - 1)
+    return width, lanes, unit, tuple(tuple(map(tuple, row)) for row in rows), tuple(draws)
+
+
 def _audit_setup(
-    key: NsPublicKey | NsPrivateKey, shares: dict[str, Share], mode: str, merge: str | None,
-    null_policy: str,
+    key: NsPublicKey | NsPrivateKey, shares: dict[str, Share], mode: str | None,
+    merge: str | None, null_policy: str,
 ) -> tuple[tuple[str, ...], str, Callable[[random.Random, int | None], list[int]]]:
     """An audit's set-up: its universe, its merge and its per-message trial.
 
     `trial(rng, force_m)` draws one message through `_draw` and returns the
-    masks of the subsets that accept it, ascending. Raises UnboundShare,
-    naming the first such holder, for a share whose key (p, s) `key` does not
-    bind.
+    masks of the subsets that accept it, ascending: it answers every holder
+    in each lane-packed int of `_lane_rows`, then runs one
+    `policy.subset_matches` over those ints at `_lane_rows`' lane width.
+    Raises UnboundShare, naming the first such holder, for a share whose
+    key (p, s) `key` does not bind.
     """
     pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
     universe = check_universe(tuple(shares))
     slot_count = len(shares[universe[0]].slots)
     # refuse a bad session shape before any share, as the first challenge would
-    merge = _session_merge(pub, mode, merge, slot_count)
+    mode, merge, _ = _session_shape(pub, mode, merge, slot_count)
     # the share keys (p, s) known bound: a private key binds its own
     bound = {(key.p, key.s)} if isinstance(key, NsPrivateKey) else set()
-    answerers = []  # per holder: its slot masks, its null width
+    masks, null_widths = [], []  # per holder: its slot masks, its null width
     for h in universe:
         share = shares[h]
-        n = _answerable(share, mode, slot_count, null_policy)
+        null_widths.append(_answerable(share, mode, slot_count, null_policy))
         if (share.p, share.s) not in bound:
             if not binds(pub, share.p, share.s):
                 raise UnboundShare(f"the audit key does not bind holder {h}'s share")
             bound.add((share.p, share.s))
-        answerers.append((share.reading[1], n))
+        masks.append(share.reading[1])
     combine = _MERGE_OPS[merge]
+    width, lanes, unit, rows, draws = _lane_rows(
+        tuple(masks), pub.n, None if null_policy == "one" else tuple(null_widths))
 
     def trial(rng: random.Random, force_m: int | None) -> list[int]:
         m, _, _ = _draw(pub, rng, force_m)  # the session id and ciphertext, as in a session
-        answers = [_answer(m, masks, null_policy, n, rng) for masks, n in answerers]
-        return subset_matches(list(zip(*answers)), combine, m)
+        every = m * unit
+        columns = [[every & held | fixed for held, fixed in row] for row in rows]
+        for j, bound, spots in draws:  # holder, then slot, as `token_respond` draws
+            for g, shift in spots:
+                columns[g][j] |= rng.randrange(2, bound) << shift
+        return subset_matches(columns, combine, m, width=width, lanes=lanes)
 
     return universe, merge, trial

@@ -38,7 +38,7 @@ from .errors import GroupAuthError
 from .nscrypt import KeyShare, NsPrivateKey, Share, ShareSequence, public_key_of
 from .policy import (And, Or, PolicyExpr, Var, _fold, check_universe, group_of, is_monotone,
                      variables)
-from .protocol import Deployment, _session_merge
+from .protocol import Deployment, _session_shape
 
 __all__ = [
     "NonMonotoneError",
@@ -498,6 +498,5 @@ def compile_policy(expr: PolicyExpr, universe: tuple[str, ...], priv: NsPrivateK
         plan = (slots_packed if pack else slots_baseline)(family, priv.n, universe)
         shares = issue_sequence(plan, priv)
     pub, slot_count = public_key_of(priv), len(shares[universe[0]].slots)
-    deployment = Deployment(pub.n, pub.p, pub.v, mode,
-                            _session_merge(pub, mode, merge, slot_count), slot_count)
+    deployment = Deployment(pub.n, pub.p, pub.v, *_session_shape(pub, mode, merge, slot_count))
     return {h: shares[h] for h in universe}, deployment, family

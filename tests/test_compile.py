@@ -173,7 +173,7 @@ def test_cli_compiles_and_audits_as_the_library(case):
 
         def library_audit(key, audited):
             return protocol.audit(key, audited, expected, trials=1, rng=random.Random(seed),
-                                  mode=mode, merge=deployment.merge, null_policy=null_policy)
+                                  null_policy=null_policy)
 
         audit_flags = [*policy_flags, "--trials", 1, "--seed", f"{seed:x}", "--null", null,
                        "--json"]
@@ -187,9 +187,7 @@ def test_cli_compiles_and_audits_as_the_library(case):
                             for g in report.accepted_by_trial[0]}
 
         # one session: the same verdict for a drawn group
-        challenge, state = protocol.make_challenge(
-            deployment, mode=mode, merge=deployment.merge, slot_count=deployment.slot_count,
-            rng=random.Random(seed))
+        challenge, state = protocol.make_challenge(deployment, rng=random.Random(seed))
         verdict = protocol.verify(state, protocol.merge_responses(
             state, [protocol.token_respond(shares[h], challenge) for h in present]))
         assert _cli("challenge", "--deployment", out / "deployment.json", "--seed", f"{seed:x}",

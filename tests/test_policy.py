@@ -404,3 +404,62 @@ class TestSubsetMatches:
         matches = subset_matches(columns, combine, m)
         assert len(matches) >= 512
         assert matches == list_matches(columns, combine, m)
+
+
+def pack_lanes(columns, width, lanes):
+    """Per-slot columns as `audit` packs them: slot g·lanes + c in lane c of int g."""
+    return [[sum(column[j] << c * width for c, column in enumerate(columns[g:g + lanes]))
+             for j in range(len(columns[0]))]
+            for g in range(0, len(columns), lanes)]
+
+
+@st.composite
+def lane_cases(draw):
+    """Slot columns of h values below 2^n, a lane count with a partial last int
+    drawn often, a width, and a target that some subset often folds to.
+
+    The width is the audit's rule, the bit length of the largest slot's sum
+    and at least n, so a slot of values at 2^n - 1 sets its lane's top bit,
+    or the looser (h·(2^n − 1)).bit_length()."""
+    n = draw(st.integers(min_value=1, max_value=20))
+    h = draw(st.integers(min_value=1, max_value=6))
+    lanes = draw(st.integers(min_value=1, max_value=6))
+    top = (1 << n) - 1
+    value = st.one_of(st.sampled_from([0, 1, top]), st.integers(min_value=0, max_value=top))
+    columns = draw(st.lists(st.lists(value, min_size=h, max_size=h),
+                            min_size=1, max_size=3 * lanes))
+    width = draw(st.sampled_from([max(n, max(map(sum, columns)).bit_length()),
+                                  (h * top).bit_length()]))
+    column, subset = draw(st.sampled_from(columns)), draw(st.integers(0, (1 << h) - 1))
+    folded = [v for j, v in enumerate(column) if subset >> j & 1]
+    return columns, lanes, width, folded, draw(st.integers(min_value=1, max_value=top))
+
+
+class TestLaneMatches:
+    @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
+    @given(case=lane_cases())
+    def test_matches_list_fold(self, combine, case):
+        columns, lanes, width, folded, drawn = case
+        packed = pack_lanes(columns, width, lanes)
+        for m in (functools.reduce(combine, folded, 0), drawn):
+            if m >= 1:  # a lane-packed target is at least 1
+                got = subset_matches(packed, combine, m, width=width, lanes=lanes)
+                assert got == list_matches(columns, combine, m), (m, lanes)
+
+    def test_zero_target_refused_with_lanes(self):
+        # a spare lane of the last int folds to 0 for every subset, so target 0
+        # would match them all: refused, while with one lane only the empty subset does
+        columns = [[1, 2], [2, 1], [3, 3]]
+        packed = pack_lanes(columns, 3, 2)
+        with pytest.raises(ValueError, match="^lane-packed columns need a target >= 1"):
+            subset_matches(packed, operator.add, 0, width=3, lanes=2)
+        assert subset_matches(columns, operator.add, 0) == [0]
+        assert subset_matches(columns, operator.add, 0, width=3) == [0]
+
+    def test_width_is_given_and_holds_the_target(self):
+        packed = pack_lanes([[1, 2], [2, 1]], 3, 2)
+        with pytest.raises(ValueError, match="^lane-packed columns need a width$"):
+            subset_matches(packed, operator.add, 3, lanes=2)
+        with pytest.raises(ValueError, match="^the target does not fit a lane of 3 bits$"):
+            subset_matches(packed, operator.add, 8, width=3, lanes=2)
+        assert subset_matches(packed, operator.add, 3, width=3, lanes=2) == [3]

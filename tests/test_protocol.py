@@ -482,15 +482,54 @@ class TestAudit:
                   mode="sequence", merge="xor")
 
     def test_deployment_challenge_takes_its_shape(self, airplane):
+        # with no mode the deployment gives its whole shape; a mode given
+        # defaults the rest as for any key, and the deployment refuses it
         pub = airplane.pub
         xor = protocol.Deployment(pub.n, pub.p, pub.v, "sequence", "xor", 7)
-        for shape in ({}, {"mode": "sequence"}, {"mode": "sequence", "slot_count": 7},
-                      {"mode": "sequence", "merge": "xor", "slot_count": 6}):
+        for shape in ({"mode": "sequence"}, {"mode": "sequence", "slot_count": 7},
+                      {"mode": "sequence", "merge": "xor", "slot_count": 6},
+                      {"merge": "sum"}, {"slot_count": 6}):
             with pytest.raises(ValueError, match="the deployment runs sequence/xor"):
                 make_challenge(xor, **shape)
-        challenge, state = make_challenge(xor, mode="sequence", merge="xor", slot_count=7)
-        assert (challenge.mode, challenge.merge, challenge.slot_count) == ("sequence", "xor", 7)
-        assert (state.mode, state.merge, state.slot_count) == ("sequence", "xor", 7)
+        for shape in ({}, {"merge": "xor"}, {"slot_count": 7},
+                      {"mode": "sequence", "merge": "xor", "slot_count": 7}):
+            challenge, state = make_challenge(xor, **shape)
+            assert (challenge.mode, challenge.merge, challenge.slot_count) == ("sequence", "xor", 7)
+            assert (state.mode, state.merge, state.slot_count) == ("sequence", "xor", 7)
+
+    @pytest.mark.parametrize("fixture", ["airplane", "small"])
+    def test_deployment_opens_its_own_session(self, request, fixture):
+        # `make_challenge(deployment)` and `audit(deployment, ...)` need no
+        # restated shape: the session and the audit run as the deployment says
+        system = request.getfixturevalue(fixture)
+        deployment = system.deployment
+        challenge, state = make_challenge(deployment, rng=random.Random(3),
+                                          force_m=system.message)
+        shape = (deployment.mode, deployment.merge, deployment.slot_count)
+        assert (challenge.mode, challenge.merge, challenge.slot_count) == shape
+        assert (state.mode, state.merge, state.slot_count) == shape
+        assert (challenge, state) == make_challenge(
+            deployment, *shape, rng=random.Random(3), force_m=system.message)
+        responses = [token_respond(system.shares[h], challenge) for h in system.universe]
+        assert len(responses[0].values) == deployment.slot_count
+        report = audit(deployment, system.shares, system.expected_family, trials=3,
+                       rng=random.Random(3), force_m=system.message)
+        restated = audit(deployment, system.shares, system.expected_family, trials=3,
+                         rng=random.Random(3), mode=deployment.mode, merge=deployment.merge,
+                         force_m=system.message)
+        assert report.merge == deployment.merge
+        assert report.accepted_by_trial == restated.accepted_by_trial
+        assert report.all_exact
+
+    def test_bare_key_keeps_the_monotone_default(self, airplane, small):
+        # a key that is no deployment opens a monotone session of one slot, as
+        # before, so a sequence audit under it still names its mode
+        challenge, _ = make_challenge(small.pub, rng=random.Random(0))
+        assert (challenge.mode, challenge.merge, challenge.slot_count) == ("monotone", "or", 1)
+        assert audit(small.priv, small.shares, small.expected_family, trials=2,
+                     rng=random.Random(0)).merge == "or"
+        with pytest.raises(ValueError, match="^monotone mode has exactly one slot$"):
+            audit(airplane.priv, airplane.shares, airplane.expected_family)
 
 
 def reference_audit(shares, challenge, state):
@@ -801,25 +840,42 @@ class TestSharedResidue:
     @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
     def test_responses_are_token_responses(
             self, airplane, second_key_shares, monkeypatch, null_policy):
-        # the columns `audit` folds, read back per holder from the trial's draw
+        # the lane-packed columns `audit` folds, unpacked per holder and slot
+        # and read back against the trial's draw
         key, shares = second_key_shares
+        slot_count = len(airplane.plan.slots)
         seen = []
         matches, draw = protocol.subset_matches, protocol._draw
+
+        def spy(columns, *args, **lanes):
+            seen.append((columns, lanes))
+            return matches(columns, *args, **lanes)
+
         monkeypatch.setattr(protocol, "_draw", lambda *a: seen.append(draw(*a)) or seen[-1])
-        monkeypatch.setattr(protocol, "subset_matches",
-                            lambda columns, *a: seen.append(columns) or matches(columns, *a))
+        monkeypatch.setattr(protocol, "subset_matches", spy)
         airplane_audit(airplane, shares, null_policy, trials=4, key=key)
         assert len(seen) == 2 * 4
-        for (_, session_id, c), columns in zip(seen[::2], seen[1::2]):
-            challenge = Challenge(session_id, "sequence", "sum", len(airplane.plan.slots), (c,))
-            answers = list(zip(*columns))
-            assert len(answers) == len(ABCDE)
+        for (_, session_id, c), (columns, lanes) in zip(seen[::2], seen[1::2]):
+            challenge = Challenge(session_id, "sequence", "sum", slot_count, (c,))
+            width, per_int = lanes["width"], lanes["lanes"]
+            assert len(columns) == -(-slot_count // per_int)
+            assert all(len(column) == len(ABCDE) for column in columns)
+            # holder j's answer in slot g·per_int + k is lane k of columns[g][j]
+            answers = [[(column[j] >> k * width) & ((1 << width) - 1)
+                        for column in columns for k in range(per_int)]
+                       for j in range(len(ABCDE))]
+            for j, answer in enumerate(answers):  # nothing past the last slot's lane
+                assert not any(answer[slot_count:])
+                assert all(column[j] >> per_int * width == 0 for column in columns)
             for h, answer in zip(ABCDE, answers):
                 share = shares[h]
                 own = token_respond(share, challenge, "one").values
                 # random nulls aside, each slot answers what the token would
-                for slot, got, want in zip(share.slots, answer, own, strict=True):
-                    assert got == want or (slot is None and null_policy != "one"), h
+                for slot, got, want in zip(share.slots, answer[:slot_count], own, strict=True):
+                    if slot is None and null_policy != "one":
+                        assert 2 <= got < 1 << share.n, h
+                    else:
+                        assert got == want, h
 
     @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
     def test_accepts_as_per_holder_residues(self, airplane, second_key_shares, null_policy):
