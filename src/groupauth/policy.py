@@ -18,6 +18,7 @@ import operator
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
+from itertools import compress
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .errors import GroupAuthError
@@ -273,10 +274,12 @@ def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
 
 
 def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
-                 width: int, lanes: int = 1) -> int:
+                 width: int, lanes: int = 1, pitch: int | None = None) -> int:
     """Every subset's fold of `values`, subset a in field a of one int.
 
-    Field a is the width·lanes bits from a·width·lanes up. The fold doubles
+    Field a is the width·lanes bits from a·pitch up, and the pitch defaults
+    to width·lanes; bits a value leaves 0 above its lanes stay 0 in every
+    field, since a fold step acts on lanes alone. The fold doubles
     once per value: the subsets that hold position j are those without it,
     each combined with value j, so the packed int grows by one shifted
     `combine(acc, v * ones)` per value, where `ones` holds a 1 in every
@@ -287,26 +290,29 @@ def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
     rule per lane.
     """
     acc = 0
-    for v, (ones, shift) in zip(values, _fold_layout(len(values), width, lanes)[0]):
+    for v, (ones, shift) in zip(values, _fold_layout(len(values), width, lanes, pitch)[0]):
         acc |= combine(acc, v * ones) << shift
     return acc
 
 
 @lru_cache(maxsize=8)
-def _fold_layout(h: int, width: int, lanes: int = 1
+def _fold_layout(h: int, width: int, lanes: int = 1, pitch: int | None = None
                  ) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """The constants of folding h positions into fields of `lanes` lanes of `width` bits.
 
-    Returns the per-position steps of `_packed_fold`, position j's
-    (ones, shift) with a 1 in each of the 2^j fields so far and
-    shift = width·lanes·2^j, then over all 2^h·lanes lanes `ones`, with a
-    1 in every lane, and `high`, the top bit of every lane. They depend on
-    h, the width and the lane count alone, so they are built once, not per
-    fold. Bounded, since an entry holds about three ints of width·lanes·2^h
-    bits; an audit's widths cluster near n + log2(h).
+    Field a starts at bit a·pitch, and the pitch defaults to width·lanes,
+    so field a's first lane is then bit a of a width-1 fold. Returns the
+    per-position steps of `_packed_fold`, position j's (ones, shift) with a
+    1 in each of the 2^j fields so far and shift = pitch·2^j, then over all
+    2^h·lanes lanes `ones`, with a 1 in every lane, and `high`, the top bit
+    of every lane; neither sets a bit between a field's last lane and the
+    next field. They depend on h, the width, the lane count and the pitch
+    alone, so they are built once, not per fold. Bounded, since an entry
+    holds about three ints of pitch·2^h bits; an audit's widths cluster
+    near n + log2(h).
     """
     steps = []
-    ones, shift = 1, width * lanes
+    ones, shift = 1, width * lanes if pitch is None else pitch
     for _ in range(h):
         steps.append((ones, shift))
         ones |= ones << shift
@@ -322,6 +328,10 @@ def _fold_width(h: int, top: int, target: int = 0) -> int:
     and a field must also hold the target it is compared against.
     """
     return max(h * top, target, 1).bit_length()
+
+
+# a hex digit -> 1 where it is odd, else 0: `subset_matches` reads its flags so
+_ODD_DIGITS = bytes.maketrans(b"0123456789abcdef", b"\0\1" * 8)
 
 
 def subset_matches(
@@ -354,9 +364,19 @@ def subset_matches(
     non-zero: x | high is at least 1 in every lane, so the subtraction
     borrows across no lane and clears the top bit only where the lower
     bits were all 0, and then x's own top bit decides. The columns' tests
-    are ANDed, each field's lanes are ORed into its first, and one pass
-    over the binary digits lists the subsets with a zero lane, so the walk
-    is linear in the size of the packed int plus the number of matches.
+    are ANDed, and each field's lanes are ORed into its first.
+
+    The fields sit a pitch P = ⌈width·lanes/4⌉·4 bits apart, whole hex
+    digits; since no lane's fold outgrows its width, the bits above a
+    field's lanes stay 0, and `ones` and `high` cover lanes only. Shifted
+    down by width − 1, field a's flag is the lowest bit of hex digit
+    a·P/4, so character a of the walk
+    `format(flags >> (width − 1), "x")[::-(P // 4)]` is an odd digit
+    exactly when subset a matches (below 4 bits a lane puts the next
+    lane's flag in the same digit, which leaves its parity alone). A
+    `bytes.translate` turns the digits into 0 and 1 and
+    `itertools.compress` lists the matches, so the walk is linear in the
+    size of the packed int with no Python step per match or per subset.
     """
     if not columns:
         return []
@@ -369,23 +389,19 @@ def subset_matches(
         raise ValueError(f"the target does not fit a lane of {width} bits")
     elif lanes != 1 and target < 1:
         raise ValueError("lane-packed columns need a target >= 1: a spare lane folds to 0")
-    _, ones, high = _fold_layout(h, width, lanes)
+    pitch = -(-width * lanes // 4) * 4
+    _, ones, high = _fold_layout(h, width, lanes, pitch)
     aimed = target * ones
     live = high  # the top bit of each lane no column has yet found zero
     for column in columns:
-        x = _packed_fold(column, combine, width, lanes) ^ aimed
+        x = _packed_fold(column, combine, width, lanes, pitch) ^ aimed
         live &= ((x | high) - ones) | x
     hits = live ^ high
     flags = hits
     for c in range(1, lanes):  # lane 0 of field a gathers the flags of a's other lanes
         flags |= hits >> c * width
-    flags = format(flags >> (width - 1), "b")[::-width * lanes]  # character a is subset a's
-    found = []
-    a = flags.find("1")
-    while a >= 0:
-        found.append(a)
-        a = flags.find("1", a + 1)
-    return found
+    digits = format(flags >> (width - 1), "x")[::-(pitch // 4)]  # digit a is subset a's
+    return list(compress(range(len(digits)), digits.encode().translate(_ODD_DIGITS)))
 
 
 def group_of(mask: int, order: Sequence[str]) -> frozenset[str]:

@@ -202,32 +202,34 @@ def make_challenge(
     the Mersenne Twister is linear, so its state leaks through the session
     ids, and a verifier that reuses one would let an observer predict m.
     `force_m` pins the message, mirroring the keygen overrides, so fixed
-    known-answer sessions can be reproduced. With no mode, a `Deployment` as
+    known-answer sessions can be reproduced; one outside [1, 2^n) is
+    refused before anything is drawn. With no mode, a `Deployment` as
     `pub` opens a session of its own shape, and any other key a monotone
     session of one slot; a `Deployment` refuses a mode, merge or slot count
     other than its own.
     """
     mode, merge, slot_count = _session_shape(pub, mode, merge, slot_count)  # before any draw
     rng = rng if rng is not None else random.SystemRandom()
-    m, session_id, c = _draw(pub, rng, force_m)
+    m = _message(pub.n, rng, force_m)
+    session_id = f"{rng.getrandbits(64):016x}"  # m first, then the id, as `audit` draws them
+    c = encrypt(pub, m)
     return (Challenge(session_id, mode, merge, slot_count, (c,)),
             VerifierState(session_id, mode, merge, slot_count, (m,)))
 
 
-def _draw(pub: NsPublicKey, rng: random.Random, force_m: int | None) -> tuple[int, str, int]:
-    """A session's message m, then its 64-bit id from `rng`, then m's ciphertext.
+def _message(n: int, rng: random.Random, force_m: int | None) -> int:
+    """A session's message: `force_m` if it pins one, else drawn from `rng` over [1, 2^n).
 
-    m is drawn from `rng` unless `force_m` pins it. A pinned m must be an
-    exact int, refused before anything is drawn, and `encrypt` refuses one
-    outside [1, 2^n).
+    A pinned m must be an exact int in [1, 2^n), refused before anything is
+    drawn.
     """
     if force_m is None:
-        m = rng.randrange(1, 1 << pub.n)
-    elif type(force_m) is int:  # exact, so True is no message
-        m = force_m
-    else:
+        return rng.randrange(1, 1 << n)
+    if type(force_m) is not int:  # exact, so True is no message
         raise ValueError("force_m must be an int")
-    return m, f"{rng.getrandbits(64):016x}", encrypt(pub, m)
+    if not 0 < force_m < 1 << n:
+        raise ValueError(f"plaintext must be in [1, 2^{n})")
+    return force_m
 
 
 def token_respond(
@@ -439,11 +441,12 @@ def audit(
     acceptance frequencies. `trials` must be an int of at least 1, since a
     report with no trials would read as exact. Mode and merge default as in
     `make_challenge`: with no mode, a `Deployment` key gives its own mode
-    and merge, and any other key monotone mode. The report records the
-    merge used. Messages are encrypted under `key`, a public key or a
-    private key, whose public key is derived once per object. A
-    `Deployment` key refuses a mode, merge or slot count (the shares')
-    other than its own.
+    and merge, and any other key monotone mode, so share sequences under
+    such a key are refused unless `mode="sequence"` is given. The report
+    records the merge used. `key` is a public key or a private key, whose
+    public key is derived once per object: its n bounds the messages, and
+    it must bind every share. A `Deployment` key refuses a mode, merge or
+    slot count (the shares') other than its own.
 
     A call is one set-up and then one trial per message. The set-up checks
     the universe, the session shape, and every share as `token_respond`
@@ -453,18 +456,19 @@ def audit(
     bind. A private key binds a share of its own (p, s) at no cost; any
     other share key, and each one under a public key or `Deployment`, is
     checked by `nscrypt.binds`, n `pow`s, once per distinct key per call. A
-    trial does only per-message work: it draws m, the session id and the
-    ciphertext from `rng` as `make_challenge` does, but builds no
-    `Challenge` or `VerifierState`, then answers and folds.
+    trial does only per-message work: it draws m and the session id from
+    `rng` as `make_challenge` does, leaving `rng` where a session would,
+    but encrypts nothing and builds no `Challenge` or `VerifierState`, then
+    answers and folds.
 
     A bound key reads m itself. keygen sets v_i = q_i^(s^-1 mod p-1), so
     c^s = prod q_i^(m_i) (mod p), and that product is below p, so the
     residue is the product and a token's `residue_bits` over its primes is
     `m & mask` for each slot it holds, for key shares and share sequences
     alike. A trial therefore answers `m & mask` per held slot, with no
-    `pow` and no bit read. The answers equal `token_respond`'s values, and
-    nulls are drawn from `rng` in the same holder and slot order. No
-    response objects are built. With `rng` None, messages and nulls come
+    ciphertext, no `pow` and no bit read. The answers equal
+    `token_respond`'s values, and nulls are drawn from `rng` in the same
+    holder and slot order. No response objects are built. With `rng` None, messages and nulls come
     from the operating system's generator.
 
     The merges of all 2^h subsets of h holders are never listed.
@@ -475,20 +479,23 @@ def audit(
     a·L + c. w is fixed in the set-up from the share layout, as
     `_lane_rows` sets out, so that no merge outgrows a lane and m always
     fits. The slots go into as few such ints as keep each within
-    `_LANE_BITS` (4,096 bits), L slots apiece: `audit5` (5 holders, 5
-    slots, w = 18) folds all its slots in one int of 2,880 bits, while
+    `_LANE_BITS` (4,096 bits), L slots apiece, each field padded to whole
+    hex digits so that `subset_matches` reads the matches from the hex
+    digits of its flags: `audit5` (5 holders, 5 slots, w = 18, fields of
+    92 bits) folds all its slots in one int of 2,944 bits, while
     `audit10` (10 holders, 26 slots, 2^10 fields of 19 bits) folds one slot
     per int, since a wider int makes each fold step's multiply dearer than
     the folds it saves. The set-up takes each holder's lane-packed masks
     (`held`) and null-1 slots (`fixed`) from `_lane_rows`, memoised per
     share layout, and a trial answers a holder in one int with
     `(m·unit & held) | fixed`, where `unit` has a 1 in every lane, ORing
-    in random nulls. So a trial costs one encryption, a few big-int
-    operations per holder and int, one pass over the packed digits, and a
-    bounded memo lookup per accepted subset. Measured in-process with
-    Python 3.11 on a shared 2-vCPU Intel Xeon VM, an `audit(trials=1)` call
-    takes about 0.017 ms on `audit5` (0.023 ms with one fold per slot) and
-    about 0.22 ms on `audit10` (0.26 ms).
+    in random nulls. So a trial costs one draw of m, a few big-int
+    operations per holder and int, one C-speed pass over the packed hex
+    digits, and a bounded memo lookup per accepted subset. Measured
+    in-process with Python 3.11 on a shared 2-vCPU Intel Xeon VM, an
+    `audit(trials=1)` call takes about 0.016 ms on `audit5` (0.022 ms when
+    a trial encrypted m and walked a binary string) and about 0.24 ms on
+    `audit10` (0.28 ms).
 
     Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with
@@ -533,8 +540,9 @@ def _lane_rows(
     holder's largest answer there (its mask, 1, or 2^(null width) − 1),
     and at least n: no subset's merge, sum, OR or XOR, outgrows a lane,
     and a message fits one. L, the lane count, is the most slots whose int
-    of 2^h fields, L·w bits each, stays within `_LANE_BITS` (at least 1),
-    then evened out over as few ints as that takes. Slot g·L + c sits in lane c of int g, and `unit` has a 1 in
+    of 2^h fields, L·w bits rounded up to whole hex digits each, stays
+    within `_LANE_BITS` (at least 1), then evened out over as few ints as
+    that takes. Slot g·L + c sits in lane c of int g, and `unit` has a 1 in
     each of L lanes. rows[g] holds each holder's (held, fixed) for int g:
     its masks in the lanes where it holds a share and, for null 1, a 1 in
     the others. draws lists, for each holder j with random nulls,
@@ -548,7 +556,8 @@ def _lane_rows(
         for slot, mask in enumerate(holder):
             tops[slot] += null_top if mask is None else mask
     width = max(n, max(tops).bit_length())
-    per_int = max(1, min(slots, _LANE_BITS // (width << len(masks))))
+    # a field spans its lanes rounded up to whole hex digits, as `subset_matches` pads it
+    per_int = max(1, min(slots, (_LANE_BITS >> len(masks)) // 4 * 4 // width))
     ints = -(-slots // per_int)
     lanes = -(-slots // ints)  # as few spare lanes as that many ints allow
     rows = [[[0, 0] for _ in masks] for _ in range(ints)]
@@ -576,16 +585,25 @@ def _audit_setup(
 ) -> tuple[tuple[str, ...], str, Callable[[random.Random, int | None], list[int]]]:
     """An audit's set-up: its universe, its merge and its per-message trial.
 
-    `trial(rng, force_m)` draws one message through `_draw` and returns the
-    masks of the subsets that accept it, ascending: it answers every holder
-    in each lane-packed int of `_lane_rows`, then runs one
-    `policy.subset_matches` over those ints at `_lane_rows`' lane width.
-    Raises UnboundShare, naming the first such holder, for a share whose
-    key (p, s) `key` does not bind.
+    `trial(rng, force_m)` takes one message by `_message`, draws the
+    session id after it as `make_challenge` does, and returns the masks of
+    the subsets that accept it, ascending: it answers every holder in each
+    lane-packed int of `_lane_rows`, then runs one `policy.subset_matches`
+    over those ints at `_lane_rows`' lane width, whose fields that call
+    pads to whole hex digits. No ciphertext is made: a bound key reads m
+    itself. Raises ValueError, before any draw or binding check, for share
+    sequences under a key that is not a `Deployment` with no mode, and
+    UnboundShare, naming the first such holder, for a share whose key
+    (p, s) `key` does not bind.
     """
     pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
     universe = check_universe(tuple(shares))
-    slot_count = len(shares[universe[0]].slots)
+    first = shares[universe[0]]
+    slot_count = len(first.slots)
+    if mode is None and not isinstance(pub, Deployment) and not isinstance(first, KeyShare):
+        # a bare key's default is monotone, which no share sequence answers
+        raise ValueError('share sequences under a key that is not a Deployment need '
+                         'mode="sequence"')
     # refuse a bad session shape before any share, as the first challenge would
     mode, merge, _ = _session_shape(pub, mode, merge, slot_count)
     # the share keys (p, s) known bound: a private key binds its own
@@ -604,7 +622,8 @@ def _audit_setup(
         tuple(masks), pub.n, None if null_policy == "one" else tuple(null_widths))
 
     def trial(rng: random.Random, force_m: int | None) -> list[int]:
-        m, _, _ = _draw(pub, rng, force_m)  # the session id and ciphertext, as in a session
+        m = _message(pub.n, rng, force_m)
+        rng.getrandbits(64)  # the session id, drawn as a session draws it
         every = m * unit
         columns = [[every & held | fixed for held, fixed in row] for row in rows]
         for j, bound, spots in draws:  # holder, then slot, as `token_respond` draws

@@ -463,3 +463,52 @@ class TestLaneMatches:
         with pytest.raises(ValueError, match="^the target does not fit a lane of 3 bits$"):
             subset_matches(packed, operator.add, 8, width=3, lanes=2)
         assert subset_matches(packed, operator.add, 3, width=3, lanes=2) == [3]
+
+
+# (width, lanes) whose fields of width·lanes bits are no whole hex digits, so
+# the walk pads each; below 4 bits a lane puts the next lane's flag inside the
+# hex digit that holds its field's flag
+UNEVEN_FIELDS = [(3, 1), (5, 1), (7, 1), (3, 3), (5, 2), (7, 3)]
+
+
+class TestHexWalk:
+    @pytest.mark.parametrize("width, lanes", UNEVEN_FIELDS)
+    @pytest.mark.parametrize("h", [1, 3, 5])
+    def test_every_subset_matches(self, h, width, lanes):
+        # 1 in every lane of every value: every non-empty subset ORs to 1, and
+        # with one lane every subset, the empty one too, sums zeros to 0
+        packed = pack_lanes([[1] * h] * lanes, width, lanes)
+        every = list(range(1, 1 << h))
+        assert subset_matches(packed, operator.or_, 1, width=width, lanes=lanes) == every
+        if lanes == 1:
+            assert subset_matches([[0] * h], operator.add, 0, width=width) == [0, *every]
+
+    @pytest.mark.parametrize("width, lanes", UNEVEN_FIELDS)
+    @pytest.mark.parametrize("h", [1, 3, 5])
+    def test_only_the_last_field_matches(self, h, width, lanes):
+        # ones in the last lane of one int, or in the one lane of a partial
+        # second int: only the subset of all h sums to h there
+        for slots in ([[0] * h] * (lanes - 1) + [[1] * h], [[0] * h] * lanes + [[1] * h]):
+            packed = pack_lanes(slots, width, lanes)
+            got = subset_matches(packed, operator.add, h, width=width, lanes=lanes)
+            assert got == list_matches(slots, operator.add, h) == [(1 << h) - 1]
+
+    @pytest.mark.parametrize("width, lanes", UNEVEN_FIELDS)
+    @pytest.mark.parametrize("h", [1, 3, 5])
+    def test_nothing_matches(self, h, width, lanes):
+        slots = [[1] * h] * lanes
+        packed = pack_lanes(slots, width, lanes)
+        for combine in (operator.or_, operator.add, operator.xor):
+            assert subset_matches(packed, combine, h + 1, width=width, lanes=lanes) == []
+
+    @pytest.mark.parametrize("width, lanes", UNEVEN_FIELDS)
+    def test_pitch_spaces_fields(self, width, lanes):
+        # field a starts at a·pitch and nothing sits between its lanes and the next
+        values = [(1 << width * lanes) - 1 - j for j in range(3)]
+        pitch = -(-width * lanes // 4) * 4
+        folded = _packed_fold(values, operator.or_, width, lanes, pitch)
+        field = (1 << width * lanes) - 1
+        assert [folded >> a * pitch & field for a in range(8)] == list_fold(values, operator.or_)
+        assert folded >> 8 * pitch == 0
+        assert all(folded >> a * pitch + width * lanes & (1 << pitch - width * lanes) - 1 == 0
+                   for a in range(8))

@@ -98,6 +98,20 @@ class TestMakeChallenge:
                 call()
             assert rng.getstate() == before
 
+    @pytest.mark.parametrize("force_m", [0, -1, 1 << 8, 1 << 40])
+    def test_force_m_must_be_a_message(self, small, monkeypatch, force_m):
+        # outside [1, 2^n): refused before m or the session id is drawn, by a
+        # challenge and by an audit, whose trials encrypt nothing
+        monkeypatch.setattr(protocol, "encrypt", None)
+        rng = random.Random(11)
+        before = rng.getstate()
+        for call in (lambda: make_challenge(small.pub, rng=rng, force_m=force_m),
+                     lambda: audit(small.priv, small.shares, small.expected_family, rng=rng,
+                                   mode="monotone", force_m=force_m)):
+            with pytest.raises(ValueError, match=r"^plaintext must be in \[1, 2\^8\)$"):
+                call()
+            assert rng.getstate() == before
+
     @pytest.mark.parametrize("ciphertexts", [(5, 6), (5, 5), ()])
     def test_one_ciphertext_per_session(self, ciphertexts):
         # a session has one message: two ciphertexts are refused even when
@@ -521,15 +535,22 @@ class TestAudit:
         assert report.accepted_by_trial == restated.accepted_by_trial
         assert report.all_exact
 
-    def test_bare_key_keeps_the_monotone_default(self, airplane, small):
+    def test_bare_key_keeps_the_monotone_default(self, airplane, small, monkeypatch):
         # a key that is no deployment opens a monotone session of one slot, as
-        # before, so a sequence audit under it still names its mode
+        # before, so a sequence audit under it still names its mode: refused,
+        # naming the mode, before any draw or binding check
         challenge, _ = make_challenge(small.pub, rng=random.Random(0))
         assert (challenge.mode, challenge.merge, challenge.slot_count) == ("monotone", "or", 1)
         assert audit(small.priv, small.shares, small.expected_family, trials=2,
                      rng=random.Random(0)).merge == "or"
-        with pytest.raises(ValueError, match="^monotone mode has exactly one slot$"):
-            audit(airplane.priv, airplane.shares, airplane.expected_family)
+        monkeypatch.setattr(protocol, "binds", None)
+        rng = random.Random(0)
+        before = rng.getstate()
+        for key in (airplane.priv, airplane.pub):
+            with pytest.raises(ValueError, match='^share sequences under a key that is not '
+                                                 'a Deployment need mode="sequence"$'):
+                audit(key, airplane.shares, airplane.expected_family, rng=rng)
+        assert rng.getstate() == before
 
 
 def reference_audit(shares, challenge, state):
@@ -841,22 +862,25 @@ class TestSharedResidue:
     def test_responses_are_token_responses(
             self, airplane, second_key_shares, monkeypatch, null_policy):
         # the lane-packed columns `audit` folds, unpacked per holder and slot
-        # and read back against the trial's draw
+        # and read back against a challenge of the trial's message, which the
+        # trial does not encrypt: the test does
         key, shares = second_key_shares
         slot_count = len(airplane.plan.slots)
-        seen = []
-        matches, draw = protocol.subset_matches, protocol._draw
+        seen, messages = [], []
+        matches, message = protocol.subset_matches, protocol._message
 
-        def spy(columns, *args, **lanes):
-            seen.append((columns, lanes))
-            return matches(columns, *args, **lanes)
+        def spy(columns, combine, m, **lanes):
+            seen.append((columns, m, lanes))
+            return matches(columns, combine, m, **lanes)
 
-        monkeypatch.setattr(protocol, "_draw", lambda *a: seen.append(draw(*a)) or seen[-1])
+        monkeypatch.setattr(protocol, "_message", lambda *a: messages.append(message(*a))
+                            or messages[-1])
         monkeypatch.setattr(protocol, "subset_matches", spy)
         airplane_audit(airplane, shares, null_policy, trials=4, key=key)
-        assert len(seen) == 2 * 4
-        for (_, session_id, c), (columns, lanes) in zip(seen[::2], seen[1::2]):
-            challenge = Challenge(session_id, "sequence", "sum", slot_count, (c,))
+        assert [m for _, m, _ in seen] == messages and len(messages) == 4
+        for columns, m, lanes in seen:
+            challenge = Challenge("x", "sequence", "sum", slot_count,
+                                  (protocol.encrypt(public_key_of(key), m),))
             width, per_int = lanes["width"], lanes["lanes"]
             assert len(columns) == -(-slot_count // per_int)
             assert all(len(column) == len(ABCDE) for column in columns)
@@ -886,6 +910,25 @@ class TestSharedResidue:
                     key, shares, airplane.expected_family, 20,
                     random.Random(seed), mode="sequence", merge="sum", null_policy=null_policy)
                 assert report.accepted_by_trial == reference.accepted_by_trial, seed
+
+    @pytest.mark.parametrize("null_policy", protocol.NULL_POLICIES)
+    @pytest.mark.parametrize("mode, merge", [("monotone", "or"), ("sequence", "sum"),
+                                             ("sequence", "xor")])
+    def test_trials_encrypt_nothing(self, airplane, small, monkeypatch, mode, merge,
+                                    null_policy):
+        # a trial reads m itself: with no `encrypt` to call, whole audits under
+        # a private and a public key still accept as the tokens, each answering
+        # an encrypted challenge, do
+        system = small if mode == "monotone" else airplane
+        reference = per_holder_audit(system.priv, system.shares, system.expected_family, 6,
+                                     random.Random(7), mode=mode, merge=merge,
+                                     null_policy=null_policy)
+        monkeypatch.setattr(protocol, "encrypt", None)
+        for key in (system.priv, system.pub):
+            report = audit(key, system.shares, system.expected_family, trials=6,
+                           rng=random.Random(7), mode=mode, merge=merge,
+                           null_policy=null_policy)
+            assert report.accepted_by_trial == reference.accepted_by_trial
 
     def test_monotone_accepts_as_per_holder_residues(self, small):
         for seed in range(5):
