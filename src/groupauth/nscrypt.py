@@ -176,8 +176,12 @@ class ShareSequence(Share):
     def __post_init__(self):
         # a null answer draws n random bits, so n is bounded like a key's
         system_primes(self.n)
-        for prime_set in self.slots:
+        for slot, prime_set in enumerate(self.slots):
             if prime_set is not None:
+                # an empty set answers 0, not a null, which would let its holder in
+                if not prime_set:
+                    raise ValueError(f"slot {slot} holds an empty prime set: a slot with "
+                                     "no share is None, null in a file")
                 _check_share_primes(prime_set, self.n)
 
 
@@ -209,8 +213,9 @@ def keygen(
     seed seeds s alone, for reproducible test keys. `force_p` / `force_s` pin
     those values, which is how the demo systems are reproduced.
     """
-    if isinstance(seed, int) and seed < 0:
-        raise ValueError("a seed must be non-negative: random.Random seeds -x as x")
+    if isinstance(seed, (bool, float)) or isinstance(seed, int) and seed < 0:
+        raise ValueError("a seed must be bytes or a non-negative int: random.Random seeds "
+                         "-x as x, True as 1 and 2.0 as 2")
     primes = system_primes(n)
     # No seed: the OS generator (the class `secrets` exports, taken from
     # `random`, since importing `secrets` loads hashlib and its libcrypto).

@@ -265,21 +265,22 @@ def truth_table(expr: PolicyExpr, order: Sequence[str]) -> int:
 
     Bit a of the result is `evaluate(expr, group_of(a, order))`. It is the
     tree's `_fold` of masks under `&`, `|` and XOR with all ones, where a
-    variable's is `_packed_fold` of its name's one-hot column under OR at width 1.
-    A name that is not in `order` is never present, so its variable reads false.
+    variable's is `_packed_fold` of its name's one-hot column under OR, one
+    lane of width 1 and pitch 1. A name that is not in `order` is never
+    present, so its variable reads false.
     """
     full = (1 << (1 << len(order))) - 1
-    return _fold(expr, lambda name: _packed_fold([x == name for x in order], operator.or_, 1),
+    return _fold(expr, lambda name: _packed_fold([x == name for x in order], operator.or_, 1, 1, 1),
                  partial(reduce, operator.and_), _union, full.__xor__)
 
 
 def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
-                 width: int, lanes: int = 1, pitch: int | None = None) -> int:
+                 width: int, lanes: int, pitch: int) -> int:
     """Every subset's fold of `values`, subset a in field a of one int.
 
-    Field a is the width·lanes bits from a·pitch up, and the pitch defaults
-    to width·lanes; bits a value leaves 0 above its lanes stay 0 in every
-    field, since a fold step acts on lanes alone. The fold doubles
+    Field a is the width·lanes bits from a·pitch up; bits a value leaves 0
+    above its lanes stay 0 in every field, since a fold step acts on lanes
+    alone. The fold doubles
     once per value: the subsets that hold position j are those without it,
     each combined with value j, so the packed int grows by one shifted
     `combine(acc, v * ones)` per value, where `ones` holds a 1 in every
@@ -296,12 +297,11 @@ def _packed_fold(values: Sequence[int], combine: Callable[[int, int], int],
 
 
 @lru_cache(maxsize=8)
-def _fold_layout(h: int, width: int, lanes: int = 1, pitch: int | None = None
+def _fold_layout(h: int, width: int, lanes: int, pitch: int
                  ) -> tuple[tuple[tuple[int, int], ...], int, int]:
     """The constants of folding h positions into fields of `lanes` lanes of `width` bits.
 
-    Field a starts at bit a·pitch, and the pitch defaults to width·lanes,
-    so field a's first lane is then bit a of a width-1 fold. Returns the
+    Field a starts at bit a·pitch. Returns the
     per-position steps of `_packed_fold`, position j's (ones, shift) with a
     1 in each of the 2^j fields so far and shift = pitch·2^j, then over all
     2^h·lanes lanes `ones`, with a 1 in every lane, and `high`, the top bit
@@ -312,7 +312,7 @@ def _fold_layout(h: int, width: int, lanes: int = 1, pitch: int | None = None
     near n + log2(h).
     """
     steps = []
-    ones, shift = 1, width * lanes if pitch is None else pitch
+    ones, shift = 1, pitch
     for _ in range(h):
         steps.append((ones, shift))
         ones |= ones << shift
@@ -321,13 +321,19 @@ def _fold_layout(h: int, width: int, lanes: int = 1, pitch: int | None = None
     return tuple(steps), ones, ones << (width - 1)
 
 
-def _fold_width(h: int, top: int, target: int = 0) -> int:
-    """The field width for folding h values of at most `top`.
+# the most bits one lane-packed int of 2^h fields may span when it holds more
+# than one lane: each fold step multiplies a value, L lanes wide, by a ones
+# pattern as wide as the fields so far, so past this an int with more lanes
+# costs more than the separate folds it saves
+_LANE_BITS = 4096
 
-    h·top bounds every subset's sum (OR and XOR stay below 2^top.bit_length()),
-    and a field must also hold the target it is compared against.
-    """
-    return max(h * top, target, 1).bit_length()
+
+def _lane_count(width: int, slots: int, h: int) -> int:
+    """The lanes L of each int when `slots` slots of `width` bits fold over h
+    positions, by the layout rule `subset_matches` states."""
+    # the most slots whose 2^h fields, whole hex digits each, fit `_LANE_BITS`
+    fit = max(1, min(slots, (_LANE_BITS >> h) // 4 * 4 // width))
+    return -(-slots // -(-slots // fit))  # evened out over as few ints as take them
 
 
 # a hex digit -> 1 where it is odd, else 0: `subset_matches` reads its flags so
@@ -339,8 +345,8 @@ def subset_matches(
     combine: Callable[[int, int], int],
     target: int,
     *,
-    width: int | None = None,
-    lanes: int = 1,
+    width: int,
+    lanes: int,
 ) -> list[int]:
     """Every subset whose fold equals `target` in at least one lane, ascending.
 
@@ -350,11 +356,16 @@ def subset_matches(
     folds alone: so field a of a column's fold holds subset a's fold of
     lane c in lane index i = a·lanes + c. The caller fixes `width` so that
     no lane's fold reaches 2^width, a sum of h values of below 2^n needing
-    (h·(2^n − 1)).bit_length() bits, and the target fits a lane. With one
-    lane the width may be left out: it is then
-    w = max(h·max value, target).bit_length() bits. A lane that every
-    value leaves 0 folds to 0 for every subset, so lanes > 1, where the
-    last column may pad spare lanes, need a target of at least 1.
+    (h·(2^n − 1)).bit_length() bits, and the target fits a lane. A lane
+    that every value leaves 0 folds to 0 for every subset, so lanes > 1,
+    where the last column may pad spare lanes, need a target of at least 1.
+
+    The layout rule, which `_lane_count` and this fold share: the fields sit
+    a pitch P = ⌈width·lanes/4⌉·4 bits apart, whole hex digits, and a
+    caller with more slots than one int's lanes puts L = `_lane_count` of
+    them in each int, the most whose 2^h fields span at most `_LANE_BITS`
+    (4,096) bits, at least 1, then evened out over as few ints as that
+    takes. Slot g·L + c then sits in lane c of column g.
 
     Per column the cost is a few big-int operations per position for the
     fold and four for the test, whatever 2^h is. Lane i of
@@ -366,31 +377,24 @@ def subset_matches(
     bits were all 0, and then x's own top bit decides. The columns' tests
     are ANDed, and each field's lanes are ORed into its first.
 
-    The fields sit a pitch P = ⌈width·lanes/4⌉·4 bits apart, whole hex
-    digits; since no lane's fold outgrows its width, the bits above a
-    field's lanes stay 0, and `ones` and `high` cover lanes only. Shifted
-    down by width − 1, field a's flag is the lowest bit of hex digit
-    a·P/4, so character a of the walk
-    `format(flags >> (width − 1), "x")[::-(P // 4)]` is an odd digit
-    exactly when subset a matches (below 4 bits a lane puts the next
-    lane's flag in the same digit, which leaves its parity alone). A
-    `bytes.translate` turns the digits into 0 and 1 and
+    Since no lane's fold outgrows its width, the bits above a field's lanes
+    stay 0, and `ones` and `high` cover lanes only. Shifted down by
+    width − 1, field a's flag is the lowest bit of hex digit a·P/4, so
+    character a of the walk `format(flags >> (width − 1), "x")[::-(P // 4)]`
+    is an odd digit exactly when subset a matches (below 4 bits a lane puts
+    the next lane's flag in the same digit, which leaves its parity alone).
+    A `bytes.translate` turns the digits into 0 and 1 and
     `itertools.compress` lists the matches, so the walk is linear in the
     size of the packed int with no Python step per match or per subset.
     """
     if not columns:
         return []
-    h = len(columns[0])
-    if width is None:
-        if lanes != 1:
-            raise ValueError("lane-packed columns need a width")
-        width = _fold_width(h, max(map(max, columns)) if h else 0, target)
-    elif target >> width:
+    if target >> width:
         raise ValueError(f"the target does not fit a lane of {width} bits")
-    elif lanes != 1 and target < 1:
+    if lanes != 1 and target < 1:
         raise ValueError("lane-packed columns need a target >= 1: a spare lane folds to 0")
     pitch = -(-width * lanes // 4) * 4
-    _, ones, high = _fold_layout(h, width, lanes, pitch)
+    _, ones, high = _fold_layout(len(columns[0]), width, lanes, pitch)
     aimed = target * ones
     live = high  # the top bit of each lane no column has yet found zero
     for column in columns:

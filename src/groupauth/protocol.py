@@ -31,7 +31,7 @@ from .nscrypt import (
     public_key_of,
     residue_bits,
 )
-from .policy import check_universe, group_of, subset_matches
+from .policy import _lane_count, check_universe, group_of, subset_matches
 
 __all__ = [
     "MODES",
@@ -473,29 +473,16 @@ def audit(
 
     The merges of all 2^h subsets of h holders are never listed.
     `policy.subset_matches` packs every subset's merged value into one
-    field of a single int, folds each holder in with one big-int `combine`,
-    and finds the subsets equal to m with one zero-lane test. A field holds
-    L lanes of w bits, one lane per slot, and subset a's slot c is lane
-    a·L + c. w is fixed in the set-up from the share layout, as
-    `_lane_rows` sets out, so that no merge outgrows a lane and m always
-    fits. The slots go into as few such ints as keep each within
-    `_LANE_BITS` (4,096 bits), L slots apiece, each field padded to whole
-    hex digits so that `subset_matches` reads the matches from the hex
-    digits of its flags: `audit5` (5 holders, 5 slots, w = 18, fields of
-    92 bits) folds all its slots in one int of 2,944 bits, while
-    `audit10` (10 holders, 26 slots, 2^10 fields of 19 bits) folds one slot
-    per int, since a wider int makes each fold step's multiply dearer than
-    the folds it saves. The set-up takes each holder's lane-packed masks
-    (`held`) and null-1 slots (`fixed`) from `_lane_rows`, memoised per
-    share layout, and a trial answers a holder in one int with
-    `(m·unit & held) | fixed`, where `unit` has a 1 in every lane, ORing
-    in random nulls. So a trial costs one draw of m, a few big-int
-    operations per holder and int, one C-speed pass over the packed hex
-    digits, and a bounded memo lookup per accepted subset. Measured
-    in-process with Python 3.11 on a shared 2-vCPU Intel Xeon VM, an
-    `audit(trials=1)` call takes about 0.016 ms on `audit5` (0.022 ms when
-    a trial encrypted m and walked a binary string) and about 0.24 ms on
-    `audit10` (0.28 ms).
+    field of a single int, one lane per slot, folds each holder in with
+    one big-int `combine`, and finds the subsets equal to m with one
+    zero-lane test. The set-up takes the lane width, which no merge
+    outgrows and m always fits, the lane count, and each holder's
+    lane-packed masks (`held`) and null-1 slots (`fixed`) from
+    `_lane_rows`, memoised per share layout. A trial answers a holder in
+    one int with `(m·unit & held) | fixed`, where `unit` has a 1 in every
+    lane, ORing in random nulls. So a trial costs one draw of m, a few
+    big-int operations per holder and int, one C-speed pass over the
+    packed flags, and a bounded memo lookup per accepted subset.
 
     Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with
@@ -519,13 +506,6 @@ def audit(
     return report
 
 
-# the most bits one lane-packed int of an audit's fold spans: each fold step
-# multiplies a holder's answer, L lanes wide, by a ones pattern as wide as the
-# fields so far, so past this an int with more lanes costs more than the
-# separate folds it saves
-_LANE_BITS = 4096
-
-
 @lru_cache(maxsize=8)
 def _lane_rows(
     masks: tuple[tuple[int | None, ...], ...], n: int, null_widths: tuple[int, ...] | None,
@@ -539,15 +519,13 @@ def _lane_rows(
     The lane width w is the bit length of the largest slot's sum of every
     holder's largest answer there (its mask, 1, or 2^(null width) − 1),
     and at least n: no subset's merge, sum, OR or XOR, outgrows a lane,
-    and a message fits one. L, the lane count, is the most slots whose int
-    of 2^h fields, L·w bits rounded up to whole hex digits each, stays
-    within `_LANE_BITS` (at least 1), then evened out over as few ints as
-    that takes. Slot g·L + c sits in lane c of int g, and `unit` has a 1 in
-    each of L lanes. rows[g] holds each holder's (held, fixed) for int g:
-    its masks in the lanes where it holds a share and, for null 1, a 1 in
-    the others. draws lists, for each holder j with random nulls,
-    (j, 2^its null width, its null lanes as (int, shift) in slot order).
-    Built once per layout, not per audit call.
+    and a message fits one. The lane count L is `policy._lane_count`'s, and
+    slot g·L + c sits in lane c of int g; `unit` has a 1 in each of L
+    lanes. rows[g] holds each holder's (held, fixed) for int g: its masks
+    in the lanes where it holds a share and, for null 1, a 1 in the
+    others. draws lists, for each holder j with random nulls, (j, 2^its
+    null width, its null lanes as (int, shift) in slot order). Built once
+    per layout, not per audit call.
     """
     slots = len(masks[0])
     tops = [0] * slots  # per slot: the sum of every holder's largest answer
@@ -556,11 +534,8 @@ def _lane_rows(
         for slot, mask in enumerate(holder):
             tops[slot] += null_top if mask is None else mask
     width = max(n, max(tops).bit_length())
-    # a field spans its lanes rounded up to whole hex digits, as `subset_matches` pads it
-    per_int = max(1, min(slots, (_LANE_BITS >> len(masks)) // 4 * 4 // width))
-    ints = -(-slots // per_int)
-    lanes = -(-slots // ints)  # as few spare lanes as that many ints allow
-    rows = [[[0, 0] for _ in masks] for _ in range(ints)]
+    lanes = _lane_count(width, slots, len(masks))
+    rows = [[[0, 0] for _ in masks] for _ in range(0, slots, lanes)]
     draws = []
     for j, holder in enumerate(masks):
         spots = []
@@ -589,12 +564,11 @@ def _audit_setup(
     session id after it as `make_challenge` does, and returns the masks of
     the subsets that accept it, ascending: it answers every holder in each
     lane-packed int of `_lane_rows`, then runs one `policy.subset_matches`
-    over those ints at `_lane_rows`' lane width, whose fields that call
-    pads to whole hex digits. No ciphertext is made: a bound key reads m
-    itself. Raises ValueError, before any draw or binding check, for share
-    sequences under a key that is not a `Deployment` with no mode, and
-    UnboundShare, naming the first such holder, for a share whose key
-    (p, s) `key` does not bind.
+    over those ints at `_lane_rows`' lane width and count. No ciphertext is
+    made: a bound key reads m itself. Raises ValueError, before any draw or
+    binding check, for share sequences under a key that is not a
+    `Deployment` with no mode, and UnboundShare, naming the first such
+    holder, for a share whose key (p, s) `key` does not bind.
     """
     pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
     universe = check_universe(tuple(shares))

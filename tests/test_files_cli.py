@@ -641,13 +641,20 @@ class TestPipeline:
             doc = json.loads((shares / "deployment.json").read_text())
             path, message = shares / "pub.json", "unknown file kind 'ns-public'"
             doc = {"kind": "ns-public", "n": doc["n"], "p": doc["p"], "v": doc["v"]}
+        elif case == "empty slot":  # [] written where null was meant: it answered 0
+            path = shares / "share_C.json"
+            doc = json.loads(path.read_text())
+            empty = doc["slots"].index(None)
+            doc["slots"][empty] = []
+            message = (f"slot {empty} holds an empty prime set: a slot with no share is None, "
+                       "null in a file")
         else:
             path, message = shares / "share_C.json", "field 'p' must be a prime"
             doc = dict(json.loads(path.read_text()), p="12")
         path.write_text(json.dumps(doc))
         return path, message
 
-    @pytest.mark.parametrize("case", ["stray file", "old pub.json", "share p"])
+    @pytest.mark.parametrize("case", ["stray file", "old pub.json", "share p", "empty slot"])
     def test_audit_names_the_file_that_breaks_its_schema(self, pipeline, capsys, case):
         # the error named no file: "error: unknown file kind None"
         shares = pipeline / "shares"
@@ -659,7 +666,7 @@ class TestPipeline:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("case", ["old pub.json", "share p"])
+    @pytest.mark.parametrize("case", ["old pub.json", "share p", "empty slot"])
     def test_respond_names_the_file_that_breaks_its_schema(self, pipeline, capsys, case):
         root = pipeline
         _challenge_session(root)

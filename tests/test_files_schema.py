@@ -249,7 +249,7 @@ def private_keys(draw):
 @st.composite
 def share_sequences(draw):
     n = draw(N)
-    slots = draw(st.lists(st.one_of(st.none(), prime_sets(n)), max_size=8))
+    slots = draw(st.lists(st.one_of(st.none(), prime_sets(n, min_size=1)), max_size=8))
     return ShareSequence(holder=draw(TEXT), s=draw(BIG), p=draw(BIG), n=n, slots=tuple(slots))
 
 
@@ -288,8 +288,6 @@ def test_dumps_matches_stdlib_encoder(kind, data):
 
 EDGE_SHAPES = {
     "null-slots-only": ShareSequence(holder="A", s=5, p=7, n=12, slots=(None, None, None)),
-    "empty-prime-set": ShareSequence(holder="A", s=5, p=7, n=12,
-                                     slots=(frozenset(), None, frozenset({3, 2}))),
     "one-slot": ShareSequence(holder="A", s=5, p=7, n=12, slots=(frozenset({37, 2, 11}),)),
     "no-slots": ShareSequence(holder="A", s=5, p=7, n=12, slots=()),
     "response-8": ResponseVector("s1", tuple(range(10**20, 10**20 + 8))),
@@ -304,6 +302,22 @@ EDGE_SHAPES = {
 def test_dumps_edge_shapes(shape):
     obj = EDGE_SHAPES[shape]
     assert files.dumps(obj) == json.dumps(files.to_document(obj), sort_keys=True, indent=2) + "\n"
+
+
+def test_empty_prime_set_refused(airplane, tmp_path):
+    # a held slot of no primes answered 0, not a null, so a holder whose file
+    # wrote [] for null was no longer locked out of that slot
+    with pytest.raises(ValueError, match="^slot 0 holds an empty prime set"):
+        ShareSequence(holder="A", s=5, p=7, n=12, slots=(frozenset(), None, frozenset({3, 2})))
+    doc = files.to_document(airplane.shares["C"])
+    empty = doc["slots"].index(None)
+    doc["slots"][empty] = []
+    path = tmp_path / "share_C.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        files.load(path)
+    assert str(err.value) == (f"{path}: slot {empty} holds an empty prime set: "
+                              "a slot with no share is None, null in a file")
 
 
 @pytest.mark.parametrize("kind", ["challenge", "verifier-state", "response", "verdict"])

@@ -73,6 +73,12 @@ class TestKeygen:
             keygen(12, seed=-5)
         assert keygen(12, seed=0) != keygen(12, seed=5)
 
+    @pytest.mark.parametrize("seed", [True, 2.0])
+    def test_bool_and_float_seeds_refused(self, seed):
+        # random.Random seeds True as 1 and 2.0 as 2, so each gave that seed's key
+        with pytest.raises(ValueError, match="^a seed must be bytes or a non-negative int"):
+            keygen(12, seed=seed)
+
     def test_seeded_determinism(self):
         a = keygen(8, seed=b"fixed seed")
         b = keygen(8, seed=b"fixed seed")

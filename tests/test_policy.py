@@ -26,7 +26,7 @@ from groupauth.policy import (
     subset_matches,
     variables,
 )
-from groupauth.policy import _fold_width, _packed_fold
+from groupauth.policy import _LANE_BITS, _lane_count, _packed_fold
 from groupauth.protocol import audit
 from groupauth.sharesplit import _maximal_unsat, bl_split
 from conftest import random_monotone_expr
@@ -341,11 +341,18 @@ class TestAuthorizedFamily:
 
 
 
-def unpacked_fold(values, combine):
-    """`_packed_fold` at the width `subset_matches` takes, one entry per subset."""
-    width = _fold_width(len(values), max(values, default=0))
+def fold_widths(columns, n):
+    """The lane widths for folding columns of values below 2^n, by both rules:
+    the audit's, the bit length of the largest column's sum and at least n,
+    and the looser (h·(2^n − 1)).bit_length() for h values a column."""
+    return (max(n, max(map(sum, columns)).bit_length(), 1),
+            max(len(columns[0]) * ((1 << n) - 1), 1).bit_length())
+
+
+def unpacked_fold(values, combine, width):
+    """`_packed_fold` at one lane of `width` bits, one entry per subset."""
     total = width << len(values)
-    digits = format(_packed_fold(values, combine, width), f"0{total}b")
+    digits = format(_packed_fold(values, combine, width, 1, width), f"0{total}b")
     return [int(digits[i - width:i], 2) for i in range(total, 0, -width)]
 
 
@@ -353,11 +360,12 @@ class TestSubsetFold:
     @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
     @given(values=st.lists(st.integers(min_value=0, max_value=1 << 70), max_size=7))
     def test_entry_folds_its_set_bits(self, combine, values):
-        folded = unpacked_fold(values, combine)
-        assert len(folded) == 1 << len(values)
-        for a, value in enumerate(folded):
-            members = [v for j, v in enumerate(values) if (a >> j) & 1]
-            assert value == functools.reduce(combine, members, 0), a
+        for width in fold_widths([values], max(values, default=0).bit_length()):
+            folded = unpacked_fold(values, combine, width)
+            assert len(folded) == 1 << len(values)
+            for a, value in enumerate(folded):
+                members = [v for j, v in enumerate(values) if (a >> j) & 1]
+                assert value == functools.reduce(combine, members, 0), (a, width)
 
 
 def list_fold(values, combine):
@@ -375,22 +383,25 @@ def list_matches(columns, combine, target):
 
 @st.composite
 def fold_cases(draw):
-    """Columns of h values below 2^n, with the edge values 0, 1, 2^n - 1 and m drawn often."""
+    """Columns of h values below 2^n, with the edge values 0, 1, 2^n - 1 and m
+    drawn often, and n."""
     n = draw(st.integers(min_value=2, max_value=64))
     h = draw(st.integers(min_value=1, max_value=8))
     m = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
     value = st.one_of(st.sampled_from([0, 1, (1 << n) - 1, m]),
                       st.integers(min_value=0, max_value=(1 << n) - 1))
     column = st.lists(value, min_size=h, max_size=h)
-    return draw(st.lists(column, min_size=1, max_size=4)), m
+    return draw(st.lists(column, min_size=1, max_size=4)), m, n
 
 
 class TestSubsetMatches:
     @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
     @given(case=fold_cases())
     def test_matches_list_fold(self, combine, case):
-        columns, m = case
-        assert subset_matches(columns, combine, m) == list_matches(columns, combine, m)
+        columns, m, n = case
+        for width in fold_widths(columns, n):
+            got = subset_matches(columns, combine, m, width=width, lanes=1)
+            assert got == list_matches(columns, combine, m), width
 
     @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
     def test_ten_holders_many_matches(self, combine):
@@ -401,9 +412,10 @@ class TestSubsetMatches:
         columns = [[rng.choice([0, m, rng.randrange(1 << 16)]) for _ in range(10)]
                    for _ in range(24)]
         columns += [[m] + [0] * 9, [m] * 10]
-        matches = subset_matches(columns, combine, m)
-        assert len(matches) >= 512
-        assert matches == list_matches(columns, combine, m)
+        for width in fold_widths(columns, 16):
+            matches = subset_matches(columns, combine, m, width=width, lanes=1)
+            assert len(matches) >= 512
+            assert matches == list_matches(columns, combine, m), width
 
 
 def pack_lanes(columns, width, lanes):
@@ -418,9 +430,8 @@ def lane_cases(draw):
     """Slot columns of h values below 2^n, a lane count with a partial last int
     drawn often, a width, and a target that some subset often folds to.
 
-    The width is the audit's rule, the bit length of the largest slot's sum
-    and at least n, so a slot of values at 2^n - 1 sets its lane's top bit,
-    or the looser (h·(2^n − 1)).bit_length()."""
+    The width is either of `fold_widths`; under the audit's rule a slot of
+    values at 2^n - 1 sets its lane's top bit."""
     n = draw(st.integers(min_value=1, max_value=20))
     h = draw(st.integers(min_value=1, max_value=6))
     lanes = draw(st.integers(min_value=1, max_value=6))
@@ -428,8 +439,7 @@ def lane_cases(draw):
     value = st.one_of(st.sampled_from([0, 1, top]), st.integers(min_value=0, max_value=top))
     columns = draw(st.lists(st.lists(value, min_size=h, max_size=h),
                             min_size=1, max_size=3 * lanes))
-    width = draw(st.sampled_from([max(n, max(map(sum, columns)).bit_length()),
-                                  (h * top).bit_length()]))
+    width = draw(st.sampled_from(fold_widths(columns, n)))
     column, subset = draw(st.sampled_from(columns)), draw(st.integers(0, (1 << h) - 1))
     folded = [v for j, v in enumerate(column) if subset >> j & 1]
     return columns, lanes, width, folded, draw(st.integers(min_value=1, max_value=top))
@@ -453,13 +463,13 @@ class TestLaneMatches:
         packed = pack_lanes(columns, 3, 2)
         with pytest.raises(ValueError, match="^lane-packed columns need a target >= 1"):
             subset_matches(packed, operator.add, 0, width=3, lanes=2)
-        assert subset_matches(columns, operator.add, 0) == [0]
-        assert subset_matches(columns, operator.add, 0, width=3) == [0]
+        assert subset_matches(columns, operator.add, 0, width=3, lanes=1) == [0]
 
     def test_width_is_given_and_holds_the_target(self):
         packed = pack_lanes([[1, 2], [2, 1]], 3, 2)
-        with pytest.raises(ValueError, match="^lane-packed columns need a width$"):
-            subset_matches(packed, operator.add, 3, lanes=2)
+        for layout in ({"lanes": 2}, {"width": 3}):  # the caller fixes both
+            with pytest.raises(TypeError, match="missing 1 required keyword-only argument"):
+                subset_matches(packed, operator.add, 3, **layout)
         with pytest.raises(ValueError, match="^the target does not fit a lane of 3 bits$"):
             subset_matches(packed, operator.add, 8, width=3, lanes=2)
         assert subset_matches(packed, operator.add, 3, width=3, lanes=2) == [3]
@@ -481,7 +491,7 @@ class TestHexWalk:
         every = list(range(1, 1 << h))
         assert subset_matches(packed, operator.or_, 1, width=width, lanes=lanes) == every
         if lanes == 1:
-            assert subset_matches([[0] * h], operator.add, 0, width=width) == [0, *every]
+            assert subset_matches([[0] * h], operator.add, 0, width=width, lanes=1) == [0, *every]
 
     @pytest.mark.parametrize("width, lanes", UNEVEN_FIELDS)
     @pytest.mark.parametrize("h", [1, 3, 5])
@@ -512,3 +522,23 @@ class TestHexWalk:
         assert folded >> 8 * pitch == 0
         assert all(folded >> a * pitch + width * lanes & (1 << pitch - width * lanes) - 1 == 0
                    for a in range(8))
+
+
+def test_lane_count_keeps_packed_ints_within_lane_bits():
+    # every width of n to n + 4 bits for n in [2, 64], 1 to 12 positions and
+    # 1 to 30 slots: an int of more than one lane, its 2^h fields padded to
+    # whole hex digits, spans at most `_LANE_BITS`, the slots take as few ints
+    # as the most lanes that fit would, and as few lanes as fill those ints
+    def pitch(width, lanes):
+        return -(-width * lanes // 4) * 4
+
+    for width in range(2, 69):
+        for h in range(1, 13):
+            for slots in range(1, 31):
+                lanes = _lane_count(width, slots, h)
+                fit = max([k for k in range(1, slots + 1)
+                           if pitch(width, k) << h <= _LANE_BITS], default=1)
+                assert 1 <= lanes <= fit, (width, h, slots)
+                assert lanes == 1 or pitch(width, lanes) << h <= _LANE_BITS
+                ints = -(-slots // fit)
+                assert -(-slots // lanes) == ints and lanes == -(-slots // ints), (width, h, slots)

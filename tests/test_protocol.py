@@ -1022,6 +1022,38 @@ def test_audit_digest_pinned(airplane, small):
         "1326c7aee19b470eb41bd6f82c5a2f76617f5043330ae21a87140f4d6718225f")
 
 
+# the share layouts of the `audit5` and `audit10` benchmark workloads under
+# keygen(16, seed=1): (policy, universe, size cap), then per null policy the
+# lane width, lane count and int count, and the SHA-256 of `_lane_rows`' whole
+# result, pinned so that the fold's layout cannot move
+LANE_LAYOUTS = {
+    "audit5": (fixtures.AIRPLANE_POLICY, tuple("ABCDE"), 3, {
+        "one": (18, 5, 1, "2658831813f7ff14daf8163ce17d49b63de1110129f6d5d52a9f4b426bdf6da5"),
+        "random-nonzero": (
+            18, 5, 1, "5af8bdf84533cf8e5df6b2bb384743517ead5eedf053e6436209447ed4b30863"),
+    }),
+    "audit10": (TEN_POLICY, TEN, 4, {
+        "one": (19, 1, 26, "d27bec8167f28aceb8c06f76db22d4114b857f61d928c37c39513d533388ed7b"),
+        "random-nonzero": (
+            20, 1, 26, "5ba9a0a832cbf55bd6f2ee50dc0672b9dc877ff0bce2251dc9cd71420466ef48"),
+    }),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(LANE_LAYOUTS))
+def test_lane_rows_pinned(workload):
+    text, universe, cap, pinned = LANE_LAYOUTS[workload]
+    priv = keygen(16, seed=1)[1]
+    family = authorized_family(parse(text, universe), universe, cap)
+    shares = issue_sequence(slots_packed(family, 16, universe), priv)
+    masks = tuple(shares[h].reading[1] for h in universe)
+    for null_policy, (width, lanes, ints, sha) in pinned.items():
+        null_widths = None if null_policy == "one" else (16,) * len(universe)
+        rows = protocol._lane_rows(masks, 16, null_widths)
+        assert (rows[0], rows[1], len(rows[3])) == (width, lanes, ints), null_policy
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == sha, null_policy
+
+
 class TestRefusals:
     """Each refusal of a share, with one message through `token_respond` and `audit`."""
 
