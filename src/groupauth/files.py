@@ -285,7 +285,8 @@ def load(path: str | Path, expect_kind: str | None = None):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except ValueError as exc:  # JSONDecodeError, or a number past int_max_str_digits
+        except (ValueError, RecursionError) as exc:  # JSONDecodeError, a number past
+            # int_max_str_digits, or arrays or objects nested past the recursion limit
             raise SchemaError(f"{path}: not valid JSON ({exc})", field="kind") from None
     if expect_kind is not None and isinstance(doc, dict) and doc.get("kind") != expect_kind:
         raise SchemaError(

@@ -10,7 +10,7 @@ which is what the share-splitting layer builds on.
 
 A `Share` is a token's share material: `KeyShare` (monotone mode, one prime
 subset) and `ShareSequence` (sequence mode, one prime set or None per slot)
-are its two kinds, and both read a ciphertext through `Share.reading`.
+are its two kinds, and a token reads either with `partial_decrypt`.
 """
 
 from __future__ import annotations
@@ -122,11 +122,11 @@ class Share:
     def reading(self) -> tuple[tuple[int, ...], tuple[int | None, ...]]:
         """Every slot's primes together, sorted, and each slot's bit mask (None: no share).
 
-        This is how a token reads, then answers: it raises the ciphertext to
-        s once, reads the residue's bits over these primes with one
-        `residue_bits`, and answers each slot with `bits & mask`, which
-        equals `residue_bits(u, slot)`, or with a null where it holds no
-        share. Built on first use, and in no file.
+        This is how a token reads, then answers: `partial_decrypt` raises
+        the ciphertext to s once and reads the residue's bits over these
+        primes with one `residue_bits`, and the token answers each slot
+        with `bits & mask`, which equals `residue_bits(u, slot)`, or with a
+        null where it holds no share. Built on first use, and in no file.
         """
         held = [primes for primes in self.slots if primes is not None]
         # 0 is divisible by every prime, so it reads a slot's whole mask
@@ -291,18 +291,22 @@ def decrypt(priv: NsPrivateKey, c: Ciphertext) -> Plaintext:
     return m
 
 
-def partial_decrypt(share: KeyShare, c: Ciphertext) -> int:
-    """The message bits this share can see in ciphertext c.
+def partial_decrypt(share: Share, c: Ciphertext) -> int:
+    """The message bits this share can see in ciphertext c: a token's read.
 
-    Bit i is set iff the i-th system prime is in the share's subset *and*
-    divides c^s mod p. Bit positions index the full system prime list, so
-    contributions from different shares line up and can be merged.
-    Malformed ciphertexts are not detected here; that is the verifier's
-    problem.
+    Bit i is set iff the i-th system prime is among the share's primes,
+    `share.reading[0]` (every slot's), *and* divides c^s mod p. Bit
+    positions index the full system prime list, so contributions from
+    different shares line up and can be merged. A share with no primes
+    reads 0, with no range check and no `pow`. Malformed ciphertexts are
+    not detected here; that is the verifier's problem.
     """
+    primes = share.reading[0]
+    if not primes:
+        return 0
     if not 1 <= c < share.p:
         raise ValueError("ciphertext out of range")
-    return residue_bits(pow(c, share.s, share.p), share.prime_subset)
+    return residue_bits(pow(c, share.s, share.p), primes)
 
 
 def residue_bits(u: int, primes: Iterable[int]) -> int:

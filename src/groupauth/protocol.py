@@ -27,9 +27,8 @@ from .nscrypt import (
     Share,
     binds,
     encrypt,
-    partial_decrypt,  # noqa: F401  (uncalled here; perfbench/spans.py wraps this name)
+    partial_decrypt,
     public_key_of,
-    residue_bits,
 )
 from .policy import _lane_count, check_universe, group_of, subset_matches
 
@@ -243,18 +242,17 @@ def token_respond(
     Where the token holds a share it answers the partial decryption of the
     session's ciphertext; where it holds none it answers a null value, whose
     presence corrupts the merge and is what rejects over-full groups. A
-    token reads, then answers, over its share's `reading`, as
-    `Share.reading` sets out; a token with no share reads nothing
-    and pays no `pow`. With `rng` None, random-nonzero nulls come from the
-    operating system's generator; `rng` is for tests and benchmarks, as in
-    `make_challenge`.
+    token reads through `nscrypt.partial_decrypt`, one `pow` over every
+    slot's primes, then answers each slot under its `Share.reading` mask;
+    a token with no share reads nothing and pays no `pow`. With `rng`
+    None, random-nonzero nulls come from the operating system's generator;
+    `rng` is for tests and benchmarks, as in `make_challenge`.
     """
     rng = rng if rng is not None else random.SystemRandom()
     n = _answerable(share, challenge.mode, challenge.slot_count, null_policy)
-    primes, masks = share.reading
-    bits = _read(share.p, share.s, primes, challenge.ciphertexts[0])
+    bits = partial_decrypt(share, challenge.ciphertexts[0])
     return ResponseVector(challenge.session_id,
-                          tuple(_answer(bits, masks, null_policy, n, rng)))
+                          tuple(_answer(bits, share.reading[1], null_policy, n, rng)))
 
 
 def _answerable(share: Share, mode: str, slot_count: int, null_policy: str) -> int:
@@ -274,18 +272,6 @@ def _answerable(share: Share, mode: str, slot_count: int, null_policy: str) -> i
     if len(share.slots) != slot_count:
         raise ValueError("share sequence length does not match the challenge")
     return share.n
-
-
-def _read(p: int, s: int, primes: tuple[int, ...], c: int) -> int:
-    """The bits of c^s mod p over `primes`, by `residue_bits`: a token's read.
-
-    With no primes there is nothing to read, and no `pow` is paid.
-    """
-    if not primes:
-        return 0
-    if not 1 <= c < p:
-        raise ValueError("ciphertext out of range")
-    return residue_bits(pow(c, s, p), primes)
 
 
 def _answer(
@@ -463,26 +449,19 @@ def audit(
 
     A bound key reads m itself. keygen sets v_i = q_i^(s^-1 mod p-1), so
     c^s = prod q_i^(m_i) (mod p), and that product is below p, so the
-    residue is the product and a token's `residue_bits` over its primes is
-    `m & mask` for each slot it holds, for key shares and share sequences
-    alike. A trial therefore answers `m & mask` per held slot, with no
-    ciphertext, no `pow` and no bit read. The answers equal
-    `token_respond`'s values, and nulls are drawn from `rng` in the same
-    holder and slot order. No response objects are built. With `rng` None, messages and nulls come
+    residue is the product and a token's read, `nscrypt.partial_decrypt`,
+    is `m & mask` for each slot it holds, for key shares and share
+    sequences alike. A trial therefore skips that read: it answers
+    `m & mask` per held slot, with no ciphertext, no `pow` and no
+    `partial_decrypt`. The answers equal `token_respond`'s values, and
+    nulls are drawn from `rng` in the same holder and slot order. No
+    response objects are built. With `rng` None, messages and nulls come
     from the operating system's generator.
 
-    The merges of all 2^h subsets of h holders are never listed.
-    `policy.subset_matches` packs every subset's merged value into one
-    field of a single int, one lane per slot, folds each holder in with
-    one big-int `combine`, and finds the subsets equal to m with one
-    zero-lane test. The set-up takes the lane width, which no merge
-    outgrows and m always fits, the lane count, and each holder's
-    lane-packed masks (`held`) and null-1 slots (`fixed`) from
-    `_lane_rows`, memoised per share layout. A trial answers a holder in
-    one int with `(m·unit & held) | fixed`, where `unit` has a 1 in every
-    lane, ORing in random nulls. So a trial costs one draw of m, a few
-    big-int operations per holder and int, one C-speed pass over the
-    packed flags, and a bounded memo lookup per accepted subset.
+    The merges of all 2^h subsets of h holders are never listed: a trial
+    answers each holder in lane-packed ints from `_lane_rows`, memoised
+    per share layout, and `policy.subset_matches`, which states the fold's
+    layout rule, finds the subsets whose merge equals m.
 
     Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import pkgutil
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import groupauth
-from groupauth import policy, sharesplit
+from groupauth import policy, protocol, sharesplit
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(groupauth.__path__))
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -106,6 +107,27 @@ def test_traced_split_counts_evaluate():
     with spans.Tracer(modules) as tracer:
         sharesplit.bl_split(expr, range(12))
     assert tracer.calls["policy.evaluate"] > 0
+
+
+def test_traced_tokens_count_partial_decrypt(airplane, small):
+    # every token reads through the `partial_decrypt` that protocol imported,
+    # which the tracer wraps; an audit reads m itself and calls it never
+    spans = _spans()
+    modules = {name: importlib.import_module(f"groupauth.{name}")
+               for name in {module_name for module_name, *_ in spans.HOOKS}}
+    with spans.Tracer(modules) as tracer:
+        for system in (airplane, small):
+            challenge, _ = protocol.make_challenge(system.deployment, rng=random.Random(0))
+            for share in system.shares.values():
+                protocol.token_respond(share, challenge)
+    tokens = len(airplane.shares) + len(small.shares)
+    assert tracer.calls["nscrypt.partial_decrypt"] == tracer.calls["protocol.token_respond"]
+    assert tracer.calls["nscrypt.partial_decrypt"] == tokens
+    with spans.Tracer(modules) as tracer:
+        protocol.audit(airplane.deployment, airplane.shares, airplane.expected_family,
+                       rng=random.Random(0))
+    assert tracer.calls["protocol.audit"] == 1
+    assert tracer.calls["nscrypt.partial_decrypt"] == tracer.calls["protocol.token_respond"] == 0
 
 
 def test_benchmark_selftest_passes():

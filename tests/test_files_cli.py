@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import re
 import shlex
 import subprocess
 import sys
@@ -19,6 +20,9 @@ from groupauth.nscrypt import keygen
 from groupauth.protocol import Deployment, ResponseVector, Verdict, make_challenge, verify
 
 LONG = "9" * 5000  # more digits than Python's default int_max_str_digits
+# JSON arrays nested this deep pass the decoder's recursion limit: about 1,000
+# levels on Python 3.10 and 3.11, a C limit of 10,000 on 3.13
+DEEP = 100_000
 
 
 class TestSchemas:
@@ -212,6 +216,13 @@ class TestSchemas:
         with pytest.raises(SchemaError):
             files.load(path)
 
+    def test_json_nested_past_recursion_limit(self, tmp_path):
+        # the decoder raises RecursionError, which escaped as a traceback
+        path = tmp_path / "share.json"
+        path.write_text("[" * DEEP + "]" * DEEP)
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: not valid JSON "):
+            files.load(path)
+
     def test_public_key_over_64_primes_rejected(self, tmp_path):
         # messages are read off at most 64 prime ranks; a 65th value used to
         # load and then silently reject authorized groups
@@ -337,6 +348,19 @@ class TestCliExitCodes:
     def test_subcommand_help_is_zero(self, command, capsys):
         assert run_cli([command, "--help"]) == 0
         assert capsys.readouterr().out.startswith(f"usage: groupauth {command} ")
+
+    def test_deeply_nested_share_is_2(self, pipeline, capsys):
+        root = pipeline
+        _challenge_session(root)
+        deep = root / "deep.json"
+        deep.write_text("[" * DEEP + "]" * DEEP)
+        capsys.readouterr()
+        assert run_cli(["respond", "--share", str(deep), "--challenge",
+                        str(root / "challenge.json"), "-o", str(root / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: {deep}: not valid JSON (")
+        assert not (root / "r.json").exists()
 
     @pytest.mark.parametrize("command,flag", [
         ("challenge", "--deployment"), ("respond", "--share"), ("verify", "--state"),

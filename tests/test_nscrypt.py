@@ -382,6 +382,35 @@ class TestPartialDecrypt:
             c = encrypt(pub, m)
             assert partial_decrypt(share, c) == decrypt(priv, c) == m
 
+    def test_sequence_reads_the_or_of_its_slots(self, demo12):
+        # a share sequence reads over every slot's primes at once: the OR of
+        # what each held slot, as a key share, reads
+        pub, priv = demo12
+        rng = random.Random(12)
+        for _ in range(50):
+            slots = tuple(
+                None if rng.random() < 0.3
+                else frozenset(rng.sample(priv.primes, rng.randint(1, 12)))
+                for _ in range(rng.randint(1, 5)))
+            share = ShareSequence(holder="x", s=priv.s, p=priv.p, n=12, slots=slots)
+            c = encrypt(pub, rng.randrange(1, 1 << 12))
+            ored = 0
+            for primes in filter(None, slots):
+                ored |= partial_decrypt(
+                    KeyShare(holder="x", s=priv.s, p=priv.p, prime_subset=primes), c)
+            assert partial_decrypt(share, c) == ored
+
+    def test_all_null_sequence_reads_zero(self, demo12):
+        # no primes, nothing to read: no range check and no pow
+        _, priv = demo12
+        blank = ShareSequence(holder="x", s=priv.s, p=priv.p, n=12, slots=(None,) * 3)
+        for c in (1, priv.p - 1, 0, priv.p, -1, 10 ** 40):
+            assert partial_decrypt(blank, c) == 0
+        held = KeyShare(holder="x", s=priv.s, p=priv.p, prime_subset=frozenset({2}))
+        for c in (0, priv.p):
+            with pytest.raises(ValueError, match="^ciphertext out of range$"):
+                partial_decrypt(held, c)
+
 
 @pytest.fixture(scope="module")
 def demo64():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from groupauth import files, fixtures, numtheory, protocol
+from groupauth import files, fixtures, nscrypt, numtheory, protocol
 from groupauth.errors import GroupAuthError, SchemaError
 from groupauth.nscrypt import (KeyShare, NsPrivateKey, binds, keygen, partial_decrypt,
                                public_key_of, residue_bits)
@@ -621,16 +621,34 @@ class TestAuditMatchesReference:
 
 
 @pytest.fixture
-def pow_calls(monkeypatch):
-    """Counts the modular exponentiations `protocol` does itself."""
-    calls = []
+def pows(monkeypatch):
+    """`nscrypt`'s modular exponentiations, the args of each: {"read": [...], "binds": [...]}.
+
+    A pow made while `protocol.binds` runs, the audit's key check, counts as
+    "binds"; any other is a token's read in `partial_decrypt`.
+    """
+    calls, kind = {"read": [], "binds": []}, ["read"]
 
     def counting_pow(*args):
-        calls.append(args)
+        calls[kind[-1]].append(args)
         return pow(*args)
 
-    monkeypatch.setattr(protocol, "pow", counting_pow, raising=False)
+    def counting_binds(*args):
+        kind.append("binds")
+        try:
+            return binds(*args)
+        finally:
+            kind.pop()
+
+    monkeypatch.setattr(nscrypt, "pow", counting_pow, raising=False)
+    monkeypatch.setattr(protocol, "binds", counting_binds)
     return calls
+
+
+@pytest.fixture
+def pow_calls(pows):
+    """The pows of tokens' reads; the audit's `binds` pows are in `pows["binds"]`."""
+    return pows["read"]
 
 
 def per_holder_audit(priv, shares, expected, trials, rng, *, mode, merge, null_policy,
@@ -660,14 +678,19 @@ def per_holder_audit(priv, shares, expected, trials, rng, *, mode, merge, null_p
 
 @pytest.fixture
 def read_calls(monkeypatch):
-    """The primes of each `residue_bits` read that `protocol` does itself."""
+    """The primes of each residue whose bits `nscrypt` reads: a token's read.
+
+    `Share.reading` builds its masks with `residue_bits(0, primes)`; a
+    residue c^s mod p of a c in [1, p) is never 0, so those are no reads.
+    """
     calls = []
 
     def counting_read(u, primes):
-        calls.append(tuple(primes))
+        if u:
+            calls.append(tuple(primes))
         return residue_bits(u, primes)
 
-    monkeypatch.setattr(protocol, "residue_bits", counting_read)
+    monkeypatch.setattr(nscrypt, "residue_bits", counting_read)
     return calls
 
 
@@ -761,21 +784,24 @@ class TestSharedResidue:
     token's `pow` and checks that reading token by token.
     """
 
-    def test_one_pow_per_trial(self, airplane, small, pow_calls, read_calls):
+    def test_one_pow_per_trial(self, airplane, small, pows, read_calls):
         # each token pays one pow and one read a trial, answering its own
-        # challenge; the audit reads m itself and pays neither
+        # challenge; the audit reads m itself and pays neither, under a
+        # private key, a public key or a deployment
         per_holder_audit(airplane.priv, airplane.shares, airplane.expected_family, 3,
                          random.Random(0), mode="sequence", merge="sum", null_policy="one")
-        assert len(pow_calls) == len(read_calls) == len(airplane.shares) * 3
-        pow_calls.clear()
+        assert len(pows["read"]) == len(read_calls) == len(airplane.shares) * 3
+        assert pows["binds"] == []
+        pows["read"].clear()
         read_calls.clear()
         airplane_audit(airplane, airplane.shares, trials=3)
         airplane_audit(airplane, airplane.shares, "random-nonzero", trials=3)
-        audit(small.priv, small.shares, small.expected_family, trials=2,
-              rng=random.Random(0), mode="monotone")
-        audit(small.deployment, small.shares, small.expected_family, trials=2,
-              rng=random.Random(0), mode="monotone")
-        assert pow_calls == [] and read_calls == []
+        for key in (small.priv, small.pub, small.deployment):
+            audit(key, small.shares, small.expected_family, trials=2,
+                  rng=random.Random(0), mode="monotone")
+        assert pows["read"] == [] and read_calls == []
+        # the public key and the deployment each check small's one key, n pows
+        assert len(pows["binds"]) == 2 * small.pub.n
 
     def test_binds_once_per_key(self, airplane, monkeypatch):
         # C's key (p, s + p - 1) binds as the airplane key does, but is another
