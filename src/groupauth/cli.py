@@ -43,13 +43,12 @@ def _universe_arg(text: str) -> tuple[str, ...]:
 
 
 def _format_group(group: frozenset[str], universe: tuple[str, ...]) -> str:
-    pos = {name: i for i, name in enumerate(universe)}
-    return ",".join(sorted(group, key=pos.__getitem__))
+    return ",".join(name for name in universe if name in group)
 
 
 def _format_family(family, universe) -> str:
-    key = lambda g: (len(g), _format_group(g, universe))
-    return "{" + "; ".join(_format_group(g, universe) for g in sorted(family, key=key)) + "}"
+    names = sorted((len(g), _format_group(g, universe)) for g in family)
+    return "{" + "; ".join(name for _, name in names) + "}"
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -104,7 +103,11 @@ def cmd_challenge(args) -> int:
     challenge, state = protocol.make_challenge(
         deployment, rng=_seeded_rng(args.seed), force_m=args.force_m)
     files.save(challenge, args.output)
-    files.save(state, args.state)
+    try:
+        files.save(state, args.state)
+    except OSError:  # no state could verify the challenge, so a refused run leaves neither
+        Path(args.output).unlink(missing_ok=True)
+        raise
     print(f"session {challenge.session_id}: challenge -> {args.output}, "
           f"state -> {args.state}")
     return 0
@@ -176,8 +179,8 @@ def cmd_audit(args) -> int:
             null_policy=null_policy, force_m=args.force_m)
     except protocol.UnboundShare as exc:
         raise SchemaError(f"{args.shares}: {exc}") from None
-    frequencies = sorted(report.frequencies().items(),
-                         key=lambda kv: (len(kv[0]), _format_group(kv[0], holders)))
+    frequencies = report.frequencies()  # every subset, each named once below
+    names = {g: _format_group(g, holders) for g in frequencies}
 
     if args.json:
         doc = {
@@ -186,15 +189,15 @@ def cmd_audit(args) -> int:
             "merge": report.merge,
             "null": null_policy,
             "all_exact": report.all_exact,
-            "expected": sorted(_format_group(g, holders) for g in report.expected),
-            "false_accepts": sorted(_format_group(g, holders) for g in report.false_accepts()),
-            "missed": sorted(_format_group(g, holders) for g in report.missed()),
-            "frequencies": {_format_group(g, holders): freq for g, freq in frequencies},
+            "expected": sorted(names[g] for g in report.expected),
+            "false_accepts": sorted(names[g] for g in report.false_accepts()),
+            "missed": sorted(names[g] for g in report.missed()),
+            "frequencies": {names[g]: freq for g, freq in frequencies.items()},
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        rows = [[_format_group(g, holders), "yes" if g in report.expected else "no",
-                 f"{freq:.2f}"] for g, freq in frequencies]
+        rows = [[names[g], "yes" if g in report.expected else "no", f"{frequencies[g]:.2f}"]
+                for g in sorted(frequencies, key=lambda g: (len(g), names[g]))]
         _print_table(["subset", "authorized", "accept rate"], rows)
         print(f"{report.trials} trial(s), mode={deployment.mode}, merge={report.merge}, "
               f"null={null_policy}")

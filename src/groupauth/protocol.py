@@ -426,25 +426,24 @@ def audit(
     report compares that against the expected family and tallies per-subset
     acceptance frequencies. `trials` must be an int of at least 1, since a
     report with no trials would read as exact. Mode and merge default as in
-    `make_challenge`: with no mode, a `Deployment` key gives its own mode
-    and merge, and any other key monotone mode, so share sequences under
-    such a key are refused unless `mode="sequence"` is given. The report
-    records the merge used. `key` is a public key or a private key, whose
-    public key is derived once per object: its n bounds the messages, and
-    it must bind every share. A `Deployment` key refuses a mode, merge or
-    slot count (the shares') other than its own.
+    `make_challenge`, and the report records the merge used. `key` is a
+    public key or a private key, whose public key is derived once per
+    object: its n bounds the messages, and it must bind every share.
 
-    A call is one set-up and then one trial per message. The set-up checks
-    the universe, the session shape, and every share as `token_respond`
-    would, with the same messages, then that `key` binds every share's key
-    (p, s), and builds the merge op and the lane layout below. It raises
-    `UnboundShare`, naming the first holder, for a share the key does not
-    bind. A private key binds a share of its own (p, s) at no cost; any
-    other share key, and each one under a public key or `Deployment`, is
-    checked by `nscrypt.binds`, n `pow`s, once per distinct key per call. A
-    trial does only per-message work: it draws m and the session id from
-    `rng` as `make_challenge` does, leaving `rng` where a session would,
-    but encrypts nothing and builds no `Challenge` or `VerifierState`, then
+    A call is one set-up and then one trial per message. The set-up draws
+    nothing from `rng`, and refuses in this order: a bad `trials`; a bad
+    universe; share sequences with no mode under a key that is not a
+    `Deployment`, whose default is monotone; a bad session shape, or under
+    a `Deployment` a mode, merge or slot count (the shares') other than its
+    own; then, holder by holder, a share that `token_respond` would refuse,
+    and with `UnboundShare`, naming the holder, a share whose key (p, s)
+    `key` does not bind. A private key binds a share of its own (p, s) at
+    no cost; any other share key, and each one under a public key or
+    `Deployment`, is checked by `nscrypt.binds`, n `pow`s, once per
+    distinct key per call. A trial takes its message by `_message`, which
+    refuses a bad `force_m` before any draw, then draws the session id as
+    `make_challenge` does, leaving `rng` where a session would, but
+    encrypts nothing and builds no `Challenge` or `VerifierState`, then
     answers and folds.
 
     A bound key reads m itself. keygen sets v_i = q_i^(s^-1 mod p-1), so
@@ -460,8 +459,9 @@ def audit(
 
     The merges of all 2^h subsets of h holders are never listed: a trial
     answers each holder in lane-packed ints from `_lane_rows`, memoised
-    per share layout, and `policy.subset_matches`, which states the fold's
-    layout rule, finds the subsets whose merge equals m.
+    per share layout, and one `policy.subset_matches` over those ints, at
+    `_lane_rows`' lane width and count, finds the masks of the subsets
+    whose merge equals m; that function states the fold's layout rule.
 
     Every subset of a trial shares the holders' one answer each. A token
     answers a challenge the same way whoever else is present, so with
@@ -476,12 +476,44 @@ def audit(
         raise ValueError("trials must be an int")
     if trials < 1:
         raise ValueError("an audit needs at least one trial")
-    universe, merge, trial = _audit_setup(key, shares, mode, merge, null_policy)
+    pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
+    universe = check_universe(tuple(shares))
+    first = shares[universe[0]]
+    slot_count = len(first.slots)
+    if mode is None and not isinstance(pub, Deployment) and not isinstance(first, KeyShare):
+        # a bare key's default is monotone, which no share sequence answers
+        raise ValueError('share sequences under a key that is not a Deployment need '
+                         'mode="sequence"')
+    # refuse a bad session shape before any share, as the first challenge would
+    mode, merge, _ = _session_shape(pub, mode, merge, slot_count)
+    # the share keys (p, s) known bound: a private key binds its own
+    bound = {(key.p, key.s)} if isinstance(key, NsPrivateKey) else set()
+    masks, null_widths = [], []  # per holder: its slot masks, its null width
+    for h in universe:
+        share = shares[h]
+        null_widths.append(_answerable(share, mode, slot_count, null_policy))
+        if (share.p, share.s) not in bound:
+            if not binds(pub, share.p, share.s):
+                raise UnboundShare(f"the audit key does not bind holder {h}'s share")
+            bound.add((share.p, share.s))
+        masks.append(share.reading[1])
+    combine = _MERGE_OPS[merge]
+    width, lanes, unit, rows, draws = _lane_rows(
+        tuple(masks), pub.n, None if null_policy == "one" else tuple(null_widths))
+
     rng = rng if rng is not None else random.SystemRandom()
     group = _groups(universe)
     report = AuditReport(universe=universe, expected=frozenset(expected), merge=merge)
     for _ in range(trials):
-        report.accepted_by_trial.append(frozenset(map(group, trial(rng, force_m))))
+        m = _message(pub.n, rng, force_m)
+        rng.getrandbits(64)  # the session id, drawn as a session draws it
+        every = m * unit
+        columns = [[every & held | fixed for held, fixed in row] for row in rows]
+        for j, top, spots in draws:  # holder, then slot, as `token_respond` draws
+            for g, shift in spots:
+                columns[g][j] |= rng.randrange(2, top) << shift
+        matches = subset_matches(columns, combine, m, width=width, lanes=lanes)
+        report.accepted_by_trial.append(frozenset(map(group, matches)))
     return report
 
 
@@ -531,57 +563,3 @@ def _lane_rows(
             draws.append((j, 1 << null_widths[j], tuple(spots)))
     unit = ((1 << width * lanes) - 1) // ((1 << width) - 1)
     return width, lanes, unit, tuple(tuple(map(tuple, row)) for row in rows), tuple(draws)
-
-
-def _audit_setup(
-    key: NsPublicKey | NsPrivateKey, shares: dict[str, Share], mode: str | None,
-    merge: str | None, null_policy: str,
-) -> tuple[tuple[str, ...], str, Callable[[random.Random, int | None], list[int]]]:
-    """An audit's set-up: its universe, its merge and its per-message trial.
-
-    `trial(rng, force_m)` takes one message by `_message`, draws the
-    session id after it as `make_challenge` does, and returns the masks of
-    the subsets that accept it, ascending: it answers every holder in each
-    lane-packed int of `_lane_rows`, then runs one `policy.subset_matches`
-    over those ints at `_lane_rows`' lane width and count. No ciphertext is
-    made: a bound key reads m itself. Raises ValueError, before any draw or
-    binding check, for share sequences under a key that is not a
-    `Deployment` with no mode, and UnboundShare, naming the first such
-    holder, for a share whose key (p, s) `key` does not bind.
-    """
-    pub = key if isinstance(key, NsPublicKey) else public_key_of(key)
-    universe = check_universe(tuple(shares))
-    first = shares[universe[0]]
-    slot_count = len(first.slots)
-    if mode is None and not isinstance(pub, Deployment) and not isinstance(first, KeyShare):
-        # a bare key's default is monotone, which no share sequence answers
-        raise ValueError('share sequences under a key that is not a Deployment need '
-                         'mode="sequence"')
-    # refuse a bad session shape before any share, as the first challenge would
-    mode, merge, _ = _session_shape(pub, mode, merge, slot_count)
-    # the share keys (p, s) known bound: a private key binds its own
-    bound = {(key.p, key.s)} if isinstance(key, NsPrivateKey) else set()
-    masks, null_widths = [], []  # per holder: its slot masks, its null width
-    for h in universe:
-        share = shares[h]
-        null_widths.append(_answerable(share, mode, slot_count, null_policy))
-        if (share.p, share.s) not in bound:
-            if not binds(pub, share.p, share.s):
-                raise UnboundShare(f"the audit key does not bind holder {h}'s share")
-            bound.add((share.p, share.s))
-        masks.append(share.reading[1])
-    combine = _MERGE_OPS[merge]
-    width, lanes, unit, rows, draws = _lane_rows(
-        tuple(masks), pub.n, None if null_policy == "one" else tuple(null_widths))
-
-    def trial(rng: random.Random, force_m: int | None) -> list[int]:
-        m = _message(pub.n, rng, force_m)
-        rng.getrandbits(64)  # the session id, drawn as a session draws it
-        every = m * unit
-        columns = [[every & held | fixed for held, fixed in row] for row in rows]
-        for j, bound, spots in draws:  # holder, then slot, as `token_respond` draws
-            for g, shift in spots:
-                columns[g][j] |= rng.randrange(2, bound) << shift
-        return subset_matches(columns, combine, m, width=width, lanes=lanes)
-
-    return universe, merge, trial

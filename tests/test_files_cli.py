@@ -1,4 +1,5 @@
 import builtins
+import hashlib
 import itertools
 import json
 import math
@@ -520,6 +521,24 @@ class TestRefusedRunsLeaveNoDirectory:
         assert code == 2
         assert capsys.readouterr().err == "error: max_size must be an int >= 1\n"
         assert not (tmp_path / "sd").exists()
+
+    @pytest.mark.parametrize("missing", ["state", "challenge"])
+    def test_challenge_missing_directory(self, pipeline, capsys, missing):
+        # the challenge was saved before the state, so a --state under a
+        # missing directory left a challenge that no state could verify
+        root = pipeline
+        paths = {"challenge": root / "c.json", "state": root / "st.json"}
+        paths[missing] = root / "nodir" / paths[missing].name
+        capsys.readouterr()
+        code = run_cli(["challenge", "--deployment", str(root / "shares/deployment.json"),
+                        "--seed", "1", "-o", str(paths["challenge"]),
+                        "--state", str(paths["state"])])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ")
+        assert not any(path.exists() for path in paths.values())
+        assert not (root / "nodir").exists()
 
     def test_compile_64_character_holder_name(self, tmp_path):
         name = "B" * 64
@@ -1048,6 +1067,32 @@ def test_audit_reads_merge_from_deployment(tmp_path, capsys):
     assert doc["false_accepts"] == sorted(
         ["A,B,C,D", "A,B,C,E", "A,B,D,E", "A,C,D,E", "B,C,D,E", "A,B,C,D,E"])
     assert doc["missed"] == []
+
+
+# SHA-256 of `groupauth audit`'s stdout for the airplane shares named in
+# reverse (--universe E,D,C,B,A), four seeded trials with random nulls: under
+# the airplane policy (exact, exit 0) and under one that misses D,C and E,D,C
+# and accepts ten groups it does not name (exit 1), computed before subsets
+# were named once per audit
+REVERSED_AUDIT_DIGESTS = {
+    ("airplane", "text"): (0, "ceffdfdeb47bb340954269d0fcb8a9ca9c3e70e2f4b25b69f6df765f39d0f8a1"),
+    ("airplane", "json"): (0, "cfe589641a2fde6a5cf3557361e71d6beebdf494c8afb8f4534b8ad8ef108315"),
+    ("other", "text"): (1, "ed186d980b2c05c7889f337452c9313218fe5632b1322ef21b3cd681a9f72ead"),
+    ("other", "json"): (1, "c118ce75a578b2b73072c0ece63d9a62d522474660fdef7dadeb748e62ca7a77"),
+}
+
+
+@pytest.mark.parametrize("policy_name, output", sorted(REVERSED_AUDIT_DIGESTS))
+def test_audit_output_pinned_for_reversed_universe(pipeline, capsys, policy_name, output):
+    # a subset is named in universe order, not alphabetically, and the rows
+    # are sorted by size, then by that name
+    policy_text = {"airplane": fixtures.AIRPLANE_POLICY, "other": "(A and B) or (C and D)"}
+    code = run_cli(["audit", "--policy", policy_text[policy_name], "--universe", "E,D,C,B,A",
+                    "--max-size", "3", "--shares", str(pipeline / "shares"), "--trials", "4",
+                    "--seed", "7", "--null", "random", *(["--json"] if output == "json" else [])])
+    stdout = capsys.readouterr().out
+    assert (code, hashlib.sha256(stdout.encode()).hexdigest()) == (
+        REVERSED_AUDIT_DIGESTS[policy_name, output])
 
 
 def test_packed_compile_of_a_4_of_14_threshold(tmp_path, capsys):

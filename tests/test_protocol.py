@@ -552,6 +552,27 @@ class TestAudit:
                 audit(key, airplane.shares, airplane.expected_family, rng=rng)
         assert rng.getstate() == before
 
+    @pytest.mark.parametrize("case, options, message", [pytest.param(*c, id=c[0]) for c in [
+        ("no trial", {"trials": 0}, "an audit needs at least one trial"),
+        ("bare key", {}, "share sequences under a key that is not a Deployment need"),
+        ("deployment shape", {"merge": "xor"}, "the deployment runs sequence/sum"),
+        ("slot count", {}, "share sequence length does not match the challenge"),
+        ("unbound", {}, "the audit key does not bind holder C's share"),
+        ("force_m 0", {"force_m": 0}, r"plaintext must be in \[1, 2\^12\)"),
+    ]])
+    def test_refusal_leaves_rng_untouched(self, airplane, case, options, message):
+        # every refusal, of the set-up or of a trial's message, comes before
+        # the first draw: a refused audit consumes nothing of a seeded rng
+        key = airplane.priv if case == "bare key" else airplane.deployment
+        shares = mixed_shares(airplane, same_p=True) if case == "unbound" else dict(airplane.shares)
+        if case == "slot count":
+            shares["C"] = dataclasses.replace(shares["C"], slots=shares["C"].slots[:3])
+        rng = random.Random(5)
+        before = rng.getstate()
+        with pytest.raises(ValueError, match=f"^{message}"):
+            audit(key, shares, airplane.expected_family, rng=rng, **options)
+        assert rng.getstate() == before
+
 
 def reference_audit(shares, challenge, state):
     """The accepted subsets of one null-1 trial, responding afresh for every subset."""
