@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -61,6 +62,24 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
+def _check_outputs(inputs: list[tuple[str, str | Path]],
+                   outputs: list[tuple[str, str | Path]]) -> None:
+    """Refuse an output file that is also an input or another output, before anything
+    is written, so `challenge -o x.json --state ./x.json` cannot leave the secret state
+    where the challenge was named.
+
+    Each entry is a flag and its path; paths compare resolved, links followed, by
+    `os.path.realpath`, which leaves a link loop to the open that follows (before
+    Python 3.13, `Path.resolve` raised RuntimeError there).
+    """
+    named = {os.path.realpath(path): flag for flag, path in inputs}
+    for flag, path in outputs:
+        resolved = os.path.realpath(path)
+        if resolved in named:
+            raise ValueError(f"{named[resolved]} and {flag} both name {path}")
+        named[resolved] = flag
+
+
 def _seeded_rng(seed: int | None) -> random.Random | None:
     """A Mersenne Twister for `--seed`; without one, None, so the OS generator is used."""
     return None if seed is None else random.Random(seed)
@@ -82,6 +101,9 @@ def cmd_keygen(args) -> int:
 def cmd_compile(args) -> int:
     universe = _universe_arg(args.universe)
     expr = policy.parse(args.policy, universe)
+    out = Path(args.output)
+    names = [*(f"share_{holder}.json" for holder in universe), "deployment.json"]
+    _check_outputs([("--key", args.key)], [("-o", out / name) for name in names])
     priv = files.load(args.key, expect_kind="ns-private")
     shares, deployment, family = sharesplit.compile_policy(
         expr, universe, priv, args.mode, merge=args.merge, max_size=args.max_size, pack=args.pack)
@@ -89,7 +111,6 @@ def cmd_compile(args) -> int:
                f"{len(family)} authorized groups compiled into {deployment.slot_count} slots")
 
     # created only once the shares exist, so a refused run leaves nothing behind
-    out = Path(args.output)
     out.mkdir(parents=True, exist_ok=True)
     for holder, share in shares.items():
         files.save(share, out / f"share_{holder}.json")
@@ -99,6 +120,8 @@ def cmd_compile(args) -> int:
 
 
 def cmd_challenge(args) -> int:
+    _check_outputs([("--deployment", args.deployment)],
+                   [("-o", args.output), ("--state", args.state)])
     deployment = files.load(args.deployment, expect_kind="deployment")
     challenge, state = protocol.make_challenge(
         deployment, rng=_seeded_rng(args.seed), force_m=args.force_m)
@@ -114,6 +137,8 @@ def cmd_challenge(args) -> int:
 
 
 def cmd_respond(args) -> int:
+    _check_outputs([("--share", args.share), ("--challenge", args.challenge)],
+                   [("-o", args.output)])
     share = files.load(args.share)
     if not isinstance(share, nscrypt.Share):
         raise SchemaError(f"{args.share}: not a share file", field="kind")
@@ -126,6 +151,8 @@ def cmd_respond(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_outputs([("--state", args.state), *(("--responses", r) for r in args.responses)],
+                   [("-o", args.output)] if args.output else [])
     state = files.load(args.state, expect_kind="verifier-state")
     responses = [files.load(path, expect_kind="response") for path in args.responses]
     merged = protocol.merge_responses(state, responses)

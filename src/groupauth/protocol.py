@@ -203,9 +203,13 @@ def make_challenge(
     `force_m` pins the message, mirroring the keygen overrides, so fixed
     known-answer sessions can be reproduced; one outside [1, 2^n) is
     refused before anything is drawn. With no mode, a `Deployment` as
-    `pub` opens a session of its own shape, and any other key a monotone
-    session of one slot; a `Deployment` refuses a mode, merge or slot count
-    other than its own.
+    `pub` opens a session of its own shape, filling in the merge and slot
+    count left None, and any other key a monotone session of one slot. A
+    mode given, even a `Deployment`'s own, takes that mode's default merge
+    and one slot where those are None, as under any key; a `Deployment`
+    then refuses the resulting shape unless it is its own, so
+    `make_challenge(deployment, mode="sequence")` is refused for a
+    deployment of more than one slot.
     """
     mode, merge, slot_count = _session_shape(pub, mode, merge, slot_count)  # before any draw
     rng = rng if rng is not None else random.SystemRandom()
@@ -434,17 +438,18 @@ def audit(
     nothing from `rng`, and refuses in this order: a bad `trials`; a bad
     universe; share sequences with no mode under a key that is not a
     `Deployment`, whose default is monotone; a bad session shape, or under
-    a `Deployment` a mode, merge or slot count (the shares') other than its
-    own; then, holder by holder, a share that `token_respond` would refuse,
-    and with `UnboundShare`, naming the holder, a share whose key (p, s)
-    `key` does not bind. A private key binds a share of its own (p, s) at
-    no cost; any other share key, and each one under a public key or
-    `Deployment`, is checked by `nscrypt.binds`, n `pow`s, once per
-    distinct key per call. A trial takes its message by `_message`, which
-    refuses a bad `force_m` before any draw, then draws the session id as
-    `make_challenge` does, leaving `rng` where a session would, but
-    encrypts nothing and builds no `Challenge` or `VerifierState`, then
-    answers and folds.
+    a `Deployment` a shape other than its own, where a mode given takes
+    its default merge as in `make_challenge` and the slot count is always
+    the shares'; then, holder by holder, a share that `token_respond`
+    would refuse, and with `UnboundShare`, naming the holder, a share
+    whose key (p, s) `key` does not bind. A private key binds a share of
+    its own (p, s) at no cost; any other share key, and each one under a
+    public key or `Deployment`, is checked by `nscrypt.binds`, n `pow`s,
+    once per distinct key per call. A trial takes its message by
+    `_message`, which refuses a bad `force_m` before any draw, then draws
+    the session id as `make_challenge` does, leaving `rng` where a session
+    would, but encrypts nothing and builds no `Challenge` or
+    `VerifierState`, then answers and folds.
 
     A bound key reads m itself. keygen sets v_i = q_i^(s^-1 mod p-1), so
     c^s = prod q_i^(m_i) (mod p), and that product is below p, so the

@@ -309,17 +309,18 @@ class SlotPlan:
         return frozenset(out)
 
 
-def _canonical_group_key(universe: tuple[str, ...]):
-    pos = {name: i for i, name in enumerate(universe)}
+def _seeds(family: frozenset[frozenset[str]], universe: tuple[str, ...]) -> dict[int, list[int]]:
+    """The family's groups in the order both planners take them, smaller groups
+    first and equal sizes by their members' universe positions. Each maps its
+    subset mask, bit j for universe[j], to those positions ascending."""
+    pos = {name: j for j, name in enumerate(universe)}
+    ranked = sorted((len(group), sorted(map(pos.__getitem__, group))) for group in family)
+    return {sum(1 << j for j in members): members for _, members in ranked}
 
-    def key(group: frozenset[str]):
-        return (len(group), tuple(sorted(pos[h] for h in group)))
 
-    return key
-
-
-def _slot_for_classes(classes: list[list[str]]) -> SlotAssignment:
-    return SlotAssignment({h: i for i, cls in enumerate(classes) for h in cls})
+def _slot(classes: list[list[int]], universe: tuple[str, ...]) -> SlotAssignment:
+    """The slot whose part i holds the holders at universe positions classes[i]."""
+    return SlotAssignment({universe[j]: i for i, cls in enumerate(classes) for j in cls})
 
 
 def slots_baseline(
@@ -327,13 +328,10 @@ def slots_baseline(
     n: int,
     universe: tuple[str, ...],
 ) -> SlotPlan:
-    """One slot per group; members take distinct parts in universe order."""
-    key = _canonical_group_key(universe)
-    pos = {name: i for i, name in enumerate(universe)}
-    slots = []
-    for group in sorted(family, key=key):
-        members = sorted(group, key=pos.__getitem__)
-        slots.append(_slot_for_classes([[m] for m in members]))
+    """One slot per group, in the seed order `slots_packed` also takes; the
+    members take distinct parts in universe order."""
+    slots = [_slot([[j] for j in members], universe)
+             for members in _seeds(family, universe).values()]
     return SlotPlan(universe=universe, n=n, slots=slots)
 
 
@@ -380,7 +378,7 @@ def slots_packed(
     per-part holder classes whose full transversal set stays inside the
     remaining family, so the plan never authenticates a group outside the
     requested family and never drops one. Of equal covers, the first seed in
-    canonical order wins. Slot count is best-effort, not minimal, and never
+    `_seeds` order wins. Slot count is best-effort, not minimal, and never
     exceeds the baseline plan's.
 
     Groups are subset masks, bit j for universe[j]. Two rules spare growths
@@ -398,29 +396,27 @@ def slots_packed(
       holders. A seed of k members whose bound is at most the best cover so
       far is not grown: it could only tie, and the first of equal covers wins.
     """
-    pos = {name: j for j, name in enumerate(universe)}
-    seeds = [sum(1 << pos[h] for h in group)
-             for group in sorted(family, key=_canonical_group_key(universe))]
+    seeds = _seeds(family, universe)
     remaining = set(seeds)
     grown: dict[int, tuple[list[list[int]], set[int]]] = {}  # seed -> classes, their groups
     slots = []
     while remaining:
-        seeds = [seed for seed in seeds if seed in remaining]
+        seeds = {seed: members for seed, members in seeds.items() if seed in remaining}
         live = reduce(operator.or_, remaining)
         holders = [j for j in range(len(universe)) if live >> j & 1]
         best, best_cover = None, 0
-        for seed in seeds:
+        for seed, members in seeds.items():
             if seed not in grown:
-                k = seed.bit_count()
+                k = len(members)
                 q, r = divmod(len(holders), k)
                 if (q + 1) ** r * q ** (k - r) <= best_cover:
                     continue
-                classes = _grow_seed([j for j in holders if seed >> j & 1], remaining, holders)
+                classes = _grow_seed(members, remaining, holders)
                 grown[seed] = classes, set(_transversals(classes))
             if len(grown[seed][1]) > best_cover:
                 best, best_cover = seed, len(grown[seed][1])
         classes, placed = grown[best]
-        slots.append(_slot_for_classes([[universe[j] for j in cls] for cls in classes]))
+        slots.append(_slot(classes, universe))
         remaining -= placed
         grown = {seed: entry for seed, entry in grown.items() if entry[1].isdisjoint(placed)}
     return SlotPlan(universe=universe, n=n, slots=slots)

@@ -968,6 +968,64 @@ class TestPipeline:
         assert code == 1
 
 
+_AIRPLANE_COMPILE = ["compile", "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                     "--max-size", "3", "--mode", "sequence"]
+_CHALLENGE = ["challenge", "--deployment", "shares/deployment.json", "--seed", "1"]
+_RESPOND = ["respond", "--share", "shares/share_A.json", "--challenge", "challenge.json"]
+_VERIFY = ["verify", "--state", "state.json", "--responses", "r_A.json", "r_C.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    # key files named as two of the files compile writes into keys/
+    [*_AIRPLANE_COMPILE, "--key", "keys/deployment.json", "-o", "keys"],
+    [*_AIRPLANE_COMPILE, "--key", "keys/share_B.json", "-o", "./keys"],
+    # the challenge and the state, which holds the secret message, in one file
+    [*_CHALLENGE, "-o", "x.json", "--state", "./x.json"],
+    [*_CHALLENGE, "-o", "shares/deployment.json", "--state", "st.json"],
+    [*_CHALLENGE, "-o", "c.json", "--state", "keys/../shares/deployment.json"],
+    [*_RESPOND, "-o", "shares/share_A.json"],
+    [*_RESPOND, "-o", "challenge.json"],
+    [*_VERIFY, "-o", "state.json"],
+    [*_VERIFY, "-o", "r_C.json"],
+    [*_VERIFY, "-o", "state-link.json"],
+], ids=["compile-key-deployment", "compile-key-share", "challenge-output-state",
+        "challenge-output-deployment", "challenge-state-deployment", "respond-output-share",
+        "respond-output-challenge", "verify-output-state", "verify-output-response",
+        "verify-output-links-to-state"])
+def test_output_naming_another_file_is_refused(pipeline, capsys, monkeypatch, argv):
+    # each run overwrote an input, or wrote two outputs to one file, and exited 0
+    root = pipeline
+    _challenge_session(root)
+    for holder in ("A", "C"):
+        assert run_cli(["respond", "--share", f"{root}/shares/share_{holder}.json",
+                        "--challenge", f"{root}/challenge.json",
+                        "-o", f"{root}/r_{holder}.json"]) == 0
+    for name in ("deployment.json", "share_B.json"):
+        (root / "keys" / name).write_bytes((root / "keys/priv.json").read_bytes())
+    (root / "state-link.json").symlink_to("state.json")
+    before = {path: path.read_bytes() for path in root.rglob("*") if path.is_file()}
+    monkeypatch.chdir(root)
+    capsys.readouterr()
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert re.fullmatch(r"error: \S+ and \S+ both name \S+\n", captured.err)
+    assert {path: path.read_bytes() for path in root.rglob("*") if path.is_file()} == before
+
+
+def test_output_through_a_link_loop_is_an_error(pipeline, capsys):
+    # the clash check resolves paths without raising on a loop; the write then fails
+    root = pipeline
+    _challenge_session(root)
+    (root / "loop.json").symlink_to("loop.json")
+    capsys.readouterr()
+    assert run_cli(["respond", "--share", f"{root}/shares/share_A.json",
+                    "--challenge", f"{root}/challenge.json", "-o", f"{root}/loop.json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: ")
+
+
 class TestMonotoneCliFlow:
     def test_monotone_compile_and_verify(self, tmp_path, small):
         keys = tmp_path / "keys"

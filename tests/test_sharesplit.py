@@ -24,8 +24,7 @@ from groupauth.sharesplit import (
     slots_baseline,
     slots_packed,
 )
-from groupauth.sharesplit import (_balanced_parts, _canonical_group_key, _grow_seed,
-                                  _maximal_unsat, _plain_descent, _slot_for_classes,
+from groupauth.sharesplit import (_balanced_parts, _grow_seed, _maximal_unsat, _plain_descent,
                                   _split_is_exact)
 from conftest import TEN, TEN_POLICY, random_family, random_monotone_expr
 
@@ -308,15 +307,19 @@ def test_grow_classes_matches_reference():
 
 def reference_slots_packed(family, n, universe):
     """Every remaining seed regrown from scratch each round, the oracle for
-    `slots_packed`'s reused growths and bound."""
-    key = _canonical_group_key(universe)
+    `slots_packed`'s reused growths and bound, its seed order and its slots."""
+    pos = {name: i for i, name in enumerate(universe)}
+
+    def key(group):  # smaller groups first, equal sizes by their members' positions
+        return len(group), tuple(sorted(pos[h] for h in group))
+
     remaining = set(family)
     slots = []
     while remaining:
         best = max((reference_grow_classes(seed, remaining, universe)
                     for seed in sorted(remaining, key=key)),
                    key=lambda classes: math.prod(map(len, classes)))
-        slot = _slot_for_classes(best)
+        slot = SlotAssignment({h: i for i, cls in enumerate(best) for h in cls})
         slots.append(slot)
         remaining -= authorized_groups(slot)
     return SlotPlan(universe=universe, n=n, slots=slots)
@@ -445,6 +448,24 @@ def test_4_of_14_plan_pinned():
     plan = slots_packed(family, 12, universe)
     assert len(family) == 1001 and len(plan.slots) == 66
     assert plan.authorized_family() == family
+
+
+@pytest.mark.parametrize("case, slots, expected", [
+    ("reversed", 23, "3b5abea0c1076dbc6cb94b8242fd563d565f5f0c069fe12ba28e175016e75615"),
+    ("2-of-12", 11, "15e72f78c20a61cb0eebd52e839e54b417c0b3fbf5a5057dc7120c38d08d829a"),
+], ids=["reversed", "2-of-12"])
+def test_plans_pinned_where_name_order_is_not_position_order(case, slots, expected):
+    # both planners rank groups and lay out parts by universe position: a
+    # planner that went by holder names would lay out other plans here, where
+    # G comes first and H10 precedes H2 as a string
+    if case == "reversed":
+        family = random_family(random.Random(44), tuple("ABCDEFG"), 0.5)
+        universe = tuple("GFEDCBA")
+    else:
+        family, universe = threshold_family(2, 12)
+    packed = slots_packed(family, 16, universe)
+    assert len(packed.slots) == slots
+    assert plan_digest([packed, slots_baseline(family, 16, universe)]) == expected
 
 
 class TestSlotAssignment:
