@@ -114,13 +114,18 @@ def _write_primes(primes):
     return [str(int(q)) for q in sorted(primes)]
 
 
+def _read_primes(raw, field):
+    # a set, but a file never names a prime twice: `dumps` never writes one
+    ints = _read_ints(raw, field)
+    if len(primes := frozenset(ints)) < len(ints):
+        raise SchemaError(f"field {field!r} names a prime twice", field=field)
+    return primes
+
+
 def _read_slots(raw, field):
     if not isinstance(raw, list):
         raise SchemaError(f"field {field!r} must be a list", field=field)
-    if not all(entry is None or _decimals(entry) for entry in raw):
-        raise SchemaError(f"field {field!r} entries must be null or lists of decimal "
-                          f"strings of at most {_MAX_DIGITS} digits", field=field)
-    return tuple(None if entry is None else frozenset(map(int, entry)) for entry in raw)
+    return tuple(None if entry is None else _read_primes(entry, field) for entry in raw)
 
 
 def _read_int_or_null(raw, field):
@@ -180,8 +185,7 @@ _BOOL = _exact(bool, {True: "true", False: "false"}.__getitem__)
 _BIG = (lambda value: str(int(value)), _read_int, _big_text)
 _PRIME = (_BIG[0], _read_prime, _big_text)
 _BIGS = (lambda values: [str(int(x)) for x in values], _read_ints, _bigs_text)
-_PRIMES = (_write_primes, lambda raw, field: frozenset(_read_ints(raw, field)),
-           lambda primes: _bigs_text(sorted(primes)))
+_PRIMES = (_write_primes, _read_primes, lambda primes: _bigs_text(sorted(primes)))
 _SLOTS = (lambda slots: [None if s is None else _write_primes(s) for s in slots],
           _read_slots, _slots_text)
 _INT_OR_NULL = (lambda value: value, _read_int_or_null,

@@ -9,14 +9,15 @@ the first n primes. `PRIME_PRODUCT_GAPS` holds those primes as gaps p - P_n,
 and a tier-1 test recomputes every entry with `next_prime_above`, so
 `nscrypt.keygen` reads p. `is_key_prime` is the one membership test: a table
 prime needs no primality test, while a forced or hand-made p still goes
-through `is_probable_prime`, about 16 ms at n = 64.
+through `is_probable_prime`, about 16 ms at n = 64. Below psi_12, which
+bounds every modulus with n <= 18, that test runs the same 12 fixed
+witnesses whatever the input; above it, 40 seeded random ones.
 `is_probable_prime` itself never reads the table, so the table test does
 not check the table against itself.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import random
 
@@ -43,16 +44,10 @@ class NotInvertible(GroupAuthError):
 
 
 # The primes 2..37 as Miller-Rabin witnesses decide primality exactly below
-# psi_12 = 318665857834031151167461 (~3.19e23), the least strong pseudoprime
-# to all of them (Sorenson & Webster; OEIS A014233). Every key modulus with
-# n <= 18 is below 2 * P_18 < psi_12.
+# psi_12, the least strong pseudoprime to all of them (Sorenson & Webster;
+# OEIS A014233). Every key modulus with n <= 18 is below 2 * P_18 < psi_12.
 _DETERMINISTIC_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-
-# psi_k, the least strong pseudoprime to the first k witnesses (OEIS A014233):
-# below psi_k those k decide primality exactly.
-_PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
-        341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
-        3825123056546413051, 318665857834031151167461)
+_PSI_12 = 318665857834031151167461
 
 # Above psi_12 this many random witnesses bound a false "prime" by 4**-40.
 _RANDOM_WITNESSES = 40
@@ -125,11 +120,11 @@ def is_probable_prime(n: int) -> bool:
 
     One gcd with the product of SMALL_PRIMES settles every n with a factor
     in that table; since gcd(P + k, P) = gcd(k, P), a scan above a prime
-    product P pays no `pow` for those candidates. Below psi_12 the first k
-    fixed witnesses, for the least k with n < psi_k, then decide primality
-    with certainty. Above, 40 random witnesses bound the false-positive rate
-    by 4**-40; they are seeded from n so results are reproducible, and drawn
-    one at a time so a composite stops at its first failing witness.
+    product P pays no `pow` for those candidates. Below psi_12 the 12 fixed
+    witnesses decide primality with certainty; a prime runs all 12 rounds.
+    Above, 40 random witnesses bound the false-positive rate by 4**-40; they
+    are seeded from n so results are reproducible, and drawn one at a time.
+    Either way a composite stops at its first failing witness.
     """
     if n < 2:
         return False
@@ -142,8 +137,8 @@ def is_probable_prime(n: int) -> bool:
         d //= 2
         r += 1
 
-    if n < _PSI[-1]:
-        witnesses = _DETERMINISTIC_WITNESSES[:bisect.bisect_right(_PSI, n) + 1]
+    if n < _PSI_12:
+        witnesses = _DETERMINISTIC_WITNESSES
     else:
         rng = random.Random(n)
         witnesses = (rng.randrange(2, n - 1) for _ in range(_RANDOM_WITNESSES))

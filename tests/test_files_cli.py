@@ -691,13 +691,20 @@ class TestPipeline:
             doc["slots"][empty] = []
             message = (f"slot {empty} holds an empty prime set: a slot with no share is None, "
                        "null in a file")
+        elif case == "repeated prime":  # ["2", "2"] loaded as {2}
+            path = shares / "share_C.json"
+            doc = json.loads(path.read_text())
+            held = next(slot for slot in doc["slots"] if slot)
+            held.append(held[0])
+            message = "field 'slots' names a prime twice"
         else:
             path, message = shares / "share_C.json", "field 'p' must be a prime"
             doc = dict(json.loads(path.read_text()), p="12")
         path.write_text(json.dumps(doc))
         return path, message
 
-    @pytest.mark.parametrize("case", ["stray file", "old pub.json", "share p", "empty slot"])
+    @pytest.mark.parametrize("case", ["stray file", "old pub.json", "share p", "empty slot",
+                                      "repeated prime"])
     def test_audit_names_the_file_that_breaks_its_schema(self, pipeline, capsys, case):
         # the error named no file: "error: unknown file kind None"
         shares = pipeline / "shares"
@@ -709,7 +716,8 @@ class TestPipeline:
         assert captured.out == ""
         assert captured.err == f"error: {path}: {message}\n"
 
-    @pytest.mark.parametrize("case", ["old pub.json", "share p", "empty slot"])
+    @pytest.mark.parametrize("case", ["old pub.json", "share p", "empty slot",
+                                      "repeated prime"])
     def test_respond_names_the_file_that_breaks_its_schema(self, pipeline, capsys, case):
         root = pipeline
         _challenge_session(root)
@@ -791,6 +799,23 @@ class TestPipeline:
         assert doc["all_exact"] is True
         assert doc["false_accepts"] == [] and doc["missed"] == []
         assert len(doc["expected"]) == 16
+
+    def test_audit_baseline_false_accepts_exit_1(self, tmp_path, capsys):
+        # the installed-script check in CI: the airplane baseline plan at
+        # n = 12 is not exact under null 1 and the sum merge, so a seeded audit
+        # lists false accepts and exits 1, but never misses an authorized group
+        airplane = ["--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+                    "--max-size", "3"]
+        assert run_cli(["keygen", "--n", "12", "--seed", "1", "-o", str(tmp_path / "k")]) == 0
+        assert run_cli(["compile", *airplane, "--mode", "sequence",
+                        "--key", str(tmp_path / "k/priv.json"), "-o", str(tmp_path / "s")]) == 0
+        capsys.readouterr()
+        code = run_cli(["audit", *airplane, "--shares", str(tmp_path / "s"),
+                        "--seed", "1", "--trials", "50", "--json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1 and doc["all_exact"] is False
+        assert doc["missed"] == []
+        assert doc["false_accepts"] and not set(doc["false_accepts"]) & set(doc["expected"])
 
     @pytest.mark.parametrize("null", ["one", "random"])
     def test_audit_text_names_settings(self, pipeline, capsys, null):

@@ -320,6 +320,25 @@ def test_empty_prime_set_refused(airplane, tmp_path):
                               "a slot with no share is None, null in a file")
 
 
+@pytest.mark.parametrize("kind", ["share-monotone", "share-sequence"])
+@pytest.mark.parametrize("spelling", ["same", "leading zero"])
+def test_repeated_prime_refused(small, airplane, tmp_path, kind, spelling):
+    # ["2", "2", "3"] loaded as {2, 3}: a file `dumps` never writes read as one it does
+    if kind == "share-monotone":
+        doc, field = files.to_document(small.shares["A1"]), "primes"
+        primes = doc["primes"]
+    else:
+        doc, field = files.to_document(airplane.shares["C"]), "slots"
+        primes = next(slot for slot in doc["slots"] if slot)
+    primes.append(primes[0] if spelling == "same" else "0" + primes[0])
+    path = tmp_path / "share.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(SchemaError) as err:
+        files.load(path)
+    assert str(err.value) == f"{path}: field {field!r} names a prime twice"
+    assert err.value.field == field
+
+
 @pytest.mark.parametrize("kind", ["challenge", "verifier-state", "response", "verdict"])
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())

@@ -9,12 +9,10 @@ from groupauth import numtheory
 from groupauth.numtheory import (
     MAX_N,
     PRIME_PRODUCT_GAPS,
-    SMALL_PRIME_RANK,
     SMALL_PRIMES,
     TABLE_PRIMES,
     NotInvertible,
     _DETERMINISTIC_WITNESSES,
-    _PSI,
     _miller_rabin_round,
     first_n_primes,
     is_probable_prime,
@@ -147,17 +145,6 @@ class TestExactBound:
             assert is_probable_prime(n) == oracle, n
 
 
-SMALL_PRODUCT = math.prod(SMALL_PRIMES)
-
-
-def twelve_witness_rule(n):
-    """All 12 fixed witnesses for every n past the table's gcd, the oracle for
-    `is_probable_prime`'s first k of them below psi_k."""
-    if n < 2 or math.gcd(n, SMALL_PRODUCT) != 1:
-        return n in SMALL_PRIME_RANK
-    return all(miller_rabin_passes(n, _DETERMINISTIC_WITNESSES))
-
-
 def counted_rounds(monkeypatch):
     calls = []
     real = numtheory._miller_rabin_round
@@ -170,30 +157,35 @@ def counted_rounds(monkeypatch):
     return calls
 
 
-class TestWitnessCount:
-    """Below psi_k the first k fixed witnesses run, and no more."""
+# psi_k, the least strong pseudoprime to the first k fixed witnesses (OEIS
+# A014233)
+PSI = (2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+       341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+       3825123056546413051, PSI_12)
 
-    def test_psi_table(self):
-        assert len(_PSI) == len(_DETERMINISTIC_WITNESSES) and _PSI[-1] == PSI_12
-        assert list(_PSI) == sorted(_PSI)
+
+class TestWitnessCount:
+    """Below psi_12 all 12 fixed witnesses run for every prime."""
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_each_psi_refused(self, k):
         # psi_k fools the first k witnesses; a later one, or above psi_12 the
         # random ones, must catch it
-        psi = _PSI[k - 1]
+        psi = PSI[k - 1]
         assert all(miller_rabin_passes(psi, _DETERMINISTIC_WITNESSES[:k]))
         assert not is_probable_prime(psi)
 
-    def test_matches_twelve_witness_rule_below_million(self):
-        assert [n for n in range(1_000_000)
-                if is_probable_prime(n) != twelve_witness_rule(n)] == []
+    def test_matches_sieve_below_million(self):
+        flags = sieve(1_000_000)
+        assert [n for n in range(1_000_000) if is_probable_prime(n) != flags[n]] == []
 
-    def test_12_prime_modulus_takes_7_rounds(self, monkeypatch):
+    def test_12_prime_modulus_takes_12_rounds(self, monkeypatch):
+        # the first 7 witnesses decide the 12-prime demo modulus, which is
+        # below psi_7, yet a prime runs all 12
         calls = counted_rounds(monkeypatch)
-        assert _PSI[5] < 7420738134871 < _PSI[6]
+        assert 7420738134871 < PSI[6]
         assert is_probable_prime(7420738134871)
-        assert [w for *_, w in calls] == list(_DETERMINISTIC_WITNESSES[:7])
+        assert [w for *_, w in calls] == list(_DETERMINISTIC_WITNESSES)
 
 
 class TestNextPrimeAbove:
