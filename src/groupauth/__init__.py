@@ -19,7 +19,6 @@ Typical flow::
 """
 
 from .errors import GroupAuthError, SchemaError
-from .numtheory import NotInvertible
 from .nscrypt import (
     Ciphertext,
     KeyShare,
@@ -67,7 +66,6 @@ from .protocol import (
     verify,
 )
 from .sharesplit import (
-    GroupLargerThanPrimeCount,
     InsufficientPrimes,
     NonMonotoneError,
     SlotAssignment,

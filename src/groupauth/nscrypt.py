@@ -110,7 +110,9 @@ class NsPrivateKey:
         The fields are frozen, so the value never goes stale; it is stored
         on this object alone and is not part of equality or any file.
         """
-        s_inv = numtheory.mod_inv(self.s, self.p - 1)
+        # v_i = q_i^(s^-1 mod p-1), so v_i^s = q_i and c^s is the product of
+        # the primes m selects; __post_init__ has refused an s with no inverse
+        s_inv = pow(self.s, -1, self.p - 1)
         v = tuple(pow(q, s_inv, self.p) for q in self.primes)
         return NsPublicKey(n=self.n, p=self.p, v=v)
 

@@ -2,7 +2,8 @@
 
 Everything here works on plain Python ints, which are exact at any size, so
 there is no overflow anywhere in the stack. All functions are pure and safe
-to call from multiple threads.
+to call from multiple threads. The one modular inverse in the stack, the
+key's s^-1 mod p - 1, is the builtin `pow(s, -1, p - 1)` in `nscrypt`.
 
 Unless forced, a key's modulus is the least prime above P_n, the product of
 the first n primes. `PRIME_PRODUCT_GAPS` holds those primes as gaps p - P_n,
@@ -21,11 +22,7 @@ from __future__ import annotations
 import math
 import random
 
-from .errors import GroupAuthError
-
 __all__ = [
-    "NotInvertible",
-    "mod_inv",
     "is_probable_prime",
     "next_prime_above",
     "is_key_prime",
@@ -39,10 +36,6 @@ __all__ = [
 ]
 
 
-class NotInvertible(GroupAuthError):
-    """Raised when an inverse mod m does not exist (gcd != 1)."""
-
-
 # The primes 2..37 as Miller-Rabin witnesses decide primality exactly below
 # psi_12, the least strong pseudoprime to all of them (Sorenson & Webster;
 # OEIS A014233). Every key modulus with n <= 18 is below 2 * P_18 < psi_12.
@@ -51,19 +44,6 @@ _PSI_12 = 318665857834031151167461
 
 # Above psi_12 this many random witnesses bound a false "prime" by 4**-40.
 _RANDOM_WITNESSES = 40
-
-
-def mod_inv(a: int, m: int) -> int:
-    """The x in [0, m) with a*x = 1 (mod m).
-
-    Raises NotInvertible when gcd(a, m) != 1.
-    """
-    if m < 2:
-        raise ValueError("modulus must be >= 2")
-    try:
-        return pow(a, -1, m)
-    except ValueError:
-        raise NotInvertible(f"{a} has no inverse modulo {m}") from None
 
 
 def _miller_rabin_round(n: int, d: int, r: int, witness: int) -> bool:

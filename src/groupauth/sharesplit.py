@@ -43,10 +43,8 @@ from .protocol import Deployment, _session_shape
 __all__ = [
     "NonMonotoneError",
     "InsufficientPrimes",
-    "GroupLargerThanPrimeCount",
     "SlotAssignment",
     "SlotPlan",
-    "ShareSequence",
     "bl_split",
     "authorized_groups",
     "slots_baseline",
@@ -62,11 +60,12 @@ class NonMonotoneError(GroupAuthError):
 
 
 class InsufficientPrimes(GroupAuthError):
-    """Too few prime indices to honor the policy structure."""
+    """Too few prime indices to honor the policy structure.
 
-
-class GroupLargerThanPrimeCount(GroupAuthError):
-    """A requested group has more members than there are prime indices."""
+    Raised by a split with fewer prime indices than its parts or its maximal
+    unauthorized sets, and by a slot whose group has more members than there
+    are prime indices.
+    """
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +296,7 @@ class SlotPlan:
     def __post_init__(self):
         for slot in self.slots:
             if slot.k > self.n:
-                raise GroupLargerThanPrimeCount(
+                raise InsufficientPrimes(
                     f"group of {slot.k} members exceeds {self.n} prime indices")
             if not set(slot.member_part) <= set(self.universe):
                 raise ValueError("slot assigns a holder outside the universe")

@@ -575,6 +575,26 @@ class TestRefusedRunsLeaveNoDirectory:
             "error: or-merge is for monotone mode, sum/xor for sequence mode\n")
         assert not (tmp_path / "sd").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--mode", "sequence", "--max-size", "3"], "group of 3 members exceeds 2 prime indices"),
+        (["--mode", "sequence", "--max-size", "3", "--pack"],
+         "group of 3 members exceeds 2 prime indices"),
+        (["--mode", "monotone"], "policy separates 3 maximal unauthorized sets "
+                                 "but only 2 prime indices are available"),
+    ], ids=["sequence", "packed", "monotone"])
+    def test_compile_too_few_primes(self, tmp_path, capsys, flags, message):
+        # a key of 2 primes holds no slot of 3 members and no split of the
+        # airplane policy's 3 maximal unauthorized sets
+        assert run_cli(["keygen", "--n", "2", "--seed", "1", "-o", str(tmp_path)]) == 0
+        out = tmp_path / "sd" / "shares"
+        capsys.readouterr()
+        code = run_cli([
+            "compile", "--policy", fixtures.AIRPLANE_POLICY, "--universe", "A,B,C,D,E",
+            *flags, "--key", str(tmp_path / "priv.json"), "-o", str(out)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not (tmp_path / "sd").exists()
+
     def test_compile_no_groups(self, tmp_path, capsys):
         assert run_cli(["keygen", "--n", "8", "--seed", "1", "-o", str(tmp_path)]) == 0
         out = tmp_path / "sd" / "shares"

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from groupauth import files, protocol
 from groupauth.errors import SchemaError
-from groupauth.nscrypt import KeyShare, NsPrivateKey, NsPublicKey, Share
+from groupauth.nscrypt import KeyShare, NsPrivateKey, NsPublicKey, Share, ShareSequence
 from groupauth.numtheory import SMALL_PRIMES
 from groupauth.protocol import Challenge, ResponseVector, Verdict, VerifierState
-from groupauth.sharesplit import ShareSequence
 
 
 def one_per_kind(small, airplane):

@@ -13,6 +13,7 @@ from groupauth.nscrypt import (
     MalformedCiphertext,
     NsPrivateKey,
     NsPublicKey,
+    ShareSequence,
     binds,
     decrypt,
     encrypt,
@@ -21,7 +22,6 @@ from groupauth.nscrypt import (
     public_key_of,
     system_primes,
 )
-from groupauth.sharesplit import ShareSequence
 
 PRIMES_12 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 

@@ -356,16 +356,18 @@ def unpacked_fold(values, combine, width):
     return [int(digits[i - width:i], 2) for i in range(total, 0, -width)]
 
 
-class TestSubsetFold:
-    @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
-    @given(values=st.lists(st.integers(min_value=0, max_value=1 << 70), max_size=7))
-    def test_entry_folds_its_set_bits(self, combine, values):
-        for width in fold_widths([values], max(values, default=0).bit_length()):
-            folded = unpacked_fold(values, combine, width)
-            assert len(folded) == 1 << len(values)
-            for a, value in enumerate(folded):
-                members = [v for j, v in enumerate(values) if (a >> j) & 1]
-                assert value == functools.reduce(combine, members, 0), (a, width)
+# The three @given tests that take a `combine` parametrization are module
+# functions: as methods, each case runs on a new instance, which Hypothesis
+# flags as a differing executor wherever its pytest plugin is not loaded.
+@pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
+@given(values=st.lists(st.integers(min_value=0, max_value=1 << 70), max_size=7))
+def test_subset_fold_entry_folds_its_set_bits(combine, values):
+    for width in fold_widths([values], max(values, default=0).bit_length()):
+        folded = unpacked_fold(values, combine, width)
+        assert len(folded) == 1 << len(values)
+        for a, value in enumerate(folded):
+            members = [v for j, v in enumerate(values) if (a >> j) & 1]
+            assert value == functools.reduce(combine, members, 0), (a, width)
 
 
 def list_fold(values, combine):
@@ -394,15 +396,16 @@ def fold_cases(draw):
     return draw(st.lists(column, min_size=1, max_size=4)), m, n
 
 
-class TestSubsetMatches:
-    @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
-    @given(case=fold_cases())
-    def test_matches_list_fold(self, combine, case):
-        columns, m, n = case
-        for width in fold_widths(columns, n):
-            got = subset_matches(columns, combine, m, width=width, lanes=1)
-            assert got == list_matches(columns, combine, m), width
+@pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
+@given(case=fold_cases())
+def test_subset_matches_list_fold(combine, case):
+    columns, m, n = case
+    for width in fold_widths(columns, n):
+        got = subset_matches(columns, combine, m, width=width, lanes=1)
+        assert got == list_matches(columns, combine, m), width
 
+
+class TestSubsetMatches:
     @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
     def test_ten_holders_many_matches(self, combine):
         # 1,024 fields a column and 26 columns, as in the ten-holder audit;
@@ -445,17 +448,18 @@ def lane_cases(draw):
     return columns, lanes, width, folded, draw(st.integers(min_value=1, max_value=top))
 
 
-class TestLaneMatches:
-    @pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
-    @given(case=lane_cases())
-    def test_matches_list_fold(self, combine, case):
-        columns, lanes, width, folded, drawn = case
-        packed = pack_lanes(columns, width, lanes)
-        for m in (functools.reduce(combine, folded, 0), drawn):
-            if m >= 1:  # a lane-packed target is at least 1
-                got = subset_matches(packed, combine, m, width=width, lanes=lanes)
-                assert got == list_matches(columns, combine, m), (m, lanes)
+@pytest.mark.parametrize("combine", [operator.or_, operator.add, operator.xor])
+@given(case=lane_cases())
+def test_lane_matches_list_fold(combine, case):
+    columns, lanes, width, folded, drawn = case
+    packed = pack_lanes(columns, width, lanes)
+    for m in (functools.reduce(combine, folded, 0), drawn):
+        if m >= 1:  # a lane-packed target is at least 1
+            got = subset_matches(packed, combine, m, width=width, lanes=lanes)
+            assert got == list_matches(columns, combine, m), (m, lanes)
 
+
+class TestLaneMatches:
     def test_zero_target_refused_with_lanes(self):
         # a spare lane of the last int folds to 0 for every subset, so target 0
         # would match them all: refused, while with one lane only the empty subset does

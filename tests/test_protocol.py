@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from groupauth import files, fixtures, nscrypt, numtheory, protocol
 from groupauth.errors import GroupAuthError, SchemaError
-from groupauth.nscrypt import (KeyShare, NsPrivateKey, binds, keygen, partial_decrypt,
-                               public_key_of, residue_bits)
+from groupauth.nscrypt import (KeyShare, NsPrivateKey, ShareSequence, binds, keygen,
+                               partial_decrypt, public_key_of, residue_bits)
 from groupauth.policy import authorized_family, group_of, parse
 from groupauth.protocol import (
     Challenge,
@@ -28,8 +28,8 @@ from groupauth.protocol import (
     token_respond,
     verify,
 )
-from groupauth.sharesplit import (ShareSequence, _balanced_parts, issue_monotone,
-                                  issue_sequence, slots_baseline, slots_packed)
+from groupauth.sharesplit import (_balanced_parts, issue_monotone, issue_sequence,
+                                  slots_baseline, slots_packed)
 from conftest import TEN, TEN_POLICY, random_family
 
 ABCDE = ("A", "B", "C", "D", "E")
@@ -449,13 +449,14 @@ class TestAudit:
 
     def test_public_key_derived_once_across_calls(self, airplane, monkeypatch):
         # a caller running one trial per call passes the same key each time;
-        # only the first call may derive the public key (one mod_inv, n pows),
+        # only the first call may derive the public key (one inverse, n pows),
         # and a fresh key object has not derived it yet
         priv = airplane.priv
         fresh = NsPrivateKey(n=priv.n, p=priv.p, s=priv.s, primes=priv.primes)
         calls = []
-        mod_inv = numtheory.mod_inv
-        monkeypatch.setattr(numtheory, "mod_inv", lambda *a: calls.append(a) or mod_inv(*a))
+        public_key = nscrypt.NsPublicKey
+        monkeypatch.setattr(nscrypt, "NsPublicKey",
+                            lambda **kw: calls.append(kw) or public_key(**kw))
         for seed in (1, 2):
             report = audit(fresh, airplane.shares, airplane.expected_family,
                            trials=3, rng=random.Random(seed),

@@ -7,15 +7,14 @@ import pytest
 
 from groupauth import files
 from groupauth.errors import GroupAuthError
-from groupauth.nscrypt import KeyShare, Share, keygen, residue_bits, system_primes
+from groupauth.nscrypt import (KeyShare, Share, ShareSequence, keygen, residue_bits,
+                               system_primes)
 from groupauth.policy import (And, Or, Var, authorized_family, evaluate, group_of, parse,
                              truth_table, variables)
 from groupauth.sharesplit import (
-    GroupLargerThanPrimeCount,
     InsufficientPrimes,
     NonMonotoneError,
     SlotAssignment,
-    ShareSequence,
     SlotPlan,
     authorized_groups,
     bl_split,
@@ -526,7 +525,7 @@ class TestBaselinePlans:
     def test_too_large_group(self):
         for planner in (slots_baseline, slots_packed):
             for family in (frozenset({frozenset(ABCDE)}), family_of("AB", "CD", "ABCD")):
-                with pytest.raises(GroupLargerThanPrimeCount):
+                with pytest.raises(InsufficientPrimes):
                     planner(family, 3, ABCDE)
 
 
@@ -636,7 +635,7 @@ class TestIssuance:
 class TestPlanValidation:
     def test_more_parts_than_indices(self):
         slot = SlotAssignment({"A": 0, "B": 1, "C": 2})
-        with pytest.raises(GroupLargerThanPrimeCount,
+        with pytest.raises(InsufficientPrimes,
                            match=r"^group of 3 members exceeds 2 prime indices$"):
             SlotPlan(universe=("A", "B", "C"), n=2, slots=[slot])
         assert SlotPlan(universe=("A", "B", "C"), n=3, slots=[slot]).slots == [slot]
