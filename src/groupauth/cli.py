@@ -11,10 +11,12 @@ schema error.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import random
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import fixtures, files, nscrypt, policy, protocol, sharesplit
@@ -206,8 +208,13 @@ def cmd_audit(args) -> int:
             null_policy=null_policy, force_m=args.force_m)
     except protocol.UnboundShare as exc:
         raise SchemaError(f"{args.shares}: {exc}") from None
-    frequencies = report.frequencies()  # every subset, each named once below
-    names = {g: _format_group(g, holders) for g in frequencies}
+    # every subset named once, as `_format_group` names it, in (size, name) order
+    subsets = [name for k in range(1, len(holders) + 1)
+               for name in sorted(map(",".join, itertools.combinations(holders, k)))]
+    # accepted groups counted as sets, then each distinct group named once
+    counts = Counter(g for accepted in report.accepted_by_trial for g in accepted)
+    hits = Counter({_format_group(g, holders): c for g, c in counts.items()})
+    authorized = {_format_group(g, holders) for g in report.expected}
 
     if args.json:
         doc = {
@@ -216,15 +223,15 @@ def cmd_audit(args) -> int:
             "merge": report.merge,
             "null": null_policy,
             "all_exact": report.all_exact,
-            "expected": sorted(names[g] for g in report.expected),
-            "false_accepts": sorted(names[g] for g in report.false_accepts()),
-            "missed": sorted(names[g] for g in report.missed()),
-            "frequencies": {names[g]: freq for g, freq in frequencies.items()},
+            "expected": sorted(authorized),
+            "false_accepts": sorted(_format_group(g, holders) for g in report.false_accepts()),
+            "missed": sorted(_format_group(g, holders) for g in report.missed()),
+            "frequencies": {name: hits[name] / report.trials for name in subsets},
         }
         print(json.dumps(doc, sort_keys=True, indent=2))
     else:
-        rows = [[names[g], "yes" if g in report.expected else "no", f"{frequencies[g]:.2f}"]
-                for g in sorted(frequencies, key=lambda g: (len(g), names[g]))]
+        rows = [[name, "yes" if name in authorized else "no", f"{hits[name] / report.trials:.2f}"]
+                for name in subsets]
         _print_table(["subset", "authorized", "accept rate"], rows)
         print(f"{report.trials} trial(s), mode={deployment.mode}, merge={report.merge}, "
               f"null={null_policy}")

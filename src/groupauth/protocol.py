@@ -357,7 +357,11 @@ class UnboundShare(ValueError):
 
 @dataclass
 class AuditReport:
-    """Brute-force sweep of every subset against the expected family."""
+    """Brute-force sweep of every subset against the expected family.
+
+    Holds the audited universe, the expected family, and for each trial the
+    set of subsets accepted in it; subsets a trial rejects are not listed.
+    """
 
     universe: tuple[str, ...]
     expected: frozenset[frozenset[str]]
@@ -371,19 +375,6 @@ class AuditReport:
     @property
     def all_exact(self) -> bool:
         return all(acc == self.expected for acc in self.accepted_by_trial)
-
-    def subsets(self) -> list[frozenset[str]]:
-        """Every non-empty subset of the universe, in bit-mask order."""
-        return [group_of(a, self.universe) for a in range(1, 1 << len(self.universe))]
-
-    def frequencies(self) -> dict[frozenset[str], float]:
-        """Acceptance rate per subset across all trials."""
-        counts = {g: 0 for g in self.subsets()}
-        for accepted in self.accepted_by_trial:
-            for g in accepted:
-                counts[g] += 1
-        t = max(self.trials, 1)
-        return {g: c / t for g, c in counts.items()}
 
     def false_accepts(self) -> frozenset[frozenset[str]]:
         """Subsets outside the expected family accepted in any trial."""
@@ -427,9 +418,9 @@ def audit(
     Each trial draws a fresh message (or reuses `force_m`), computes every
     holder's response to it, and merges those responses over all subsets;
     a subset is accepted exactly when `verify` would accept its merge. The
-    report compares that against the expected family and tallies per-subset
-    acceptance frequencies. `trials` must be an int of at least 1, since a
-    report with no trials would read as exact. Mode and merge default as in
+    report compares that against the expected family, and holds each
+    trial's accepted subsets. `trials` must be an int of at least 1, since
+    a report with no trials would read as exact. Mode and merge default as in
     `make_challenge`, and the report records the merge used. `key` is a
     public key or a private key, whose public key is derived once per
     object: its n bounds the messages, and it must bind every share.

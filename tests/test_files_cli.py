@@ -1,5 +1,7 @@
 import builtins
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -9,6 +11,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -1196,6 +1199,31 @@ def test_audit_output_pinned_for_reversed_universe(pipeline, capsys, policy_name
     stdout = capsys.readouterr().out
     assert (code, hashlib.sha256(stdout.encode()).hexdigest()) == (
         REVERSED_AUDIT_DIGESTS[policy_name, output])
+
+
+def test_audit_names_each_subset_once(tmp_path, capsys):
+    # 14 holders, 16,383 subsets: the audit names each subset as one string
+    # and builds a name set only per accepted or expected group; one name
+    # set per subset peaks at about 18 MiB here
+    universe = [f"H{i}" for i in range(14)]
+    deployment = ["--policy", " or ".join(universe), "--universe", ",".join(universe),
+                  "--max-size", "1"]
+    assert run_cli(["keygen", "--n", "16", "--seed", "1", "-o", str(tmp_path)]) == 0
+    assert run_cli(["compile", *deployment, "--mode", "sequence",
+                    "--key", str(tmp_path / "priv.json"), "-o", str(tmp_path / "shares")]) == 0
+    capsys.readouterr()
+    out = io.StringIO()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = run_cli(["audit", *deployment, "--shares", str(tmp_path / "shares"),
+                            "--seed", "1"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert out.getvalue().count("\n") == 16_387
+    assert peak < 10 * 2**20
 
 
 def test_packed_compile_of_a_4_of_14_threshold(tmp_path, capsys):

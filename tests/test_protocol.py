@@ -442,10 +442,9 @@ class TestAudit:
             trials=3, rng=random.Random(8),
             mode="sequence", merge="sum", null_policy="one",
             force_m=fixtures.AIRPLANE_MESSAGE)
-        freqs = report.frequencies()
-        assert len(freqs) == 31
-        for group in airplane.expected_family:
-            assert freqs[group] == 1.0
+        assert report.trials == 3
+        for accepted in report.accepted_by_trial:
+            assert airplane.expected_family <= accepted
 
     def test_public_key_derived_once_across_calls(self, airplane, monkeypatch):
         # a caller running one trial per call passes the same key each time;
@@ -1388,8 +1387,8 @@ class TestXorPitfall:
         report = audit(airplane.priv, airplane.shares, airplane.expected_family, trials=20,
                        rng=random.Random(1), mode="sequence", merge="xor",
                        null_policy="random-nonzero")
-        frequencies = report.frequencies()
-        assert [frequencies[frozenset(g)] for g in ("ACDE", "BCDE", "ABCDE")] == [1.0] * 3
+        for accepted in report.accepted_by_trial:
+            assert {frozenset(g) for g in ("ACDE", "BCDE", "ABCDE")} <= accepted
 
 
 def _walk_json(node):
