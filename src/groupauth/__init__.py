@@ -45,7 +45,6 @@ from .policy import (
     Var,
     authorized_family,
     evaluate,
-    is_monotone,
     parse,
     render,
 )

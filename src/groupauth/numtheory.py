@@ -154,17 +154,10 @@ def prime_index(q: int) -> int:
 
     Message bit positions are defined by this rank, so a key share can map
     its prime values back to bit indices without carrying the full system
-    prime list. Primes in SMALL_PRIMES are looked up; larger ones are
-    ranked by walking the primes above the table.
+    prime list. Every message bit's prime is among the first MAX_N primes,
+    so the rank is read off SMALL_PRIME_RANK; any other q is refused.
     """
     rank = SMALL_PRIME_RANK.get(q)
-    if rank is not None:
-        return rank
-    if q < 2 or not is_probable_prime(q):
-        raise ValueError(f"{q} is not prime")
-    rank = len(SMALL_PRIMES) - 1
-    p = SMALL_PRIMES[-1]
-    while p < q:
-        rank += 1
-        p = next_prime_above(p)
+    if rank is None:
+        raise ValueError(f"{q} is not one of the first {MAX_N} primes")
     return rank

@@ -37,7 +37,6 @@ __all__ = [
     "parse",
     "render",
     "evaluate",
-    "is_monotone",
     "variables",
     "truth_table",
     "subset_matches",
@@ -243,11 +242,6 @@ def evaluate(expr: PolicyExpr, present: Iterable[str]) -> bool:
 
     The tree's `_fold` of membership, `all`, `any` and `not`."""
     return _fold(expr, frozenset(present).__contains__, all, any, operator.not_)
-
-
-def is_monotone(expr: PolicyExpr) -> bool:
-    """Syntactic check: true iff the AST contains no NOT node."""
-    return _fold(expr, lambda _: True, all, all, lambda _: False)
 
 
 def variables(expr: PolicyExpr) -> tuple[str, ...]:

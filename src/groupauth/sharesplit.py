@@ -36,8 +36,7 @@ from functools import partial, reduce
 from . import policy
 from .errors import GroupAuthError
 from .nscrypt import KeyShare, NsPrivateKey, Share, ShareSequence, public_key_of
-from .policy import (And, Or, PolicyExpr, Var, _fold, check_universe, group_of, is_monotone,
-                     variables)
+from .policy import And, Or, PolicyExpr, Var, _fold, check_universe, group_of, variables
 from .protocol import Deployment, _session_shape
 
 __all__ = [
@@ -77,15 +76,20 @@ def _maximal_unsat(expr: PolicyExpr, order: tuple[str, ...]) -> list[int]:
 
     The tree's `_fold`: Var x fails within everyone but x, AND fails where
     any child fails (the union of their sets), OR where every child fails
-    (intersections of one set per child). Each step keeps the maximal. There
-    is no NOT step: `bl_split` refuses a non-monotone expression first.
+    (intersections of one set per child). Each step keeps the maximal. The
+    NOT step raises NonMonotoneError, which is how `bl_split` refuses NOT.
     """
     full = (1 << len(order)) - 1
     return sorted(_fold(
         expr, lambda name: [full ^ (1 << order.index(name))],
         partial(reduce, lambda kept, sets: _keep_maximal({*kept, *sets})),
         partial(reduce, lambda kept, sets: _keep_maximal({a & b for a in kept for b in sets})),
-        not_=None))
+        _refuse_not))
+
+
+def _refuse_not(_) -> list[int]:
+    raise NonMonotoneError(
+        "policy is non-monotone (contains NOT); monotone mode needs AND/OR only")
 
 
 def _keep_maximal(masks: set[int]) -> list[int]:
@@ -218,11 +222,9 @@ def bl_split(
     not exact it is rebuilt with guided routing, which is exact by
     construction. Raises InsufficientPrimes when the expression
     structurally needs more indices than provided, and NonMonotoneError
-    for expressions containing NOT.
+    for expressions containing NOT, from the fold that finds the maximal
+    unauthorized sets, so only after the index and universe checks.
     """
-    if not is_monotone(expr):
-        raise NonMonotoneError(
-            "policy is non-monotone (contains NOT); monotone mode needs AND/OR only")
     indices = list(prime_indices)
     if len(set(indices)) != len(indices):
         raise ValueError("prime indices must be distinct")

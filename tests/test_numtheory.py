@@ -210,10 +210,16 @@ class TestFirstNPrimes:
 
 class TestPrimeIndex:
     def test_ranks(self):
-        # 70 primes: the 64-prime table and the walk beyond it
-        primes = first_n_primes(70)
-        for i, q in enumerate(primes):
+        # every rank in the MAX_N-prime table
+        for i, q in enumerate(first_n_primes(MAX_N)):
             assert prime_index(q) == i
+
+    def test_rejects_primes_above_the_table(self):
+        # 313 is the 65th prime: no message bit has it, so it has no rank
+        assert first_n_primes(MAX_N + 1)[-1] == 313
+        for q in (313, 317, 2 ** 61 - 1):
+            with pytest.raises(ValueError, match=f"^{q} is not one of the first 64 primes$"):
+                prime_index(q)
 
     def test_rejects_composite(self):
         for q in (9, 1, 0, 313 * 317):

@@ -20,7 +20,6 @@ from groupauth.policy import (
     Var,
     authorized_family,
     evaluate,
-    is_monotone,
     parse,
     render,
     subset_matches,
@@ -28,11 +27,13 @@ from groupauth.policy import (
 )
 from groupauth.policy import _LANE_BITS, _lane_count, _packed_fold
 from groupauth.protocol import audit
-from groupauth.sharesplit import _maximal_unsat, bl_split
+from groupauth.sharesplit import InsufficientPrimes, NonMonotoneError, _maximal_unsat, bl_split
 from conftest import random_monotone_expr
 
 ABCDE = ("A", "B", "C", "D", "E")
 INTRO = "(A and B) or ((A or B) and (C or D or E))"
+NOT_REFUSED = ("^policy is non-monotone \\(contains NOT\\); "
+               "monotone mode needs AND/OR only$")
 
 
 # policy text `depth` levels deep, innermost holder A
@@ -117,10 +118,12 @@ class TestParse:
         assert [evaluate(expr, g) for g in groups] == [brute_eval(expr, g) for g in groups]
         assert authorized_family(expr, ("A", "B")) == {
             g for g in groups if brute_eval(expr, g)}
-        assert is_monotone(expr) == (shape == "and-or")
         assert variables(expr) == (("B", "A") if shape == "and-or" else ("A",))
         if shape == "and-or":  # B and (B or (B and ...)) is B, so only {A} fails
             assert _maximal_unsat(expr, ("A", "B")) == [0b01]
+        else:
+            with pytest.raises(NonMonotoneError, match=NOT_REFUSED):
+                bl_split(expr, range(8))
 
     @pytest.mark.parametrize("shape", NESTED)
     def test_nesting_depth_101_refused(self, shape):
@@ -279,13 +282,50 @@ class TestEvaluate:
 
 class TestMonotonicity:
     def test_intro_is_monotone(self):
-        assert is_monotone(parse(INTRO, ABCDE))
+        assert set(bl_split(parse(INTRO, ABCDE), range(8))) == set(ABCDE)
 
     def test_not_detected(self):
-        assert not is_monotone(parse("A and not B", ABCDE))
+        with pytest.raises(NonMonotoneError, match=NOT_REFUSED):
+            bl_split(parse("A and not B", ABCDE), range(8))
 
     def test_double_negation_is_syntactic(self):
-        assert not is_monotone(parse("not (not A)", ABCDE))
+        with pytest.raises(NonMonotoneError, match=NOT_REFUSED):
+            bl_split(parse("not (not A)", ABCDE), range(8))
+
+    def test_maximal_unsat_refuses_not(self):
+        # the fold's NOT step refuses, so a caller of `_maximal_unsat` that
+        # skips `bl_split` gets the same refusal
+        with pytest.raises(NonMonotoneError, match=NOT_REFUSED):
+            _maximal_unsat(parse("A and not B", ABCDE), ABCDE)
+
+    def test_index_checks_come_first(self):
+        # NOT is refused by the fold, after the distinct-index and empty-index checks
+        expr = parse("A and not B", ABCDE)
+        with pytest.raises(ValueError, match="^prime indices must be distinct$"):
+            bl_split(expr, [0, 0])
+        with pytest.raises(InsufficientPrimes, match="^no prime indices to split$"):
+            bl_split(expr, [])
+
+
+def has_not(expr):
+    """Whether the tree holds a Not node, by a walk of its own."""
+    if isinstance(expr, Var):
+        return False
+    if isinstance(expr, Not):
+        return True
+    return any(has_not(c) for c in expr.children)
+
+
+@given(rng=st.randoms(use_true_random=False), negate=st.booleans())
+def test_bl_split_refuses_exactly_the_trees_with_not(rng, negate):
+    expr = random_monotone_expr(rng, ABCDE)
+    if negate:
+        expr = with_nots(rng, expr)
+    if has_not(expr):
+        with pytest.raises(NonMonotoneError, match=NOT_REFUSED):
+            bl_split(expr, range(64))
+    else:  # at most C(5, 2) maximal unauthorized sets and AND fan-in 27, both below 64
+        assert set(bl_split(expr, range(64))) == set(variables(expr))
 
 
 class TestAuthorizedFamily:
